@@ -43,6 +43,33 @@ void BM_RequestTrackerLifecycle(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestTrackerLifecycle)->Arg(1000)->Arg(100000);
 
+// One request's tracker work as FLStore::serve does it: begin, route,
+// finish, then garbage-collect with the one-hour horizon, all timed. Time
+// advances 3600/N seconds per request, so one entry expires per iteration
+// and the table holds ~N finished entries inside the horizon.
+void BM_RequestTrackerServeCycle(benchmark::State& state) {
+  constexpr double kHorizonS = 3600.0;
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  const double step_s = kHorizonS / static_cast<double>(n);
+  RequestTracker tracker;
+  RequestId next = 1;
+  const auto at = [&](RequestId id) { return static_cast<double>(id) * step_s; };
+  for (; next <= static_cast<RequestId>(n); ++next) {
+    tracker.begin(next, at(next));
+    tracker.finish(next, at(next));
+  }
+  for (auto _ : state) {
+    const double now = at(next);
+    tracker.begin(next, now);
+    tracker.add_function(next, static_cast<FunctionId>(next % 8));
+    tracker.finish(next, now);
+    benchmark::DoNotOptimize(tracker.garbage_collect(now, kHorizonS));
+    ++next;
+  }
+  state.counters["tracked"] = static_cast<double>(tracker.total_tracked());
+}
+BENCHMARK(BM_RequestTrackerServeCycle)->Arg(4096)->Arg(100000);
+
 void BM_RequestTrackerLookup(benchmark::State& state) {
   RequestTracker tracker;
   const auto n = static_cast<std::size_t>(state.range(0));

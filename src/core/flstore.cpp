@@ -251,6 +251,22 @@ FLStore::FetchOutcome FLStore::fetch_cold(const MetadataKey& key,
 ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
   tracker_.begin(req.id, now);
   ServeResult res;
+  try {
+    res = serve_tracked(req, now);
+  } catch (...) {
+    // A cold object gone or a workload refusing its input must not leave
+    // the request in flight forever; the id may be served again.
+    tracker_.abandon(req.id);
+    throw;
+  }
+  tracker_.finish(req.id, now + res.comm_s + res.comp_s);
+  (void)tracker_.garbage_collect(now, /*horizon_s=*/3600.0);
+  return res;
+}
+
+ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
+                                   double now) {
+  ServeResult res;
   res.comm_s = config_.routing_overhead_s;
   CostMeter request_fees;
 
@@ -452,11 +468,6 @@ ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
       // another policy's pins.
       engine_->evict(key, /*include_pinned=*/pin);
     }
-  }
-
-  tracker_.finish(req.id, now + res.comm_s + res.comp_s);
-  if (tracker_.total_tracked() > 4096) {
-    (void)tracker_.garbage_collect(now, /*horizon_s=*/3600.0);
   }
 
   res.latency_s = res.comm_s + res.comp_s;

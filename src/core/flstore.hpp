@@ -197,6 +197,8 @@ class FLStore {
     units::Bytes logical_bytes = 0;
     double latency_s = 0.0;
   };
+  /// serve() between the tracker's begin and finish.
+  ServeResult serve_tracked(const fed::NonTrainingRequest& req, double now);
   /// Synchronous cold-store fetch (miss path) at simulated time `now`;
   /// charges fees to `meter`. Goes through the interceptor when one is set.
   FetchOutcome fetch_cold(const MetadataKey& key, CostMeter& meter,

@@ -239,6 +239,42 @@ TEST_F(FLStoreFixture, TrackerRecordsServingFunctions) {
   EXPECT_FALSE(store->tracker().get(77).functions.empty());
 }
 
+TEST_F(FLStoreFixture, ServeThatThrowsReleasesItsTrackerEntry) {
+  auto store = make_store(PolicyMode::kLru);
+  ingest_upto(*store, 3);
+  const auto name =
+      MetadataKey::update(job.participants(3).back(), 3).object_name();
+  const auto kept = cold.get(name);
+  ASSERT_TRUE(kept.found);
+  ASSERT_TRUE(cold.remove(name));
+  EXPECT_THROW(
+      (void)store->serve(request(5, fed::WorkloadType::kCosineSimilarity, 3),
+                         40.0),
+      NotFound);
+  EXPECT_EQ(store->tracker().in_flight(), 0U);
+  EXPECT_FALSE(store->tracker().contains(5));
+
+  // With the object back, a retry under the same id is served.
+  (void)cold.put(name, *kept.blob, kept.logical_bytes);
+  const auto res =
+      store->serve(request(5, fed::WorkloadType::kCosineSimilarity, 3), 50.0);
+  EXPECT_GT(res.hits + res.misses, 0U);
+  EXPECT_TRUE(store->tracker().is_done(5));
+  EXPECT_EQ(store->tracker().in_flight(), 0U);
+}
+
+TEST_F(FLStoreFixture, WorkloadRejectionReleasesItsTrackerEntry) {
+  auto store = make_store();
+  ingest_upto(*store, 2);
+  // Hyperparameter tracking needs two rounds of info; round 0 has one.
+  EXPECT_THROW(
+      (void)store->serve(request(8, fed::WorkloadType::kHyperparamTracking, 0),
+                         30.0),
+      InvalidArgument);
+  EXPECT_EQ(store->tracker().in_flight(), 0U);
+  EXPECT_FALSE(store->tracker().contains(8));
+}
+
 TEST_F(FLStoreFixture, InfrastructureCostTracksWarmFunctions) {
   auto store = make_store();
   ingest_upto(*store, 5);
