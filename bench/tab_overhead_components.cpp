@@ -4,11 +4,19 @@
 // Paper numbers: Request Tracker < 0.19 MB and Cache Engine 0.6 MB at 1000
 // concurrent requests; 20.3 MB / 63.2 MB at 100000; retrieve/use/remove all
 // under one millisecond.
+//
+// Also times the serving plane's per-request compute: each paper workload's
+// kernel and the update-blob decode that feeds it.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "cloud/pricing.hpp"
 #include "core/cache_engine.hpp"
 #include "core/request_tracker.hpp"
+#include "fed/codec.hpp"
+#include "fed/fl_job.hpp"
+#include "workloads/workload.hpp"
 
 namespace flstore::core {
 namespace {
@@ -125,6 +133,100 @@ void BM_CacheEngineInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheEngineInsertEvict);
+
+// --- Workload compute at the multi-tenant scenario's three models ----------
+// (sim::TrafficShape::kMultiTenantContention). One iteration is one request's
+// kernel on an already-decoded input; as in serving, repeated requests for a
+// round reuse that round's memoized probe batch.
+
+constexpr const char* kTenantModels[] = {"efficientnet_v2_s", "resnet18",
+                                         "mobilenet_v3_small"};
+constexpr RoundId kBenchRound = 15;
+
+fed::FLJob tenant_job(const char* model) {
+  fed::FLJobConfig cfg;
+  cfg.model = model;
+  cfg.pool_size = 100;
+  cfg.clients_per_round = 10;
+  cfg.rounds = 40;
+  cfg.malicious_fraction = 0.1;
+  cfg.seed = 24;
+  return fed::FLJob(cfg);
+}
+
+workloads::WorkloadInput direct_input(const fed::FLJob& job,
+                                      const fed::NonTrainingRequest& req) {
+  workloads::WorkloadInput in;
+  in.model = &job.model();
+  for (const auto& key : workloads::workload_for(req.type).data_needs(req, job)) {
+    const auto rec = job.make_round(key.round);
+    switch (key.kind) {
+      case ObjectKind::ClientUpdate:
+        for (const auto& u : rec.updates) {
+          if (u.client == key.client) in.updates.push_back(u);
+        }
+        break;
+      case ObjectKind::AggregatedModel:
+        in.aggregates.push_back({rec.round, rec.aggregate, rec.model_bytes});
+        break;
+      case ObjectKind::ClientMetrics:
+        for (const auto& m : rec.metrics) {
+          if (m.client == key.client) in.metrics.push_back(m);
+        }
+        break;
+      case ObjectKind::RoundMetadata:
+        in.round_infos.push_back(
+            {rec.round, rec.hparams, rec.global_loss,
+             static_cast<std::int32_t>(rec.updates.size())});
+        break;
+    }
+  }
+  return in;
+}
+
+void BM_WorkloadExecute(benchmark::State& state, fed::WorkloadType type,
+                        const char* model) {
+  const auto job = tenant_job(model);
+  fed::NonTrainingRequest req;
+  req.id = 1;
+  req.type = type;
+  req.round = kBenchRound;
+  if (fed::policy_class_for(type) == fed::PolicyClass::kP3) {
+    req.client = job.participants(kBenchRound).front();
+  }
+  const auto in = direct_input(job, req);
+  const auto& w = workloads::workload_for(type);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.execute(req, in));
+  }
+  state.counters["dim"] = static_cast<double>(job.model().materialized_dim());
+}
+
+void BM_DecodeUpdate(benchmark::State& state, const char* model) {
+  const auto job = tenant_job(model);
+  const auto blob = fed::encode_update(job.make_round(kBenchRound).updates.front());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fed::decode_update(blob));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blob.size()));
+}
+
+[[maybe_unused]] const bool kWorkloadBenchesRegistered = [] {
+  for (const auto* model : kTenantModels) {
+    for (const auto type : fed::paper_workloads()) {
+      benchmark::RegisterBenchmark(("BM_WorkloadExecute/" +
+                                    std::string(fed::to_string(type)) + "/" +
+                                    model)
+                                       .c_str(),
+                                   BM_WorkloadExecute, type, model);
+    }
+    benchmark::RegisterBenchmark(
+        ("BM_DecodeUpdate/" + std::string(model)).c_str(), BM_DecodeUpdate,
+        model);
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace flstore::core

@@ -27,6 +27,12 @@ class Rng {
   }
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+  /// One N(mean, stddev) draw. A fresh std::normal_distribution per call
+  /// discards the second variate of the polar method, so every draw costs a
+  /// full rejection loop (two or more engine outputs plus a log and a sqrt).
+  /// Keeping the spare variate would be faster but would change every
+  /// seeded tensor, figure and digest in the repo; hot paths that redraw the
+  /// same seeded values memoize them instead (workloads::probe_batch).
   [[nodiscard]] double normal(double mean, double stddev);
   /// Exponential inter-arrival time with the given rate (events/sec).
   [[nodiscard]] double exponential(double rate);

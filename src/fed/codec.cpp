@@ -43,19 +43,17 @@ class Writer {
   Blob out_;
 };
 
+// The frame checksum is verified once per decode, before decode_* returns:
+// by tensor(), in the same pass as the nested tensor blob's own checksum, or
+// else by expect_done(). Fields read before that are only bounds-checked.
 class Reader {
  public:
   Reader(std::span<const std::uint8_t> bytes, Tag expected) : bytes_(bytes) {
     if (bytes.size() < 1 + sizeof(std::uint64_t)) {
       throw InvalidArgument("metadata blob too small");
     }
-    const auto body = bytes.size() - sizeof(std::uint64_t);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + body, sizeof stored);
-    if (checksum(bytes.subspan(0, body)) != stored) {
-      throw InvalidArgument("metadata blob checksum mismatch");
-    }
-    end_ = body;
+    end_ = bytes.size() - sizeof(std::uint64_t);
+    std::memcpy(&stored_crc_, bytes.data() + end_, sizeof stored_crc_);
     if (bytes_[pos_++] != static_cast<std::uint8_t>(expected)) {
       throw InvalidArgument("metadata blob tag mismatch");
     }
@@ -73,12 +71,18 @@ class Reader {
   }
   [[nodiscard]] Tensor tensor() {
     const auto len = raw<std::uint64_t>();
-    if (pos_ + len > end_) throw InvalidArgument("metadata blob truncated");
-    auto t = deserialize_tensor(bytes_.subspan(pos_, len));
-    pos_ += len;
+    if (len > end_ - pos_) throw InvalidArgument("metadata blob truncated");
+    auto t = deserialize_nested_tensor(bytes_.first(end_), pos_,
+                                       static_cast<std::size_t>(len),
+                                       stored_crc_);
+    verified_ = true;
+    pos_ += static_cast<std::size_t>(len);
     return t;
   }
   void expect_done() const {
+    if (!verified_ && checksum(bytes_.first(end_)) != stored_crc_) {
+      throw InvalidArgument("metadata blob checksum mismatch");
+    }
     if (pos_ != end_) throw InvalidArgument("metadata blob trailing bytes");
   }
 
@@ -86,6 +90,8 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
+  std::uint64_t stored_crc_ = 0;
+  bool verified_ = false;
 };
 
 }  // namespace

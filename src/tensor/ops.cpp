@@ -30,11 +30,13 @@ double l2_distance(const Tensor& a, const Tensor& b) {
 }
 
 double cosine_similarity(const Tensor& a, const Tensor& b) {
-  const double na = l2_norm(a);
-  const double nb = l2_norm(b);
+  return cosine_from(dot(a, b), l2_norm(a), l2_norm(b));
+}
+
+double cosine_from(double dot, double norm_a, double norm_b) {
   constexpr double kEps = 1e-12;
-  if (na < kEps || nb < kEps) return 0.0;
-  return std::clamp(dot(a, b) / (na * nb), -1.0, 1.0);
+  if (norm_a < kEps || norm_b < kEps) return 0.0;
+  return std::clamp(dot / (norm_a * norm_b), -1.0, 1.0);
 }
 
 void axpy(double alpha, const Tensor& x, Tensor& y) {
@@ -72,17 +74,26 @@ Tensor mean(const std::vector<Tensor>& ts) {
 
 Tensor weighted_mean(const std::vector<Tensor>& ts,
                      const std::vector<double>& weights) {
+  std::vector<const Tensor*> view;
+  view.reserve(ts.size());
+  for (const auto& t : ts) view.push_back(&t);
+  return weighted_mean_borrowed(view, weights);
+}
+
+Tensor weighted_mean_borrowed(std::span<const Tensor* const> ts,
+                              std::span<const double> weights) {
   FLSTORE_CHECK(!ts.empty());
   FLSTORE_CHECK(ts.size() == weights.size());
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   FLSTORE_CHECK(total > 0.0);
   // Accumulate in double to avoid float cancellation across many clients.
-  std::vector<double> acc(ts[0].dim(), 0.0);
+  std::vector<double> acc(ts[0]->dim(), 0.0);
   for (std::size_t k = 0; k < ts.size(); ++k) {
-    FLSTORE_CHECK(ts[k].dim() == acc.size());
+    const Tensor& t = *ts[k];
+    FLSTORE_CHECK(t.dim() == acc.size());
     FLSTORE_CHECK(weights[k] >= 0.0);
     for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc[i] += weights[k] * static_cast<double>(ts[k][i]);
+      acc[i] += weights[k] * static_cast<double>(t[i]);
     }
   }
   Tensor out(acc.size());

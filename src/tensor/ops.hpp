@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,12 @@ namespace flstore::ops {
 
 /// Cosine similarity in [-1, 1]; returns 0 when either vector is ~zero.
 [[nodiscard]] double cosine_similarity(const Tensor& a, const Tensor& b);
+/// cosine_similarity from precomputed parts: cosine_from(dot(a, b),
+/// l2_norm(a), l2_norm(b)) == cosine_similarity(a, b) bit for bit. Pairwise
+/// kernels compute each norm once and each unordered pair's dot once; IEEE
+/// multiplication commutes exactly, so dot(a, b) == dot(b, a) and the (i, j)
+/// and (j, i) cosines are the same value.
+[[nodiscard]] double cosine_from(double dot, double norm_a, double norm_b);
 
 /// y += alpha * x
 void axpy(double alpha, const Tensor& x, Tensor& y);
@@ -29,8 +36,15 @@ void scale(Tensor& t, double alpha);
 /// Weighted mean with non-negative weights summing to a positive value.
 [[nodiscard]] Tensor weighted_mean(const std::vector<Tensor>& ts,
                                    const std::vector<double>& weights);
+/// The same over borrowed tensors, for callers that average a subset of a
+/// larger set: nothing is copied, and the result is bit-identical to the
+/// overload above on copies of the same tensors in the same order.
+[[nodiscard]] Tensor weighted_mean_borrowed(
+    std::span<const Tensor* const> ts, std::span<const double> weights);
 
-/// i.i.d. N(mean, stddev) tensor.
+/// i.i.d. N(mean, stddev) tensor. Costs one Rng::normal per element, which
+/// is not cheap (see Rng::normal); hot paths that redraw the same seeded
+/// tensors memoize them (workloads::probe_batch) rather than change this.
 [[nodiscard]] Tensor random_normal(std::size_t dim, Rng& rng,
                                    double mean = 0.0, double stddev = 1.0);
 

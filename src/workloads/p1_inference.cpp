@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "tensor/ops.hpp"
 #include "workloads/workload.hpp"
 
@@ -38,11 +37,12 @@ class InferenceWorkload final : public Workload {
     FLSTORE_CHECK(!model.empty());
 
     // Probe batch seeded by the request round: deterministic results.
-    Rng rng(0xF00D ^ static_cast<std::uint64_t>(req.round + 1));
+    const auto probes = probe_batch(
+        0xF00D ^ static_cast<std::uint64_t>(req.round + 1), model.dim(),
+        kProbeBatch);
     WorkloadOutput out;
     double positive = 0.0;
-    for (int i = 0; i < kProbeBatch; ++i) {
-      const auto probe = ops::random_normal(model.dim(), rng);
+    for (const auto& probe : *probes) {
       const double score =
           std::tanh(ops::dot(model, probe) / static_cast<double>(model.dim()));
       if (score > 0.0) positive += 1.0;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "fed/aggregator.hpp"
 #include "tensor/ops.hpp"
 #include "workloads/workload.hpp"
@@ -55,12 +54,9 @@ class DebuggingWorkload final : public Workload {
       throw InvalidArgument("debugging input lacks the requested round");
     }
     const auto dim = target_round.front()->delta.dim();
-    Rng rng(0xDEB06 ^ static_cast<std::uint64_t>(req.round + 1));
-    std::vector<Tensor> probes;
-    probes.reserve(kDebugProbes);
-    for (int p = 0; p < kDebugProbes; ++p) {
-      probes.push_back(ops::random_normal(dim, rng));
-    }
+    const auto batch = probe_batch(
+        0xDEB06 ^ static_cast<std::uint64_t>(req.round + 1), dim, kDebugProbes);
+    const auto& probes = *batch;
 
     // activation[c][p] = tanh(<delta_c, probe_p> / sqrt(dim))
     const double scale = std::sqrt(static_cast<double>(dim));
@@ -158,9 +154,9 @@ class IncentivesWorkload final : public Workload {
 
   [[nodiscard]] WorkloadOutput execute(const fed::NonTrainingRequest& req,
                                        const WorkloadInput& in) const override {
-    std::vector<fed::ClientUpdate> current;
+    std::vector<const fed::ClientUpdate*> current;
     for (const auto& u : in.updates) {
-      if (u.round == req.round) current.push_back(u);
+      if (u.round == req.round) current.push_back(&u);
     }
     if (current.empty()) {
       throw InvalidArgument("incentives needs the requested round's updates");
@@ -171,15 +167,16 @@ class IncentivesWorkload final : public Workload {
     // toward the consensus of everyone else; poisoners earn negative values.
     double total_positive = 0.0;
     std::vector<double> contributions;
-    for (const auto& u : current) {
-      double contrib = 0.0;
+    for (const auto* u : current) {
+      const double norm = ops::l2_norm(u->delta);
+      double contrib = norm;
       if (current.size() > 1) {
-        const auto rest = fed::fedavg_excluding(current, {u.client});
-        contrib = ops::cosine_similarity(u.delta, rest) * ops::l2_norm(u.delta);
-      } else {
-        contrib = ops::l2_norm(u.delta);
+        const auto rest = fed::fedavg_excluding(current, {u->client});
+        contrib = ops::cosine_from(ops::dot(u->delta, rest), norm,
+                                   ops::l2_norm(rest)) *
+                  norm;
       }
-      out.clients.push_back(u.client);
+      out.clients.push_back(u->client);
       contributions.push_back(contrib);
       if (contrib > 0.0) total_positive += contrib;
     }

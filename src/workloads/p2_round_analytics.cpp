@@ -41,6 +41,26 @@ std::vector<Tensor> deltas_of(const WorkloadInput& in) {
   return out;
 }
 
+/// cos[i][j] for every pair of the input's updates, from n norms and one
+/// dot per unordered pair (ops::cosine_from): bit-identical to calling
+/// ops::cosine_similarity on each ordered pair. The diagonal is unused.
+std::vector<std::vector<double>> pairwise_cosines(const WorkloadInput& in) {
+  const auto n = in.updates.size();
+  std::vector<double> norms(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    norms[i] = ops::l2_norm(in.updates[i].delta);
+  }
+  std::vector<std::vector<double>> cos(n, std::vector<double>(n, 1.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      cos[i][j] = cos[j][i] = ops::cosine_from(
+          ops::dot(in.updates[i].delta, in.updates[j].delta), norms[i],
+          norms[j]);
+    }
+  }
+  return cos;
+}
+
 /// Pairwise-cosine flop cost: each pair costs ~3P (dot + two norms,
 /// amortized) at the real model's parameter count.
 double pairwise_flops(std::size_t n, double params) {
@@ -65,6 +85,7 @@ class CosineSimilarityWorkload final : public Workload {
                                        const WorkloadInput& in) const override {
     require_updates(in, "cosine_similarity");
     const auto n = in.updates.size();
+    const auto cos = pairwise_cosines(in);
     WorkloadOutput out;
     double sum = 0.0;
     double min_cos = 1.0;
@@ -72,8 +93,7 @@ class CosineSimilarityWorkload final : public Workload {
     ClientId a = kNoClient, b = kNoClient;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        const double c =
-            ops::cosine_similarity(in.updates[i].delta, in.updates[j].delta);
+        const double c = cos[i][j];
         sum += c;
         ++pairs;
         if (c < min_cos) {
@@ -117,15 +137,15 @@ class MaliciousFilterWorkload final : public Workload {
                                        const WorkloadInput& in) const override {
     require_updates(in, "malicious_filter");
     const auto n = in.updates.size();
+    const auto cos = pairwise_cosines(in);
     WorkloadOutput out;
     // Robust score: median cosine to the other updates; poisoners disagree
     // with the honest majority regardless of how many land in the round.
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<double> cosines;
+      cosines.reserve(n);
       for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        cosines.push_back(
-            ops::cosine_similarity(in.updates[i].delta, in.updates[j].delta));
+        if (i != j) cosines.push_back(cos[i][j]);
       }
       const double score = cosines.empty() ? 1.0 : median(std::move(cosines));
       out.clients.push_back(in.updates[i].client);
@@ -281,11 +301,14 @@ class SchedulingClusterWorkload final : public Workload {
     // (mean update): those clients train productively and are scheduled
     // preferentially next round.
     const auto consensus = ops::mean(points);
+    const double consensus_norm = ops::l2_norm(consensus);
     std::vector<double> tier_score(static_cast<std::size_t>(k), 0.0);
     std::vector<int> tier_count(static_cast<std::size_t>(k), 0);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto t = static_cast<std::size_t>(res.assignment[i]);
-      tier_score[t] += ops::cosine_similarity(points[i], consensus);
+      tier_score[t] +=
+          ops::cosine_from(ops::dot(points[i], consensus),
+                           ops::l2_norm(points[i]), consensus_norm);
       ++tier_count[t];
     }
     std::size_t best_tier = 0;

@@ -1,9 +1,12 @@
 #include "workloads/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "tensor/ops.hpp"
 
 namespace flstore::workloads {
 
@@ -81,6 +84,38 @@ double median(std::vector<double> values) {
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
                    values.end());
   return values[mid];
+}
+
+std::shared_ptr<const std::vector<Tensor>> probe_batch(std::uint64_t seed,
+                                                       std::size_t dim,
+                                                       int count) {
+  struct Slot {
+    std::uint64_t seed = 0;
+    std::size_t dim = 0;
+    int count = 0;
+    std::shared_ptr<const std::vector<Tensor>> batch;
+  };
+  // slots[0] is the most recently used; a miss evicts slots[1].
+  thread_local std::array<Slot, 2> slots;
+  const auto matches = [&](const Slot& s) {
+    return s.batch != nullptr && s.seed == seed && s.dim == dim &&
+           s.count == count;
+  };
+  if (matches(slots[0])) return slots[0].batch;
+  if (matches(slots[1])) {
+    std::swap(slots[0], slots[1]);
+    return slots[0].batch;
+  }
+  FLSTORE_CHECK(count >= 0);
+  Rng rng(seed);
+  auto batch = std::make_shared<std::vector<Tensor>>();
+  batch->reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    batch->push_back(ops::random_normal(dim, rng));
+  }
+  slots[1] = std::move(slots[0]);
+  slots[0] = Slot{seed, dim, count, std::move(batch)};
+  return slots[0].batch;
 }
 
 void absorb_blob(WorkloadInput& in, const MetadataKey& key,

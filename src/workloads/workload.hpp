@@ -79,6 +79,16 @@ class Workload {
 /// Median of a non-empty vector (copies; inputs are small).
 [[nodiscard]] double median(std::vector<double> values);
 
+/// `count` probe tensors of `dim` i.i.d. N(0, 1) values drawn in order from
+/// Rng(seed): bit-identical to calling ops::random_normal(dim, rng) `count`
+/// times. The batch is a pure function of its arguments, and P1/P2 requests
+/// keep asking for the newest round's batch, so it is memoized in two
+/// thread_local most-recently-used slots: no lock, and at most two batches
+/// per thread (128 KB for 16 probes at the largest materialized dim, 1024).
+/// A returned batch stays valid after its slot is reused.
+[[nodiscard]] std::shared_ptr<const std::vector<Tensor>> probe_batch(
+    std::uint64_t seed, std::size_t dim, int count);
+
 /// Decode a stored blob into the right WorkloadInput bucket based on the
 /// key's kind. Shared by every serving system (FLStore and the baselines),
 /// so they all run identical workload semantics.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "tensor/ops.hpp"
 
 namespace flstore::fed {
@@ -57,6 +60,30 @@ TEST(FedAvg, ExcludingClientsChangesResult) {
   const auto without2 = fedavg_excluding(ups, {2});
   EXPECT_NEAR(all[0], 4.0, 1e-6);
   EXPECT_NEAR(without2[0], 2.0, 1e-6);
+}
+
+TEST(FedAvg, BorrowedViewMatchesCopiedDeltasBitForBit) {
+  Rng rng(9);
+  std::vector<ClientUpdate> ups;
+  for (ClientId c = 0; c < 6; ++c) {
+    auto u = make_update(c, 3, {}, 50 * c);  // client 0 has zero samples
+    u.delta = ops::random_normal(40, rng);
+    ups.push_back(std::move(u));
+  }
+  std::vector<const ClientUpdate*> view;
+  for (const auto& u : ups) view.push_back(&u);
+  for (ClientId skip = 0; skip < 6; ++skip) {
+    std::vector<Tensor> deltas;
+    std::vector<double> weights;
+    for (const auto& u : ups) {
+      if (u.client == skip) continue;
+      deltas.push_back(u.delta);
+      weights.push_back(static_cast<double>(std::max(u.num_samples, 1)));
+    }
+    const auto want = ops::weighted_mean(deltas, weights);
+    EXPECT_EQ(fedavg_excluding(view, {skip}), want) << "skip " << skip;
+    EXPECT_EQ(fedavg_excluding(ups, {skip}), want) << "skip " << skip;
+  }
 }
 
 TEST(FedAvg, ExcludingEveryoneRejected) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/serialize.hpp"
 
 namespace flstore::fed {
 namespace {
@@ -76,6 +80,87 @@ TEST(Codec, CorruptionDetected) {
   auto blob = encode_update(sample_update());
   blob[blob.size() / 2] ^= 0x55;
   EXPECT_THROW((void)decode_update(blob), InvalidArgument);
+}
+
+TEST(Codec, MetadataCorruptionDetected) {
+  // Tensor-free frames verify their checksum in expect_done().
+  auto metrics = encode_metrics(ClientMetrics{});
+  metrics[5] ^= 0x10;
+  EXPECT_THROW((void)decode_metrics(metrics), InvalidArgument);
+  auto info = encode_round_info(RoundInfo{});
+  info[9] ^= 0x10;
+  EXPECT_THROW((void)decode_round_info(info), InvalidArgument);
+}
+
+// Byte ranges of a tensor-carrying frame, located from its end:
+// tag | header fields | tensor length (u64) | tensor blob | frame crc (u64),
+// where the tensor blob is magic (4) | dim (u64) | payload | tensor crc (u64).
+struct FrameLayout {
+  explicit FrameLayout(const Blob& blob, std::size_t dim)
+      : outer_crc(blob.size() - 8),
+        inner_crc(outer_crc - 8),
+        payload(inner_crc - dim * sizeof(float)),
+        dim_field(payload - 8),
+        magic(dim_field - 4),
+        tensor_len(magic - 8) {}
+  std::size_t outer_crc, inner_crc, payload, dim_field, magic, tensor_len;
+};
+
+/// Recomputes the frame checksum so it matches whatever the frame holds.
+void restamp_frame_crc(Blob& blob) {
+  const auto body = blob.size() - sizeof(std::uint64_t);
+  const auto crc = checksum(std::span(blob.data(), body));
+  std::memcpy(blob.data() + body, &crc, sizeof crc);
+}
+
+template <typename Decode>
+void expect_every_region_rejected(const Blob& clean, std::size_t dim,
+                                  Decode decode) {
+  const FrameLayout at(clean, dim);
+  const std::pair<const char*, std::size_t> regions[] = {
+      {"tag", 0},
+      {"frame header", 1},
+      {"tensor length", at.tensor_len},
+      {"magic", at.magic + 1},
+      {"dim", at.dim_field},
+      {"payload", at.payload + dim * sizeof(float) / 2},
+      {"inner crc", at.inner_crc + 3},
+      {"outer crc", at.outer_crc + 5},
+  };
+  ASSERT_NO_THROW((void)decode(clean));
+  for (const auto& [name, offset] : regions) {
+    SCOPED_TRACE(name);
+    ASSERT_LT(offset, clean.size());
+    auto blob = clean;
+    blob[offset] ^= 0x01;
+    EXPECT_THROW((void)decode(blob), InvalidArgument);
+  }
+  // Only the tensor's own checksum can catch these: the frame checksum has
+  // been re-stamped over the corrupted bytes, so the inner check must have
+  // survived being fused into the outer pass.
+  for (const auto offset : {at.inner_crc, at.payload}) {
+    auto blob = clean;
+    blob[offset] ^= 0x01;
+    restamp_frame_crc(blob);
+    EXPECT_THROW((void)decode(blob), InvalidArgument) << "offset " << offset;
+  }
+  auto restamped = clean;
+  restamp_frame_crc(restamped);
+  EXPECT_EQ(restamped, clean);
+}
+
+TEST(Codec, UpdateCorruptionInEveryRegionDetected) {
+  const auto u = sample_update();
+  expect_every_region_rejected(encode_update(u), u.delta.dim(),
+                               [](const Blob& b) { return decode_update(b); });
+}
+
+TEST(Codec, AggregateCorruptionInEveryRegionDetected) {
+  Rng rng(3);
+  const auto model = ops::random_normal(96, rng);
+  expect_every_region_rejected(
+      encode_aggregate(4, model, 10 * units::MB), model.dim(),
+      [](const Blob& b) { return decode_aggregate(b); });
 }
 
 TEST(Codec, TruncationDetected) {

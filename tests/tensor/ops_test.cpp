@@ -161,5 +161,30 @@ TEST_P(CosineRange, Bounded) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CosineRange, ::testing::Range(0, 20));
 
+TEST(Ops, CosineFromCachedPartsIsBitIdenticalAndSymmetric) {
+  Rng rng(31);
+  std::vector<Tensor> ts{Tensor(24)};  // a zero vector takes the eps branch
+  for (int i = 0; i < 5; ++i) ts.push_back(ops::random_normal(24, rng));
+  for (const auto& a : ts) {
+    for (const auto& b : ts) {
+      const double c = ops::cosine_similarity(a, b);
+      EXPECT_EQ(ops::cosine_from(ops::dot(a, b), ops::l2_norm(a),
+                                 ops::l2_norm(b)),
+                c);
+      EXPECT_EQ(ops::cosine_similarity(b, a), c);
+    }
+  }
+}
+
+TEST(Ops, WeightedMeanOverBorrowedTensorsMatchesCopies) {
+  Rng rng(32);
+  const std::vector<Tensor> ts{ops::random_normal(17, rng),
+                               ops::random_normal(17, rng),
+                               ops::random_normal(17, rng)};
+  const std::vector<double> w{3.0, 0.5, 1.0};
+  const std::vector<const Tensor*> view{&ts[0], &ts[1], &ts[2]};
+  EXPECT_EQ(ops::weighted_mean_borrowed(view, w), ops::weighted_mean(ts, w));
+}
+
 }  // namespace
 }  // namespace flstore

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -59,6 +61,40 @@ TEST(Checksum, SensitiveToOrder) {
   const Blob a{1, 2, 3};
   const Blob b{3, 2, 1};
   EXPECT_NE(checksum(a), checksum(b));
+}
+
+TEST(Checksum, FusedEqualsTwoSeparatePasses) {
+  Rng rng(6);
+  const auto blob = serialize_tensor(ops::random_normal(37, rng));
+  const std::span<const std::uint8_t> all(blob);
+  // Inner ranges at the start, middle and end, empty and whole.
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 0}, {0, 9}, {12, 40}, {blob.size() - 5, 5}, {blob.size(), 0},
+      {0, blob.size()}};
+  for (const auto& [offset, len] : ranges) {
+    const auto sums = checksum_fused(all, offset, len);
+    EXPECT_EQ(sums.outer, checksum(all)) << offset << "+" << len;
+    EXPECT_EQ(sums.inner, checksum(all.subspan(offset, len)))
+        << offset << "+" << len;
+  }
+}
+
+TEST(Serialize, NestedTensorChecksBothChecksums) {
+  Rng rng(7);
+  const auto t = ops::random_normal(16, rng);
+  const auto inner = serialize_tensor(t);
+  Blob frame{9, 9, 9};
+  frame.insert(frame.end(), inner.begin(), inner.end());
+  frame.push_back(9);
+  const auto frame_crc = checksum(frame);
+  EXPECT_EQ(deserialize_nested_tensor(frame, 3, inner.size(), frame_crc), t);
+  EXPECT_THROW(
+      (void)deserialize_nested_tensor(frame, 3, inner.size(), frame_crc ^ 1),
+      InvalidArgument);
+  frame[3 + inner.size() - 1] ^= 0x01;  // the tensor's own crc
+  EXPECT_THROW((void)deserialize_nested_tensor(frame, 3, inner.size(),
+                                               checksum(frame)),
+               InvalidArgument);
 }
 
 class SerializeSweep : public ::testing::TestWithParam<int> {};
