@@ -154,36 +154,6 @@ fed::FLJob tenant_job(const char* model) {
   return fed::FLJob(cfg);
 }
 
-workloads::WorkloadInput direct_input(const fed::FLJob& job,
-                                      const fed::NonTrainingRequest& req) {
-  workloads::WorkloadInput in;
-  in.model = &job.model();
-  for (const auto& key : workloads::workload_for(req.type).data_needs(req, job)) {
-    const auto rec = job.make_round(key.round);
-    switch (key.kind) {
-      case ObjectKind::ClientUpdate:
-        for (const auto& u : rec.updates) {
-          if (u.client == key.client) in.updates.push_back(u);
-        }
-        break;
-      case ObjectKind::AggregatedModel:
-        in.aggregates.push_back({rec.round, rec.aggregate, rec.model_bytes});
-        break;
-      case ObjectKind::ClientMetrics:
-        for (const auto& m : rec.metrics) {
-          if (m.client == key.client) in.metrics.push_back(m);
-        }
-        break;
-      case ObjectKind::RoundMetadata:
-        in.round_infos.push_back(
-            {rec.round, rec.hparams, rec.global_loss,
-             static_cast<std::int32_t>(rec.updates.size())});
-        break;
-    }
-  }
-  return in;
-}
-
 void BM_WorkloadExecute(benchmark::State& state, fed::WorkloadType type,
                         const char* model) {
   const auto job = tenant_job(model);
@@ -194,7 +164,7 @@ void BM_WorkloadExecute(benchmark::State& state, fed::WorkloadType type,
   if (fed::policy_class_for(type) == fed::PolicyClass::kP3) {
     req.client = job.participants(kBenchRound).front();
   }
-  const auto in = direct_input(job, req);
+  const auto in = workloads::input_from_job(job, req);
   const auto& w = workloads::workload_for(type);
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.execute(req, in));
@@ -204,7 +174,8 @@ void BM_WorkloadExecute(benchmark::State& state, fed::WorkloadType type,
 
 void BM_DecodeUpdate(benchmark::State& state, const char* model) {
   const auto job = tenant_job(model);
-  const auto blob = fed::encode_update(job.make_round(kBenchRound).updates.front());
+  const auto blob =
+      fed::encode_update(job.make_round(kBenchRound).updates.front());
   for (auto _ : state) {
     benchmark::DoNotOptimize(fed::decode_update(blob));
   }

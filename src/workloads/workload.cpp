@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fed/fl_job.hpp"
 #include "tensor/ops.hpp"
 
 namespace flstore::workloads {
@@ -134,6 +136,38 @@ void absorb_blob(WorkloadInput& in, const MetadataKey& key,
       in.round_infos.push_back(fed::decode_round_info(bytes));
       break;
   }
+}
+
+WorkloadInput input_from_job(const fed::FLJob& job,
+                             const fed::NonTrainingRequest& req) {
+  WorkloadInput in;
+  in.model = &job.model();
+  // Keys come grouped by round: regenerate each round once.
+  std::optional<fed::RoundRecord> rec;
+  for (const auto& key : workload_for(req.type).data_needs(req, job)) {
+    if (!rec || rec->round != key.round) rec = job.make_round(key.round);
+    switch (key.kind) {
+      case ObjectKind::ClientUpdate:
+        for (const auto& u : rec->updates) {
+          if (u.client == key.client) in.updates.push_back(u);
+        }
+        break;
+      case ObjectKind::AggregatedModel:
+        in.aggregates.push_back({rec->round, rec->aggregate, rec->model_bytes});
+        break;
+      case ObjectKind::ClientMetrics:
+        for (const auto& m : rec->metrics) {
+          if (m.client == key.client) in.metrics.push_back(m);
+        }
+        break;
+      case ObjectKind::RoundMetadata:
+        in.round_infos.push_back(
+            {rec->round, rec->hparams, rec->global_loss,
+             static_cast<std::int32_t>(rec->updates.size())});
+        break;
+    }
+  }
+  return in;
 }
 
 }  // namespace flstore::workloads

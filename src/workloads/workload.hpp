@@ -23,6 +23,10 @@
 #include "fed/request.hpp"
 #include "models/model_zoo.hpp"
 
+namespace flstore::fed {
+class FLJob;
+}  // namespace flstore::fed
+
 namespace flstore::workloads {
 
 /// Decoded records a serving system hands to execute(). Vectors hold
@@ -85,6 +89,9 @@ class Workload {
 /// keep asking for the newest round's batch, so it is memoized in two
 /// thread_local most-recently-used slots: no lock, and at most two batches
 /// per thread (128 KB for 16 probes at the largest materialized dim, 1024).
+/// Two slots suffice because ShardedStore runs each tenant's timeline as one
+/// pool task, so a thread serves one tenant at a time, and that tenant's live
+/// keys are its inference and debugging batches for the newest round.
 /// A returned batch stays valid after its slot is reused.
 [[nodiscard]] std::shared_ptr<const std::vector<Tensor>> probe_batch(
     std::uint64_t seed, std::size_t dim, int count);
@@ -94,5 +101,11 @@ class Workload {
 /// so they all run identical workload semantics.
 void absorb_blob(WorkloadInput& in, const MetadataKey& key,
                  std::span<const std::uint8_t> bytes);
+
+/// The input `req` needs, resolved straight from `job`'s regenerated round
+/// records with no storage or codec in between: the ground truth tests and
+/// benches run workloads against.
+[[nodiscard]] WorkloadInput input_from_job(const fed::FLJob& job,
+                                           const fed::NonTrainingRequest& req);
 
 }  // namespace flstore::workloads

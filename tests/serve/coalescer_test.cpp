@@ -92,11 +92,16 @@ TEST(Coalescer, ThreadSafeUnderHammering) {
     });
   }
   for (auto& t : threads) t.join();
-  // Same simulated instant from every thread: one lead, the rest joins.
+  // Same simulated instant from every thread. fetch() drops its lock across
+  // the cold GET, so threads that pass the join check before the first lead
+  // publishes its window also lead (documented in coalescer.cpp); each thread
+  // has one call in flight, so at most one lead per thread, and every call
+  // after the first publish joins.
   const auto stats = co.stats();
-  EXPECT_EQ(stats.leads, 1U);
-  EXPECT_EQ(stats.joins, 799U);
-  EXPECT_EQ(store.get_count(), 1U);
+  EXPECT_GE(stats.leads, 1U);
+  EXPECT_LE(stats.leads, 8U);
+  EXPECT_EQ(stats.leads + stats.joins, 800U);
+  EXPECT_EQ(store.get_count(), stats.leads);
 }
 
 // End-to-end: two cache shards of one tenant share the cold store and the

@@ -21,15 +21,13 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "fed/fl_job.hpp"
 #include "tensor/kmeans.hpp"
 #include "tensor/ops.hpp"
+#include "workload_fixture.hpp"
 
 namespace flstore::workloads {
 namespace {
 
-using fed::FLJob;
-using fed::FLJobConfig;
 using fed::NonTrainingRequest;
 using fed::WorkloadType;
 
@@ -84,7 +82,8 @@ WorkloadOutput ref_inference(const NonTrainingRequest& req,
     }
   }
   out.scalar = positive / 16;
-  out.summary = "served 16 samples, positive rate " + std::to_string(out.scalar);
+  out.summary =
+      "served 16 samples, positive rate " + std::to_string(out.scalar);
   out.work = scan_work(in);
   out.work.flops += 16.0 * in.model->gflops_forward * 1e9;
   out.result_bytes = 4 * units::KB;
@@ -259,7 +258,8 @@ WorkloadOutput ref_scheduling_cluster(const NonTrainingRequest& req,
                                       const WorkloadInput& in) {
   std::vector<Tensor> points;
   for (const auto& u : in.updates) points.push_back(u.delta);
-  const auto k = std::min<std::int32_t>(3, static_cast<std::int32_t>(points.size()));
+  const auto k =
+      std::min<std::int32_t>(3, static_cast<std::int32_t>(points.size()));
   Rng rng(0x71F1 + static_cast<std::uint64_t>(req.round));
   const auto res = kmeans(points, k, rng);
   const auto consensus = ops::mean(points);
@@ -327,92 +327,39 @@ constexpr WorkloadType kAllTypes[] = {
     WorkloadType::kDebugging,         WorkloadType::kReputation,
     WorkloadType::kProvenance,        WorkloadType::kHyperparamTracking};
 
-class WorkloadKernels : public ::testing::TestWithParam<const char*> {
+/// `in` after every record went through its codec, as serving decodes it.
+WorkloadInput via_blobs(const WorkloadInput& in) {
+  WorkloadInput out;
+  out.model = in.model;
+  for (const auto& u : in.updates) {
+    out.updates.push_back(fed::decode_update(fed::encode_update(u)));
+  }
+  for (const auto& a : in.aggregates) {
+    out.aggregates.push_back(fed::decode_aggregate(
+        fed::encode_aggregate(a.round, a.model, a.logical_bytes)));
+  }
+  for (const auto& m : in.metrics) {
+    out.metrics.push_back(fed::decode_metrics(fed::encode_metrics(m)));
+  }
+  for (const auto& i : in.round_infos) {
+    out.round_infos.push_back(
+        fed::decode_round_info(fed::encode_round_info(i)));
+  }
+  return out;
+}
+
+class WorkloadKernels : public ::testing::TestWithParam<const char*>,
+                        protected WorkloadJob {
  protected:
-  WorkloadKernels() : job_(config(GetParam())) {}
+  WorkloadKernels() : WorkloadJob(GetParam()) {}
 
-  static FLJobConfig config(const char* model) {
-    FLJobConfig cfg;
-    cfg.model = model;
-    cfg.pool_size = 60;
-    cfg.clients_per_round = 10;
-    cfg.rounds = 40;
-    cfg.malicious_fraction = 0.1;
-    cfg.seed = 2024;
-    return cfg;
+  /// A request for `type` at round `r`; P3 asks about a participant of `r`.
+  NonTrainingRequest request_at(WorkloadType type, RoundId r) const {
+    return request(type, r,
+                   fed::policy_class_for(type) == fed::PolicyClass::kP3
+                       ? job_.participants(r).front()
+                       : kNoClient);
   }
-
-  const fed::RoundRecord& round(RoundId r) {
-    auto it = rounds_.find(r);
-    if (it == rounds_.end()) it = rounds_.emplace(r, job_.make_round(r)).first;
-    return it->second;
-  }
-
-  NonTrainingRequest request(WorkloadType type, RoundId r) {
-    NonTrainingRequest req;
-    req.id = 1;
-    req.type = type;
-    req.round = r;
-    if (fed::policy_class_for(type) == fed::PolicyClass::kP3) {
-      req.client = job_.participants(r).front();
-    }
-    return req;
-  }
-
-  /// The request's input, built either straight from the round records or
-  /// the way serving does it: encoded to blobs and decoded by absorb_blob.
-  WorkloadInput materialize(const NonTrainingRequest& req, bool via_blobs) {
-    WorkloadInput in;
-    in.model = &job_.model();
-    for (const auto& key : workload_for(req.type).data_needs(req, job_)) {
-      const auto& rec = round(key.round);
-      switch (key.kind) {
-        case ObjectKind::ClientUpdate:
-          for (const auto& u : rec.updates) {
-            if (u.client != key.client) continue;
-            if (via_blobs) {
-              absorb_blob(in, key, fed::encode_update(u));
-            } else {
-              in.updates.push_back(u);
-            }
-          }
-          break;
-        case ObjectKind::AggregatedModel:
-          if (via_blobs) {
-            absorb_blob(in, key, fed::encode_aggregate(rec.round, rec.aggregate,
-                                                       rec.model_bytes));
-          } else {
-            in.aggregates.push_back({rec.round, rec.aggregate, rec.model_bytes});
-          }
-          break;
-        case ObjectKind::ClientMetrics:
-          for (const auto& m : rec.metrics) {
-            if (m.client != key.client) continue;
-            if (via_blobs) {
-              absorb_blob(in, key, fed::encode_metrics(m));
-            } else {
-              in.metrics.push_back(m);
-            }
-          }
-          break;
-        case ObjectKind::RoundMetadata: {
-          const fed::RoundInfo info{
-              rec.round, rec.hparams, rec.global_loss,
-              static_cast<std::int32_t>(rec.updates.size())};
-          if (via_blobs) {
-            absorb_blob(in, key, fed::encode_round_info(info));
-          } else {
-            in.round_infos.push_back(info);
-          }
-          break;
-        }
-      }
-    }
-    return in;
-  }
-
-  FLJob job_;
-  std::map<RoundId, fed::RoundRecord> rounds_;
 };
 
 TEST_P(WorkloadKernels, EveryOutputFieldMatchesTheReference) {
@@ -421,9 +368,9 @@ TEST_P(WorkloadKernels, EveryOutputFieldMatchesTheReference) {
     for (const auto type : kAllTypes) {
       SCOPED_TRACE(std::string(fed::to_string(type)) + " round " +
                    std::to_string(r));
-      const auto req = request(type, r);
-      const auto direct = materialize(req, /*via_blobs=*/false);
-      const auto decoded = materialize(req, /*via_blobs=*/true);
+      const auto req = request_at(type, r);
+      const auto direct = materialize(req);
+      const auto decoded = via_blobs(direct);
       const auto& w = workload_for(type);
       const auto out = w.execute(req, decoded);
       expect_bit_identical(out, w.execute(req, direct));
@@ -442,10 +389,12 @@ TEST_P(WorkloadKernels, RepeatedRequestEqualsTheFirst) {
   std::map<std::pair<int, RoundId>, WorkloadOutput> first;
   for (int pass = 0; pass < 2; ++pass) {
     for (const RoundId r : kRounds) {
-      for (const auto type : {WorkloadType::kInference, WorkloadType::kDebugging,
-                              WorkloadType::kInference}) {
-        const auto req = request(type, r);
-        const auto out = workload_for(type).execute(req, materialize(req, true));
+      for (const auto type :
+           {WorkloadType::kInference, WorkloadType::kDebugging,
+            WorkloadType::kInference}) {
+        const auto req = request_at(type, r);
+        const auto out =
+            workload_for(type).execute(req, via_blobs(materialize(req)));
         const auto key = std::make_pair(static_cast<int>(type), r);
         if (const auto it = first.find(key); it != first.end()) {
           SCOPED_TRACE(std::string(fed::to_string(type)) + " round " +
@@ -459,11 +408,12 @@ TEST_P(WorkloadKernels, RepeatedRequestEqualsTheFirst) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, WorkloadKernels,
-                         ::testing::Values("resnet18", "mobilenet_v3_small"),
-                         [](const auto& info) { return std::string(info.param); });
+INSTANTIATE_TEST_SUITE_P(
+    Models, WorkloadKernels,
+    ::testing::Values("resnet18", "mobilenet_v3_small"),
+    [](const auto& info) { return std::string(info.param); });
 
-// --- probe_batch ---------------------------------------------------------------
+// --- probe_batch -------------------------------------------------------------
 
 TEST(ProbeBatch, EqualsFreshDraws) {
   const auto batch = probe_batch(0xF00D ^ 8, 300, 16);

@@ -8,72 +8,17 @@
 
 #include "common/error.hpp"
 #include "fed/fl_job.hpp"
+#include "workload_fixture.hpp"
 
 namespace flstore::workloads {
 namespace {
 
 using fed::FLJob;
-using fed::FLJobConfig;
-using fed::NonTrainingRequest;
 using fed::WorkloadType;
 
-class WorkloadFixture : public ::testing::Test {
+class WorkloadFixture : public ::testing::Test, protected WorkloadJob {
  protected:
-  WorkloadFixture() : job_(config()) {}
-
-  static FLJobConfig config() {
-    FLJobConfig cfg;
-    cfg.model = "resnet18";
-    cfg.pool_size = 60;
-    cfg.clients_per_round = 10;
-    cfg.rounds = 40;
-    cfg.malicious_fraction = 0.1;
-    cfg.seed = 2024;
-    return cfg;
-  }
-
-  /// Resolve a request's data needs against the job and build the input.
-  WorkloadInput materialize(const NonTrainingRequest& req) const {
-    WorkloadInput in;
-    in.model = &job_.model();
-    const auto& w = workload_for(req.type);
-    for (const auto& key : w.data_needs(req, job_)) {
-      const auto rec = job_.make_round(key.round);
-      switch (key.kind) {
-        case ObjectKind::ClientUpdate:
-          for (const auto& u : rec.updates) {
-            if (u.client == key.client) in.updates.push_back(u);
-          }
-          break;
-        case ObjectKind::AggregatedModel:
-          in.aggregates.push_back(
-              {rec.round, rec.aggregate, rec.model_bytes});
-          break;
-        case ObjectKind::ClientMetrics:
-          for (const auto& m : rec.metrics) {
-            if (m.client == key.client) in.metrics.push_back(m);
-          }
-          break;
-        case ObjectKind::RoundMetadata:
-          in.round_infos.push_back({rec.round, rec.hparams, rec.global_loss,
-                                    static_cast<std::int32_t>(rec.updates.size())});
-          break;
-      }
-    }
-    return in;
-  }
-
-  NonTrainingRequest request(WorkloadType type, RoundId round,
-                             ClientId client = kNoClient) const {
-    NonTrainingRequest req;
-    req.id = 1;
-    req.type = type;
-    req.round = round;
-    req.client = client;
-    return req;
-  }
-
-  FLJob job_;
+  WorkloadFixture() : WorkloadJob("resnet18") {}
 };
 
 TEST_F(WorkloadFixture, RegistryCoversAllTypes) {
@@ -322,9 +267,7 @@ TEST_F(WorkloadFixture, MissingInputsRejectedEverywhere) {
 TEST_F(WorkloadFixture, ComputeWorkScalesWithModelSize) {
   // The same workload on a bigger model touches more bytes and flops —
   // this is what drives the per-model differences in Figs 7/8.
-  FLJobConfig big_cfg = config();
-  big_cfg.model = "swin_v2_t";
-  const FLJob big_job(big_cfg);
+  const FLJob big_job(workload_job_config("swin_v2_t"));
 
   const auto req = request(WorkloadType::kCosineSimilarity, 9);
   const auto& w = workload_for(req.type);
