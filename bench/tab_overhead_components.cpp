@@ -6,16 +6,20 @@
 // under one millisecond.
 //
 // Also times the serving plane's per-request compute: each paper workload's
-// kernel and the update-blob decode that feeds it.
+// kernel, the update-blob decode that feeds it, the frame checksum and
+// k-means.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "cloud/pricing.hpp"
+#include "common/rng.hpp"
 #include "core/cache_engine.hpp"
 #include "core/request_tracker.hpp"
 #include "fed/codec.hpp"
 #include "fed/fl_job.hpp"
+#include "tensor/kmeans.hpp"
+#include "tensor/serialize.hpp"
 #include "workloads/workload.hpp"
 
 namespace flstore::core {
@@ -183,6 +187,35 @@ void BM_DecodeUpdate(benchmark::State& state, const char* model) {
                           static_cast<std::int64_t>(blob.size()));
 }
 
+// A frame's checksum, at the sizes serving decodes: a metrics frame (77 B)
+// and an efficientnet_v2_s update frame (3173 B).
+void BM_Checksum(benchmark::State& state) {
+  Blob bytes(static_cast<std::size_t>(state.range(0)));
+  Rng rng(77);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Checksum)->Arg(77)->Arg(3173);
+
+// k-means as the P2 clustering workloads run it: one round's 10 update
+// deltas, k = 3.
+void BM_KMeans(benchmark::State& state, const char* model) {
+  const auto job = tenant_job(model);
+  std::vector<Tensor> points;
+  for (const auto& u : job.make_round(kBenchRound).updates) {
+    points.push_back(u.delta);
+  }
+  for (auto _ : state) {
+    Rng rng(0xC105ULL + kBenchRound);
+    benchmark::DoNotOptimize(kmeans(points, 3, rng));
+  }
+  state.counters["dim"] = static_cast<double>(job.model().materialized_dim());
+}
+
 [[maybe_unused]] const bool kWorkloadBenchesRegistered = [] {
   for (const auto* model : kTenantModels) {
     for (const auto type : fed::paper_workloads()) {
@@ -195,6 +228,8 @@ void BM_DecodeUpdate(benchmark::State& state, const char* model) {
     benchmark::RegisterBenchmark(
         ("BM_DecodeUpdate/" + std::string(model)).c_str(), BM_DecodeUpdate,
         model);
+    benchmark::RegisterBenchmark(("BM_KMeans/" + std::string(model)).c_str(),
+                                 BM_KMeans, model);
   }
   return true;
 }();

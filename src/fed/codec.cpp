@@ -44,8 +44,8 @@ class Writer {
 };
 
 // The frame checksum is verified once per decode, before decode_* returns:
-// by tensor(), in the same pass as the nested tensor blob's own checksum, or
-// else by expect_done(). Fields read before that are only bounds-checked.
+// by tensor(), together with the nested tensor blob's own checksum, or else
+// by expect_done(). Fields read before that are only bounds-checked.
 class Reader {
  public:
   Reader(std::span<const std::uint8_t> bytes, Tag expected) : bytes_(bytes) {

@@ -2,7 +2,11 @@
 //
 // Everything that flows through the object store, the cloud cache or a
 // function memory is a blob produced here, so corruption anywhere in those
-// paths surfaces as a checksum failure at decode time.
+// paths surfaces as a checksum failure at decode time. The frame checksum
+// and a carried tensor's own checksum are both XXH64 (flstore::checksum),
+// which replaced FNV-1a: every served request decodes several KB-scale
+// frames, and FNV-1a's one serial multiply per byte made that decode a
+// quarter of serving CPU.
 #pragma once
 
 #include <cstdint>

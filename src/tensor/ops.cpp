@@ -1,12 +1,73 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
 
 namespace flstore::ops {
+
+namespace {
+
+// One pass over `a` for N results: out[j] = sum over i of term(a[i],
+// b[j][i]), each with its own accumulator added in index order. The N add
+// chains are independent, so their latencies overlap. Each step forms two
+// elements' terms before adding them, still in index order, which lets the
+// compiler convert and multiply neighbouring elements as one vector.
+template <std::size_t N, typename Term>
+void reduce_block(const Tensor& a, const Tensor* const* bs, double* out,
+                  Term term) {
+  std::array<const float*, N> b;
+  for (std::size_t j = 0; j < N; ++j) {
+    FLSTORE_CHECK(bs[j]->dim() == a.dim());
+    b[j] = bs[j]->span().data();
+  }
+  const float* x = a.span().data();
+  const std::size_t dim = a.dim();
+  std::array<double, N> acc{};
+  std::size_t i = 0;
+  for (; i + 2 <= dim; i += 2) {
+    std::array<double, N> t0;
+    std::array<double, N> t1;
+    for (std::size_t j = 0; j < N; ++j) {
+      t0[j] = term(static_cast<double>(x[i]), static_cast<double>(b[j][i]));
+      t1[j] = term(static_cast<double>(x[i + 1]),
+                   static_cast<double>(b[j][i + 1]));
+    }
+    for (std::size_t j = 0; j < N; ++j) acc[j] += t0[j];
+    for (std::size_t j = 0; j < N; ++j) acc[j] += t1[j];
+  }
+  if (i < dim) {
+    for (std::size_t j = 0; j < N; ++j) {
+      acc[j] += term(static_cast<double>(x[i]), static_cast<double>(b[j][i]));
+    }
+  }
+  for (std::size_t j = 0; j < N; ++j) out[j] = acc[j];
+}
+
+template <typename Term>
+void reduce_many(const Tensor& a, std::span<const Tensor* const> bs,
+                 std::span<double> out, Term term) {
+  FLSTORE_CHECK(out.size() == bs.size());
+  std::size_t j = 0;
+  for (; j + 8 <= bs.size(); j += 8) {
+    reduce_block<8>(a, &bs[j], &out[j], term);
+  }
+  if (j + 4 <= bs.size()) {
+    reduce_block<4>(a, &bs[j], &out[j], term);
+    j += 4;
+  }
+  switch (bs.size() - j) {
+    case 3: reduce_block<3>(a, &bs[j], &out[j], term); break;
+    case 2: reduce_block<2>(a, &bs[j], &out[j], term); break;
+    case 1: reduce_block<1>(a, &bs[j], &out[j], term); break;
+    default: break;
+  }
+}
+
+}  // namespace
 
 double dot(const Tensor& a, const Tensor& b) {
   FLSTORE_CHECK(a.dim() == b.dim());
@@ -29,8 +90,40 @@ double l2_distance(const Tensor& a, const Tensor& b) {
   return std::sqrt(acc);
 }
 
+void dot_many(const Tensor& a, std::span<const Tensor* const> bs,
+              std::span<double> out) {
+  reduce_many(a, bs, out, [](double x, double y) { return x * y; });
+}
+
+void l2_distance_many(const Tensor& a, std::span<const Tensor* const> bs,
+                      std::span<double> out) {
+  reduce_many(a, bs, out, [](double x, double y) {
+    const double d = x - y;
+    return d * d;
+  });
+  for (double& d : out) d = std::sqrt(d);
+}
+
+std::vector<const Tensor*> pointers_to(const std::vector<Tensor>& ts) {
+  std::vector<const Tensor*> out;
+  out.reserve(ts.size());
+  for (const auto& t : ts) out.push_back(&t);
+  return out;
+}
+
 double cosine_similarity(const Tensor& a, const Tensor& b) {
-  return cosine_from(dot(a, b), l2_norm(a), l2_norm(b));
+  FLSTORE_CHECK(a.dim() == b.dim());
+  double ab = 0.0;
+  double aa = 0.0;
+  double bb = 0.0;
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    const double x = static_cast<double>(a[i]);
+    const double y = static_cast<double>(b[i]);
+    ab += x * y;
+    aa += x * x;
+    bb += y * y;
+  }
+  return cosine_from(ab, std::sqrt(aa), std::sqrt(bb));
 }
 
 double cosine_from(double dot, double norm_a, double norm_b) {
@@ -74,10 +167,7 @@ Tensor mean(const std::vector<Tensor>& ts) {
 
 Tensor weighted_mean(const std::vector<Tensor>& ts,
                      const std::vector<double>& weights) {
-  std::vector<const Tensor*> view;
-  view.reserve(ts.size());
-  for (const auto& t : ts) view.push_back(&t);
-  return weighted_mean_borrowed(view, weights);
+  return weighted_mean_borrowed(pointers_to(ts), weights);
 }
 
 Tensor weighted_mean_borrowed(std::span<const Tensor* const> ts,

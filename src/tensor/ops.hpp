@@ -16,13 +16,28 @@ namespace flstore::ops {
 [[nodiscard]] double l2_norm(const Tensor& a);
 [[nodiscard]] double l2_distance(const Tensor& a, const Tensor& b);
 
+/// out[j] = dot(a, *bs[j]) and out[j] = l2_distance(a, *bs[j]), bit for bit:
+/// each result keeps its own accumulator and adds in index order, exactly as
+/// the single-pair kernel does. Several results advance per pass over `a`,
+/// so their floating-point add latencies overlap instead of forming one
+/// serial chain. `out` must have bs.size() elements.
+void dot_many(const Tensor& a, std::span<const Tensor* const> bs,
+              std::span<double> out);
+void l2_distance_many(const Tensor& a, std::span<const Tensor* const> bs,
+                      std::span<double> out);
+/// &ts[0], ..., &ts[n - 1]: the borrowed view the *_many kernels and
+/// weighted_mean_borrowed take.
+[[nodiscard]] std::vector<const Tensor*> pointers_to(
+    const std::vector<Tensor>& ts);
+
 /// Cosine similarity in [-1, 1]; returns 0 when either vector is ~zero.
+/// Bit-identical to cosine_from(dot(a, b), l2_norm(a), l2_norm(b)); the three
+/// sums run in one loop.
 [[nodiscard]] double cosine_similarity(const Tensor& a, const Tensor& b);
-/// cosine_similarity from precomputed parts: cosine_from(dot(a, b),
-/// l2_norm(a), l2_norm(b)) == cosine_similarity(a, b) bit for bit. Pairwise
-/// kernels compute each norm once and each unordered pair's dot once; IEEE
-/// multiplication commutes exactly, so dot(a, b) == dot(b, a) and the (i, j)
-/// and (j, i) cosines are the same value.
+/// cosine_similarity from precomputed parts. Pairwise kernels compute each
+/// norm once and each unordered pair's dot once; IEEE multiplication commutes
+/// exactly, so dot(a, b) == dot(b, a) and the (i, j) and (j, i) cosines are
+/// the same value.
 [[nodiscard]] double cosine_from(double dot, double norm_a, double norm_b);
 
 /// y += alpha * x

@@ -40,11 +40,12 @@ class InferenceWorkload final : public Workload {
     const auto probes = probe_batch(
         0xF00D ^ static_cast<std::uint64_t>(req.round + 1), model.dim(),
         kProbeBatch);
+    std::vector<double> dots(probes->size());
+    ops::dot_many(model, ops::pointers_to(*probes), dots);
     WorkloadOutput out;
     double positive = 0.0;
-    for (const auto& probe : *probes) {
-      const double score =
-          std::tanh(ops::dot(model, probe) / static_cast<double>(model.dim()));
+    for (const double d : dots) {
+      const double score = std::tanh(d / static_cast<double>(model.dim()));
       if (score > 0.0) positive += 1.0;
     }
     out.scalar = positive / kProbeBatch;

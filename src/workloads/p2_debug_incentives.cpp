@@ -60,16 +60,16 @@ class DebuggingWorkload final : public Workload {
 
     // activation[c][p] = tanh(<delta_c, probe_p> / sqrt(dim))
     const double scale = std::sqrt(static_cast<double>(dim));
+    const auto probe_view = ops::pointers_to(probes);
     std::vector<std::vector<double>> activations(target_round.size());
     std::vector<double> consensus(kDebugProbes, 0.0);
     for (std::size_t c = 0; c < target_round.size(); ++c) {
-      activations[c].resize(kDebugProbes);
-      for (int p = 0; p < kDebugProbes; ++p) {
-        const double a = std::tanh(
-            ops::dot(target_round[c]->delta, probes[static_cast<std::size_t>(p)]) /
-            scale);
-        activations[c][static_cast<std::size_t>(p)] = a;
-        consensus[static_cast<std::size_t>(p)] += a;
+      auto& act = activations[c];
+      act.resize(kDebugProbes);
+      ops::dot_many(target_round[c]->delta, probe_view, act);
+      for (std::size_t p = 0; p < act.size(); ++p) {
+        act[p] = std::tanh(act[p] / scale);
+        consensus[p] += act[p];
       }
     }
     for (auto& v : consensus) v /= static_cast<double>(target_round.size());
@@ -172,9 +172,11 @@ class IncentivesWorkload final : public Workload {
       double contrib = norm;
       if (current.size() > 1) {
         const auto rest = fed::fedavg_excluding(current, {u->client});
-        contrib = ops::cosine_from(ops::dot(u->delta, rest), norm,
-                                   ops::l2_norm(rest)) *
-                  norm;
+        // dots = {dot(rest, u), dot(rest, rest)} in one pass over rest.
+        const Tensor* const parts[] = {&u->delta, &rest};
+        double dots[2];
+        ops::dot_many(rest, parts, dots);
+        contrib = ops::cosine_from(dots[0], norm, std::sqrt(dots[1])) * norm;
       }
       out.clients.push_back(u->client);
       contributions.push_back(contrib);

@@ -3,6 +3,7 @@
 // Personalization and TiFL-style cluster scheduling.
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -41,21 +42,27 @@ std::vector<Tensor> deltas_of(const WorkloadInput& in) {
   return out;
 }
 
-/// cos[i][j] for every pair of the input's updates, from n norms and one
-/// dot per unordered pair (ops::cosine_from): bit-identical to calling
+/// cos[i][j] for every pair of the input's updates: row i's one pass over
+/// update i yields its squared norm and its dots with every j > i, and
+/// ops::cosine_from combines them. Bit-identical to calling
 /// ops::cosine_similarity on each ordered pair. The diagonal is unused.
 std::vector<std::vector<double>> pairwise_cosines(const WorkloadInput& in) {
   const auto n = in.updates.size();
+  std::vector<const Tensor*> deltas;
+  deltas.reserve(n);
+  for (const auto& u : in.updates) deltas.push_back(&u.delta);
+  // Upper triangle first holds dot(delta_i, delta_j) for j >= i.
+  std::vector<std::vector<double>> cos(n, std::vector<double>(n, 1.0));
   std::vector<double> norms(n);
   for (std::size_t i = 0; i < n; ++i) {
-    norms[i] = ops::l2_norm(in.updates[i].delta);
+    ops::dot_many(*deltas[i], std::span(deltas).subspan(i),
+                  std::span(cos[i]).subspan(i));
+    norms[i] = std::sqrt(cos[i][i]);
+    cos[i][i] = 1.0;
   }
-  std::vector<std::vector<double>> cos(n, std::vector<double>(n, 1.0));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      cos[i][j] = cos[j][i] = ops::cosine_from(
-          ops::dot(in.updates[i].delta, in.updates[j].delta), norms[i],
-          norms[j]);
+      cos[i][j] = cos[j][i] = ops::cosine_from(cos[i][j], norms[i], norms[j]);
     }
   }
   return cos;
@@ -301,14 +308,19 @@ class SchedulingClusterWorkload final : public Workload {
     // (mean update): those clients train productively and are scheduled
     // preferentially next round.
     const auto consensus = ops::mean(points);
-    const double consensus_norm = ops::l2_norm(consensus);
+    // One pass over the consensus: its dot with every point, then its own
+    // squared norm last.
+    auto view = ops::pointers_to(points);
+    view.push_back(&consensus);
+    std::vector<double> dots(view.size());
+    ops::dot_many(consensus, view, dots);
+    const double consensus_norm = std::sqrt(dots.back());
     std::vector<double> tier_score(static_cast<std::size_t>(k), 0.0);
     std::vector<int> tier_count(static_cast<std::size_t>(k), 0);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto t = static_cast<std::size_t>(res.assignment[i]);
-      tier_score[t] +=
-          ops::cosine_from(ops::dot(points[i], consensus),
-                           ops::l2_norm(points[i]), consensus_norm);
+      tier_score[t] += ops::cosine_from(dots[i], ops::l2_norm(points[i]),
+                                        consensus_norm);
       ++tier_count[t];
     }
     std::size_t best_tier = 0;

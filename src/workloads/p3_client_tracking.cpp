@@ -84,11 +84,13 @@ class ProvenanceWorkload final : public Workload {
     if (update.client != req.client || update.round != req.round) {
       throw InvalidArgument("provenance record does not match the request");
     }
-    // Lineage entry: content hash of the update, chained with (client,
-    // round). Re-running on the same history yields the same chain, which
-    // is the reproducibility property Baracaldo et al. audit.
-    const auto blob = serialize_tensor(update.delta);
-    const auto content = checksum(std::span(blob.data(), blob.size()));
+    // Lineage entry: content hash of the update's delta, chained with
+    // (client, round). Re-running on the same history yields the same chain,
+    // which is the reproducibility property Baracaldo et al. audit.
+    const auto floats = update.delta.span();
+    const auto content = checksum(
+        std::span(reinterpret_cast<const std::uint8_t*>(floats.data()),
+                  floats.size_bytes()));
     const std::uint64_t link =
         content ^ (static_cast<std::uint64_t>(update.round) << 32) ^
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(update.client));

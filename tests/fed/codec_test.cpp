@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fed/fl_job.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/serialize.hpp"
 
@@ -136,8 +137,8 @@ void expect_every_region_rejected(const Blob& clean, std::size_t dim,
     EXPECT_THROW((void)decode(blob), InvalidArgument);
   }
   // Only the tensor's own checksum can catch these: the frame checksum has
-  // been re-stamped over the corrupted bytes, so the inner check must have
-  // survived being fused into the outer pass.
+  // been re-stamped over the corrupted bytes, so the inner check must still
+  // run after the frame check passes.
   for (const auto offset : {at.inner_crc, at.payload}) {
     auto blob = clean;
     blob[offset] ^= 0x01;
@@ -161,6 +162,53 @@ TEST(Codec, AggregateCorruptionInEveryRegionDetected) {
   expect_every_region_rejected(
       encode_aggregate(4, model, 10 * units::MB), model.dim(),
       [](const Blob& b) { return decode_aggregate(b); });
+}
+
+/// Flips each bit of `clean` in turn; every flipped frame must be rejected.
+template <typename Decode>
+void expect_every_bit_flip_rejected(const Blob& clean, Decode decode) {
+  ASSERT_NO_THROW((void)decode(clean));
+  auto blob = clean;
+  std::size_t accepted = 0;
+  for (std::size_t byte = 0; byte < blob.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1U << bit);
+      blob[byte] ^= mask;
+      try {
+        (void)decode(blob);
+        ++accepted;
+        ADD_FAILURE() << "byte " << byte << " bit " << bit << " accepted";
+      } catch (const InvalidArgument&) {
+      }
+      blob[byte] ^= mask;
+    }
+  }
+  EXPECT_EQ(accepted, 0U) << "of " << blob.size() * 8 << " flips";
+}
+
+TEST(Codec, EveryBitFlipOfAnUpdateFrameDetected) {
+  FLJobConfig cfg;
+  cfg.model = "resnet18";
+  cfg.pool_size = 20;
+  cfg.rounds = 5;
+  cfg.seed = 5;
+  const FLJob job(cfg);
+  const auto blob = encode_update(job.make_round(3).updates.front());
+  expect_every_bit_flip_rejected(
+      blob, [](const Blob& b) { return decode_update(b); });
+}
+
+TEST(Codec, EveryBitFlipOfAMetricsFrameDetected) {
+  ClientMetrics m;
+  m.client = 8;
+  m.round = 21;
+  m.local_loss = 0.5;
+  m.train_time_s = 90.0;
+  m.num_samples = 300;
+  const auto blob = encode_metrics(m);
+  EXPECT_EQ(blob.size(), 77U);
+  expect_every_bit_flip_rejected(
+      blob, [](const Blob& b) { return decode_metrics(b); });
 }
 
 TEST(Codec, TruncationDetected) {

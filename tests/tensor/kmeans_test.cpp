@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "kmeans_reference.hpp"
 #include "tensor/ops.hpp"
 
 namespace flstore {
@@ -121,6 +125,79 @@ TEST_P(KMeansMonotone, InertiaNonIncreasingInK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KMeansMonotone, ::testing::Range(0, 5));
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.dim() == b.dim() &&
+         std::memcmp(a.span().data(), b.span().data(),
+                     a.dim() * sizeof(float)) == 0;
+}
+
+void expect_same_result(const KMeansResult& got, const KMeansResult& want) {
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  for (std::size_t c = 0; c < got.centroids.size(); ++c) {
+    EXPECT_TRUE(same_bits(got.centroids[c], want.centroids[c]))
+        << "centroid " << c;
+  }
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.inertia),
+            std::bit_cast<std::uint64_t>(want.inertia));
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+/// Runs kmeans and the one-distance-per-pair reference from the same seed
+/// for every k in 1..n, and checks both leave the Rng in the same state.
+void expect_matches_reference(const std::vector<Tensor>& pts,
+                              std::uint64_t seed) {
+  for (std::int32_t k = 1; k <= static_cast<std::int32_t>(pts.size()); ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng rng(seed);
+    Rng ref_rng(seed);
+    expect_same_result(kmeans(pts, k, rng), reference_kmeans(pts, k, ref_rng));
+    EXPECT_EQ(rng.uniform(), ref_rng.uniform());
+  }
+}
+
+// Seeds x point counts x dims: every block and remainder of the multi-point
+// distance kernel, and every k for each point set.
+class KMeansReference : public ::testing::TestWithParam<int> {};
+
+TEST_P(KMeansReference, BitIdenticalForEveryK) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  Rng data(seed * 7919 + 3);
+  for (const std::size_t dim : {1, 7, 33}) {
+    for (std::size_t n = 1; n <= 13; ++n) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " n=" + std::to_string(n));
+      std::vector<Tensor> pts;
+      for (std::size_t i = 0; i < n; ++i) {
+        auto t = ops::random_normal(dim, data);
+        t[0] += static_cast<float>(4 * (i % 3));
+        pts.push_back(std::move(t));
+      }
+      expect_matches_reference(pts, seed);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KMeansReference, ::testing::Range(0, 12));
+
+TEST(KMeansReference, BitIdenticalWhenPointsCoincide) {
+  // All points equal: every draw after the first takes the total <= 0
+  // branch. Three distinct points among eight: it is taken once the three
+  // are chosen.
+  const std::vector<Tensor> same(6, Tensor(5, 1.5F));
+  Rng data(11);
+  const std::vector<Tensor> distinct{ops::random_normal(5, data),
+                                     ops::random_normal(5, data),
+                                     ops::random_normal(5, data)};
+  std::vector<Tensor> repeated;
+  for (std::size_t i = 0; i < 8; ++i) repeated.push_back(distinct[i % 3]);
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_matches_reference(same, seed);
+    expect_matches_reference(repeated, seed);
+  }
+}
 
 }  // namespace
 }  // namespace flstore

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -174,6 +176,61 @@ TEST(Ops, CosineFromCachedPartsIsBitIdenticalAndSymmetric) {
       EXPECT_EQ(ops::cosine_similarity(b, a), c);
     }
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// 0-16 operands run every block size and remainder of the *_many kernels;
+// dims 0, 1, 7 and 779 run the two-element step, its odd tail, and neither.
+class ManyKernels : public ::testing::TestWithParam<int> {};
+
+TEST_P(ManyKernels, EqualSinglePairKernelsBitForBit) {
+  const auto dim = static_cast<std::size_t>(GetParam());
+  Rng rng(dim + 1);
+  const auto a = ops::random_normal(dim, rng);
+  std::vector<Tensor> pool;
+  for (int j = 0; j < 15; ++j) pool.push_back(ops::random_normal(dim, rng));
+  pool.push_back(a);  // a with itself: the squared norm, and distance 0
+  const auto all = ops::pointers_to(pool);
+  for (std::size_t n = 0; n <= all.size(); ++n) {
+    SCOPED_TRACE("operands " + std::to_string(n));
+    const auto bs = std::span(all).last(n);
+    std::vector<double> dots(n), dists(n);
+    ops::dot_many(a, bs, dots);
+    ops::l2_distance_many(a, bs, dists);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(bits(dots[j]), bits(ops::dot(a, *bs[j]))) << j;
+      EXPECT_EQ(bits(dists[j]), bits(ops::l2_distance(a, *bs[j]))) << j;
+    }
+  }
+}
+
+TEST_P(ManyKernels, CosineEqualsItsPartsBitForBit) {
+  const auto dim = static_cast<std::size_t>(GetParam());
+  Rng rng(dim + 2);
+  const auto a = ops::random_normal(dim, rng);
+  const auto b = ops::random_normal(dim, rng, 0.5, 2.0);
+  for (const auto* y : {&b, &a}) {
+    EXPECT_EQ(bits(ops::cosine_similarity(a, *y)),
+              bits(ops::cosine_from(ops::dot(a, *y), ops::l2_norm(a),
+                                    ops::l2_norm(*y))));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, ManyKernels,
+                         ::testing::Values(0, 1, 7, 779));
+
+TEST(Ops, ManyKernelsRejectMismatchedShapes) {
+  const Tensor a(4);
+  const Tensor b(5);
+  const std::vector<const Tensor*> bs{&a, &b};
+  std::vector<double> out(2);
+  EXPECT_THROW(ops::dot_many(a, bs, out), InternalError);
+  EXPECT_THROW(ops::l2_distance_many(a, bs, out), InternalError);
+  EXPECT_THROW(
+      ops::dot_many(a, std::span(bs).first(1), std::span(out).first(0)),
+      InternalError);
+  EXPECT_THROW((void)ops::cosine_similarity(a, b), InternalError);
 }
 
 TEST(Ops, WeightedMeanOverBorrowedTensorsMatchesCopies) {

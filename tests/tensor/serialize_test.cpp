@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -63,20 +63,19 @@ TEST(Checksum, SensitiveToOrder) {
   EXPECT_NE(checksum(a), checksum(b));
 }
 
-TEST(Checksum, FusedEqualsTwoSeparatePasses) {
-  Rng rng(6);
-  const auto blob = serialize_tensor(ops::random_normal(37, rng));
-  const std::span<const std::uint8_t> all(blob);
-  // Inner ranges at the start, middle and end, empty and whole.
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {0, 0}, {0, 9}, {12, 40}, {blob.size() - 5, 5}, {blob.size(), 0},
-      {0, blob.size()}};
-  for (const auto& [offset, len] : ranges) {
-    const auto sums = checksum_fused(all, offset, len);
-    EXPECT_EQ(sums.outer, checksum(all)) << offset << "+" << len;
-    EXPECT_EQ(sums.inner, checksum(all.subspan(offset, len)))
-        << offset << "+" << len;
-  }
+std::uint64_t checksum_of(std::string_view text) {
+  return checksum(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                            text.size()));
+}
+
+TEST(Checksum, Xxh64KnownAnswers) {
+  // Published XXH64 values, seed 0. The 43-byte sentence runs the 32-byte
+  // stripe loop and then the 8-, 4- and 1-byte tails.
+  EXPECT_EQ(checksum_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(checksum_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(checksum_of("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(checksum_of("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCULL);
 }
 
 TEST(Serialize, NestedTensorChecksBothChecksums) {

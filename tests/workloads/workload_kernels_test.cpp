@@ -1,9 +1,11 @@
 // Differential tests for the workload kernels: every output field must be
 // bit-identical to the straightforward computation — fresh Rng probes per
-// request, ops::cosine_similarity on every ordered pair, and copied deltas
-// for every leave-one-out FedAvg. The references below are that
+// request, one ops::dot per probe, ops::cosine_similarity on every ordered
+// pair, copied deltas for every leave-one-out FedAvg, and k-means with one
+// ops::l2_distance per point-centroid pair. The references below are that
 // computation, written out in full; the workloads memoize probe batches,
-// compute pairwise cosines from cached norms and average in place.
+// take many dots or distances per pass (ops::dot_many, l2_distance_many),
+// reuse cached norms and average in place.
 #include "workloads/workload.hpp"
 
 #include <gtest/gtest.h>
@@ -19,9 +21,10 @@
 #include <thread>
 #include <vector>
 
+#include "../tensor/kmeans_reference.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "tensor/kmeans.hpp"
+#include "fed/aggregator.hpp"
 #include "tensor/ops.hpp"
 #include "workload_fixture.hpp"
 
@@ -254,14 +257,94 @@ WorkloadOutput ref_incentives(const NonTrainingRequest& req,
   return out;
 }
 
+/// The round's deltas and k = min(3, n) for the k-means workloads.
+struct Clusters {
+  std::vector<Tensor> points;
+  std::int32_t k = 0;
+  KMeansResult res;
+};
+
+Clusters ref_clusters(const WorkloadInput& in, std::uint64_t seed) {
+  Clusters out;
+  for (const auto& u : in.updates) out.points.push_back(u.delta);
+  out.k =
+      std::min<std::int32_t>(3, static_cast<std::int32_t>(out.points.size()));
+  Rng rng(seed);
+  out.res = reference_kmeans(out.points, out.k, rng);
+  return out;
+}
+
+double kmeans_flops(const Clusters& c, double params) {
+  return static_cast<double>(c.res.iterations) *
+         static_cast<double>(c.points.size()) * static_cast<double>(c.k) *
+         2.0 * params;
+}
+
+WorkloadOutput ref_clustering(const NonTrainingRequest& req,
+                              const WorkloadInput& in) {
+  const auto cl =
+      ref_clusters(in, 0xC105ULL + static_cast<std::uint64_t>(req.round));
+  WorkloadOutput out;
+  for (std::size_t i = 0; i < in.updates.size(); ++i) {
+    out.clients.push_back(in.updates[i].client);
+    out.per_client.push_back(static_cast<double>(cl.res.assignment[i]));
+  }
+  out.scalar = cl.res.inertia;
+  std::ostringstream s;
+  s << "k=" << cl.k << " clusters, inertia " << cl.res.inertia << " after "
+    << cl.res.iterations << " iterations";
+  out.summary = s.str();
+  out.work = scan_work(in);
+  out.work.flops += kmeans_flops(cl, logical_params(in));
+  out.result_bytes = 8 * units::KB;
+  return out;
+}
+
+WorkloadOutput ref_personalization(const NonTrainingRequest& req,
+                                   const WorkloadInput& in) {
+  const auto cl =
+      ref_clusters(in, 0x9E450 + static_cast<std::uint64_t>(req.round));
+  std::vector<std::vector<fed::ClientUpdate>> groups(
+      static_cast<std::size_t>(cl.k));
+  for (std::size_t i = 0; i < in.updates.size(); ++i) {
+    groups[static_cast<std::size_t>(cl.res.assignment[i])].push_back(
+        in.updates[i]);
+  }
+  int built = 0;
+  double blend_gap = 0.0;
+  for (const auto& g : groups) {
+    if (g.empty()) continue;
+    const auto personalized = fed::fedavg(g);
+    if (!in.aggregates.empty()) {
+      blend_gap += ops::l2_distance(personalized, in.aggregates.front().model);
+    }
+    ++built;
+  }
+  WorkloadOutput out;
+  for (std::size_t i = 0; i < in.updates.size(); ++i) {
+    out.clients.push_back(in.updates[i].client);
+    out.per_client.push_back(static_cast<double>(cl.res.assignment[i]));
+  }
+  out.scalar = built > 0 ? blend_gap / built : 0.0;
+  std::ostringstream s;
+  s << "built " << built << " personalized models, mean group-global gap "
+    << out.scalar;
+  out.summary = s.str();
+  out.work = scan_work(in);
+  const double params = logical_params(in);
+  out.work.flops += kmeans_flops(cl, params) +
+                    static_cast<double>(cl.points.size()) * params;
+  out.result_bytes = 32 * units::KB;
+  return out;
+}
+
 WorkloadOutput ref_scheduling_cluster(const NonTrainingRequest& req,
                                       const WorkloadInput& in) {
-  std::vector<Tensor> points;
-  for (const auto& u : in.updates) points.push_back(u.delta);
-  const auto k =
-      std::min<std::int32_t>(3, static_cast<std::int32_t>(points.size()));
-  Rng rng(0x71F1 + static_cast<std::uint64_t>(req.round));
-  const auto res = kmeans(points, k, rng);
+  const auto cl =
+      ref_clusters(in, 0x71F1 + static_cast<std::uint64_t>(req.round));
+  const auto& points = cl.points;
+  const auto k = cl.k;
+  const auto& res = cl.res;
   const auto consensus = ops::mean(points);
   std::vector<double> tier_score(static_cast<std::size_t>(k), 0.0);
   std::vector<int> tier_count(static_cast<std::size_t>(k), 0);
@@ -294,10 +377,8 @@ WorkloadOutput ref_scheduling_cluster(const NonTrainingRequest& req,
   out.summary = s.str();
   out.work = scan_work(in);
   const double params = logical_params(in);
-  out.work.flops += static_cast<double>(res.iterations) *
-                        static_cast<double>(points.size()) *
-                        static_cast<double>(k) * 2.0 * params +
-                    pairwise_flops(points.size(), params) * 0.2;
+  out.work.flops +=
+      kmeans_flops(cl, params) + pairwise_flops(points.size(), params) * 0.2;
   out.result_bytes = 4 * units::KB;
   return out;
 }
@@ -315,6 +396,8 @@ Reference reference_for(WorkloadType type) {
     case WorkloadType::kMaliciousFilter: return ref_malicious;
     case WorkloadType::kIncentives: return ref_incentives;
     case WorkloadType::kSchedulingCluster: return ref_scheduling_cluster;
+    case WorkloadType::kClustering: return ref_clustering;
+    case WorkloadType::kPersonalization: return ref_personalization;
     default: return nullptr;
   }
 }
@@ -380,7 +463,7 @@ TEST_P(WorkloadKernels, EveryOutputFieldMatchesTheReference) {
       }
     }
   }
-  EXPECT_EQ(referenced, 6 * static_cast<int>(std::size(kRounds)));
+  EXPECT_EQ(referenced, 8 * static_cast<int>(std::size(kRounds)));
 }
 
 TEST_P(WorkloadKernels, RepeatedRequestEqualsTheFirst) {

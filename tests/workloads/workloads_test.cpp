@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -221,6 +223,22 @@ TEST_F(WorkloadFixture, ProvenanceDeterministicChain) {
   const auto a = workload_for(req.type).execute(req, materialize(req));
   const auto b = workload_for(req.type).execute(req, materialize(req));
   EXPECT_DOUBLE_EQ(a.scalar, b.scalar);
+}
+
+TEST_F(WorkloadFixture, ProvenanceLinkCoversEveryFloatOfTheDelta) {
+  const auto client = job_.participants(6).front();
+  const auto req = request(WorkloadType::kProvenance, 6, client);
+  const auto& w = workload_for(req.type);
+  auto in = materialize(req);
+  const auto link = w.execute(req, in).summary;  // the link, in hex
+  auto& delta = in.updates.front().delta;
+  for (std::size_t i = 0; i < delta.dim(); ++i) {
+    const float saved = delta[i];
+    delta[i] = std::nextafter(saved, std::numeric_limits<float>::infinity());
+    EXPECT_NE(w.execute(req, in).summary, link) << "float " << i;
+    delta[i] = saved;
+  }
+  EXPECT_EQ(w.execute(req, in).summary, link);
 }
 
 TEST_F(WorkloadFixture, ProvenanceRejectsMismatchedRecord) {
