@@ -86,7 +86,7 @@ struct Arm {
   }
 
   obs::Telemetry telemetry;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   fed::FLJob job;
   std::unique_ptr<serve::ShardedStore> store;
 };

@@ -121,7 +121,7 @@ struct CellResult {
 CellResult run_cell(const fed::FLJob& job, serve::HotPathMode mode,
                     bool partitioned, const MixSpec& mix, int threads,
                     int ops_per_thread, const ZipfDistribution& contended_zipf) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   serve::ShardedStoreConfig cfg;
   cfg.worker_threads = 0;  // the hot path spawns its own workers
   obs::HotCounters counters;

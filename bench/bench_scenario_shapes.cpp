@@ -137,7 +137,7 @@ struct ServeOutcome {
 };
 
 ServeOutcome serve_shape(const ShapeSetup& setup) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   serve::ShardedStoreConfig cfg;
   cfg.worker_threads = 0;  // deterministic metrics regardless of host cores
   cfg.routing = serve::Routing::kHash;

@@ -23,6 +23,7 @@
 #include <optional>
 #include <set>
 
+#include "backend/object_store_backend.hpp"
 #include "obs/instrumented_backend.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/load_generator.hpp"
@@ -51,6 +52,17 @@ serve::OpenLoopConfig load(double qps) {
   cfg.duration_s = kDurationS;
   cfg.round_interval_s = kRoundIntervalS;
   cfg.seed = 11;
+  return cfg;
+}
+
+// The constant-rate Poisson process of `open`, streamed instead of
+// materialized (the queued cells serve it through serve_open_loop_stream).
+serve::StreamConfig streamed(const serve::OpenLoopConfig& open) {
+  serve::StreamConfig cfg;
+  cfg.rate.base_qps = open.offered_qps;
+  cfg.duration_s = open.duration_s;
+  cfg.round_interval_s = open.round_interval_s;
+  cfg.seed = open.seed;
   return cfg;
 }
 
@@ -85,20 +97,21 @@ int main(int argc, char** argv) {
   double p95_1shard = 0.0, p95_4shard = 0.0;
   serve::ServiceReport per_class;
   for (const double qps : {0.25, 0.5, 1.0}) {
-    const auto trace = serve::open_loop_trace(load(qps), mix);
     std::vector<std::pair<int, serve::Routing>> cells = {
         {1, serve::Routing::kHash},
         {2, serve::Routing::kHash},
         {4, serve::Routing::kHash}};
     if (qps == 1.0) cells.push_back({4, serve::Routing::kClassAffinity});
     for (const auto& [shards, routing] : cells) {
-      ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+      backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                       PricingCatalog::aws());
       serve::ShardedStoreConfig cfg;
       cfg.worker_threads = 2;
       cfg.routing = routing;
       serve::ShardedStore plane(cold, cfg);
       (void)plane.add_tenant(job, {}, shards);
-      const auto report = plane.serve_open_loop(trace, kRoundIntervalS);
+      const auto report =
+          plane.serve_open_loop_stream(streamed(load(qps)), mix);
       const auto lat = report.latencies();
       sweep.add_row({fmt(qps, 2), std::to_string(shards),
                      serve::to_string(routing),
@@ -147,7 +160,8 @@ int main(int argc, char** argv) {
   double cost_with = 0.0, cost_without = 0.0;
   std::uint64_t gets_with = 0, gets_without = 0;
   for (const bool coalesce : {false, true}) {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                     PricingCatalog::aws());
     serve::ShardedStoreConfig cfg;
     cfg.worker_threads = 2;
     cfg.routing = serve::Routing::kHash;
@@ -158,12 +172,13 @@ int main(int argc, char** argv) {
     (void)plane.add_tenant(job, store_cfg, 4);
     const auto report = plane.replay(co_trace, kRoundIntervalS);
     const auto stats = report.coalescer;
-    co.add_row({coalesce ? "on" : "off", std::to_string(cold.get_count()),
+    co.add_row({coalesce ? "on" : "off",
+                std::to_string(cold.store().get_count()),
                 std::to_string(stats.joins), fmt(stats.fees_saved_usd, 6),
                 fmt(stats.wait_saved_s, 1), fmt(report.total_cost_usd(), 2),
                 fmt(report.latencies().percentile(95.0), 2)});
     (coalesce ? cost_with : cost_without) = report.total_cost_usd();
-    (coalesce ? gets_with : gets_without) = cold.get_count();
+    (coalesce ? gets_with : gets_without) = cold.store().get_count();
   }
   std::printf("%s", co.to_string().c_str());
 
@@ -190,7 +205,8 @@ int main(int argc, char** argv) {
                           {core::PolicyMode::kLru, false}};
   double part_hit_rate = 0.0, plain_hit_rate = 0.0;
   for (const auto& cell : cells) {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                     PricingCatalog::aws());
     serve::ShardedStoreConfig cfg;
     cfg.worker_threads = 2;
     cfg.routing = serve::Routing::kClassAffinity;
@@ -250,7 +266,6 @@ int main(int argc, char** argv) {
       "    and instrumented — and because telemetry is pure bookkeeping in\n"
       "    simulated time, the two runs must agree (the < 5% overhead\n"
       "    verdict). Every request is sampled; --trace exports the spans.");
-  const auto obs_trace = serve::open_loop_trace(load(1.0), mix);
   backend::ObjectStoreBackend::Config throttled_cfg;
   throttled_cfg.throttle.ops_per_s = 1.0;
   throttled_cfg.throttle.burst_ops = 2.0;
@@ -272,7 +287,7 @@ int main(int argc, char** argv) {
     serve::ShardedStore plane(
         wrapped ? static_cast<backend::StorageBackend&>(*wrapped) : raw, cfg);
     (void)plane.add_tenant(job, {}, 4);
-    return plane.serve_open_loop(obs_trace, kRoundIntervalS);
+    return plane.serve_open_loop_stream(streamed(load(1.0)), mix);
   };
   const auto off_report = run_obs_cell(nullptr);
   obs::Telemetry telemetry;  // sample_every = 1: every request traced

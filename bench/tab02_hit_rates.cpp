@@ -27,7 +27,7 @@ struct Row {
 };
 
 Row run_policy(const std::string& family, core::PolicyMode mode,
-               const fed::FLJob& job, ObjectStore& cold,
+               const fed::FLJob& job, backend::StorageBackend& cold,
                const std::vector<fed::NonTrainingRequest>& trace,
                bool during_training) {
   core::FLStoreConfig cfg;
@@ -166,7 +166,8 @@ int main() {
   job_cfg.rounds = 2000;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                    PricingCatalog::aws());
   {
     // Populate the persistent store once (traditional-mode ingest caches
     // nothing, so this only writes the cold tier).
@@ -301,7 +302,8 @@ int main() {
   double hit_rate_plain = 0.0, hit_rate_part = 0.0;
   std::array<std::array<double, fed::kPolicyClassCount>, 2> class_rate{};
   for (const bool partitioned : {false, true}) {
-    ObjectStore mixed_cold(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend mixed_cold(sim::objstore_link(),
+                                           PricingCatalog::aws());
     core::FLStoreConfig cfg;
     cfg.cache_capacity = capacity;
     if (partitioned) cfg.class_capacity = budgets;

@@ -24,7 +24,8 @@ int main() {
   job_cfg.rounds = 400;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                    PricingCatalog::aws());
   {
     core::FLStoreConfig filler_cfg;
     filler_cfg.policy.mode = core::PolicyMode::kLru;

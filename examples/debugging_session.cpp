@@ -9,6 +9,7 @@
 //   ./examples/debugging_session
 #include <cstdio>
 
+#include "backend/object_store_backend.hpp"
 #include "common/table.hpp"
 #include "core/flstore.hpp"
 #include "fed/fl_job.hpp"
@@ -26,7 +27,8 @@ int main() {
   job_cfg.malicious_fraction = 0.08;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                    PricingCatalog::aws());
   core::FLStore store(core::FLStoreConfig{}, job, cold);
 
   // Training already happened; FLStore has the full history in its cold

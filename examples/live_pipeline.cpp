@@ -8,6 +8,7 @@
 //   ./examples/live_pipeline
 #include <cstdio>
 
+#include "backend/object_store_backend.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/flstore.hpp"
@@ -25,7 +26,8 @@ int main() {
   job_cfg.malicious_fraction = 0.1;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                    PricingCatalog::aws());
   core::FLStore store(core::FLStoreConfig{}, job, cold);
 
   RequestId next_id = 1;

@@ -1,11 +1,12 @@
 // ObjectStoreBackend — the cloud object store (S3/MinIO) as a StorageBackend.
 //
 // A thin adapter over the existing ObjectStore: identical per-op latencies
-// and request fees (the legacy FLStore(ObjectStore&) constructor wraps one
-// of these and reproduces the old numbers bit-for-bit), plus the interface's
-// batched multi-put (one streamed transfer instead of per-object round
-// trips — S3 still charges every PUT), optional admission throttling, and
-// the op ledger. idle_cost() is the GB-month storage fee.
+// and request fees to the raw store, plus the interface's batched multi-put
+// (one streamed transfer instead of per-object round trips — S3 still
+// charges every PUT), optional admission throttling, and the op ledger.
+// idle_cost() is the GB-month storage fee. The owning constructor is the
+// usual cold tier for an FLStore or ShardedStore; store() exposes the raw
+// store's counters.
 #pragma once
 
 #include "backend/storage_backend.hpp"

@@ -4,6 +4,7 @@
 // holds a mutex (one fprintf per line — no interleaved fragments). The
 // fast path stays free: FLSTORE_LOG builds no LogLine (and allocates
 // nothing) when the level filters the message out.
+// flstore-lint: allow(orphan-header) -- the no-cout rule's sanctioned diagnostics channel
 #pragma once
 
 #include <sstream>

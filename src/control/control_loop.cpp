@@ -89,17 +89,28 @@ TelemetrySnapshot ControlLoop::build_snapshot(
 ControlLoopResult ControlLoop::run(
     const std::vector<serve::ServiceRequest>& trace, double horizon_s) {
   FLSTORE_CHECK(horizon_s > 0.0);
+  // The windows below slice the trace with one forward cursor, which is
+  // right only for a trace sorted by arrival: an out-of-order request would
+  // land in a later window and be served "in the past".
+  if (!std::is_sorted(trace.begin(), trace.end(),
+                      [](const serve::ServiceRequest& a,
+                         const serve::ServiceRequest& b) {
+                        return a.request.arrival_s < b.request.arrival_s;
+                      })) {
+    throw InvalidArgument("ControlLoop::run: trace is not sorted by arrival");
+  }
   last_cold_stats_ = store_->cold().stats();
 
   ControlLoopResult result;
   const auto n_ticks = static_cast<std::size_t>(
       std::ceil(horizon_s / config_.tick_interval_s));
   std::size_t next = 0;  // trace cursor (trace sorted by arrival)
+  // Each window starts exactly where the previous one ended, so every
+  // arrival before the horizon falls in exactly one window.
+  double start_s = 0.0;
   for (std::size_t k = 0; k < n_ticks; ++k) {
-    const double start_s =
-        static_cast<double>(k) * config_.tick_interval_s;
-    const double end_s =
-        std::min(horizon_s, start_s + config_.tick_interval_s);
+    const double end_s = std::min(
+        horizon_s, static_cast<double>(k + 1) * config_.tick_interval_s);
     std::vector<serve::ServiceRequest> window;
     while (next < trace.size() &&
            trace[next].request.arrival_s < end_s) {
@@ -131,6 +142,7 @@ ControlLoopResult ControlLoop::run(
     result.records.insert(result.records.end(), report.records.begin(),
                           report.records.end());
     result.ticks.push_back(std::move(tick));
+    start_s = end_s;
   }
   return result;
 }

@@ -71,7 +71,8 @@ class ControlLoop {
               ControlSurface& surface, Controller* controller,
               ControlLoopConfig config = {});
 
-  /// Serve `trace` (sorted by arrival) through ceil(horizon/tick) windows.
+  /// Serve `trace` through ceil(horizon/tick) windows. The trace must be
+  /// sorted by arrival (InvalidArgument otherwise).
   ControlLoopResult run(const std::vector<serve::ServiceRequest>& trace,
                         double horizon_s);
 

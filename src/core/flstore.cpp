@@ -65,12 +65,10 @@ FunctionRuntime::Config function_runtime_config(const ModelSpec& model) {
 }
 
 FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
-                 std::unique_ptr<backend::ObjectStoreBackend> owned_cold,
-                 backend::StorageBackend* cold)
-    : config_(config),
+                 backend::StorageBackend& cold)
+    : config_(std::move(config)),
       job_(&job),
-      owned_cold_(std::move(owned_cold)),
-      cold_(owned_cold_ != nullptr ? owned_cold_.get() : cold),
+      cold_(&cold),
       runtime_(function_runtime_config(job.model()), PricingCatalog::aws()),
       backup_(*cold_, infra_meter_,
               backend::BackupWriter::Config{config_.backup_batch}),
@@ -91,16 +89,6 @@ FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
   engine_cfg.round_aware_eviction = is_tailored(config_.policy.mode);
   engine_ = std::make_unique<CacheEngine>(engine_cfg, *pool_);
 }
-
-FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
-                 backend::StorageBackend& cold)
-    : FLStore(std::move(config), job, nullptr, &cold) {}
-
-FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
-                 ObjectStore& cold_store)
-    : FLStore(std::move(config), job,
-              std::make_unique<backend::ObjectStoreBackend>(cold_store),
-              nullptr) {}
 
 void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
   // All metadata keys this round produced.

@@ -12,7 +12,7 @@
 //
 // Quickstart:
 //   fed::FLJob job(cfg);
-//   ObjectStore cold(link, PricingCatalog::aws());
+//   backend::ObjectStoreBackend cold(link, PricingCatalog::aws());
 //   core::FLStore store(core::FLStoreConfig{}, job, cold);
 //   store.ingest_round(job.make_round(0), /*now=*/0.0);
 //   auto res = store.serve(request, /*now=*/1.0);
@@ -26,10 +26,8 @@
 
 #include "backend/backup_writer.hpp"
 #include "backend/flush_scheduler.hpp"
-#include "backend/object_store_backend.hpp"
 #include "backend/storage_backend.hpp"
 #include "cloud/cost_meter.hpp"
-#include "cloud/object_store.hpp"
 #include "core/cache_engine.hpp"
 #include "core/cold_fetch.hpp"
 #include "core/policy.hpp"
@@ -108,11 +106,6 @@ class FLStore {
   FLStore(FLStoreConfig config, const fed::FLJob& job,
           backend::StorageBackend& cold);
 
-  /// Convenience: wrap a raw ObjectStore in an owned ObjectStoreBackend
-  /// (the pre-backend API; latencies and fees are bit-identical).
-  FLStore(FLStoreConfig config, const fed::FLJob& job,
-          ObjectStore& cold_store);
-
   /// Stream a finished training round in: async backup of every object to
   /// the cold store plus policy-driven write-allocation into the cache.
   void ingest_round(const fed::RoundRecord& record, double now);
@@ -186,12 +179,6 @@ class FLStore {
   [[nodiscard]] const FLStoreConfig& config() const noexcept { return config_; }
 
  private:
-  /// Both public constructors funnel here: exactly one of `owned_cold` /
-  /// `cold` is set.
-  FLStore(FLStoreConfig config, const fed::FLJob& job,
-          std::unique_ptr<backend::ObjectStoreBackend> owned_cold,
-          backend::StorageBackend* cold);
-
   struct FetchOutcome {
     std::shared_ptr<const Blob> blob;
     units::Bytes logical_bytes = 0;
@@ -215,9 +202,6 @@ class FLStore {
   /// resolved by set_telemetry. Null when telemetry is off.
   std::array<obs::Counter*, fed::kPolicyClassCount> hit_counters_{};
   std::array<obs::Counter*, fed::kPolicyClassCount> miss_counters_{};
-  /// Set only by the ObjectStore& convenience constructor, which owns the
-  /// adapter it wraps the raw store in.
-  std::unique_ptr<backend::ObjectStoreBackend> owned_cold_;
   backend::StorageBackend* cold_;
   ColdFetchInterceptor* cold_interceptor_ = nullptr;
   FunctionRuntime runtime_;

@@ -15,13 +15,9 @@
 //    are synthesized without per-client state (rejection-inversion Zipf
 //    over client ranks, device classes with availability windows).
 //  * open_loop_trace materializes a bounded stream into a vector for the
-//    legacy callers; for the constant-rate, no-population config it is
-//    bit-identical to what the stream yields (regression-tested).
-//
-// Closed loop lives in ShardedStore::serve_closed_loop: each virtual user's
-// next arrival depends on its previous completion, so the arrivals can only
-// be materialized inside the discrete-event replay itself. The config type
-// is here because it is load-generation policy, not store mechanics.
+//    callers that replay or window a trace; for the constant-rate,
+//    no-population config it is bit-identical to what the stream yields
+//    (regression-tested).
 #pragma once
 
 #include <cstdint>
@@ -208,13 +204,5 @@ struct OpenLoopConfig {
 /// directly instead of materializing).
 [[nodiscard]] std::vector<ServiceRequest> open_loop_trace(
     const OpenLoopConfig& config, const std::vector<TenantMix>& mix);
-
-struct ClosedLoopConfig {
-  int users_per_tenant = 4;
-  double think_s = 1.0;             ///< pause between completion and re-issue
-  double duration_s = 3600.0;       ///< stop issuing after this
-  double round_interval_s = 180.0;
-  std::uint64_t seed = 99;
-};
 
 }  // namespace flstore::serve

@@ -9,12 +9,19 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "fed/trace.hpp"
 
 namespace flstore::serve {
 
 namespace {
+
+// Real-thread hot path: deferred-access stripes per shard (workers map onto
+// stripes round-robin, so with at least as many stripes as worker threads a
+// stripe append never contends with another worker), and the pending
+// accesses that trigger a stripe's batched drain into the engine (one
+// writer acquisition per batch; larger batches amortize the writer lock
+// further but coarsen recency updates).
+constexpr std::size_t kHotStripes = 16;
+constexpr std::size_t kHotDrainBatch = 256;
 
 // One tenant's discrete-event timeline entry. Ordering is (time, type, seq):
 // a training round lands before requests arriving at the same instant, and
@@ -39,18 +46,13 @@ struct EventAfter {
   }
 };
 
-using EventQueue = std::priority_queue<Event, std::vector<Event>, EventAfter>;
+using EventHeap = std::priority_queue<Event, std::vector<Event>, EventAfter>;
 
 }  // namespace
 
 ShardedStore::ShardedStore(backend::StorageBackend& cold,
                            ShardedStoreConfig config)
     : config_(config), cold_(&cold) {}
-
-ShardedStore::ShardedStore(ObjectStore& cold_store, ShardedStoreConfig config)
-    : config_(config),
-      owned_cold_(std::make_unique<backend::ObjectStoreBackend>(cold_store)),
-      cold_(owned_cold_.get()) {}
 
 JobId ShardedStore::add_tenant(const fed::FLJob& job,
                                core::FLStoreConfig store_config,
@@ -98,9 +100,8 @@ std::unique_ptr<ShardedStore::Shard> ShardedStore::make_shard(
   auto shard = std::make_unique<Shard>();
   shard->tenant = tenant.id;
   shard->store = std::move(store);
-  const auto n_stripes = std::max(config_.hot_path.stripes, 1);
-  shard->stripes.reserve(static_cast<std::size_t>(n_stripes));
-  for (int s = 0; s < n_stripes; ++s) {
+  shard->stripes.reserve(kHotStripes);
+  for (std::size_t s = 0; s < kHotStripes; ++s) {
     shard->stripes.push_back(std::make_unique<Stripe>());
   }
   return shard;
@@ -119,7 +120,6 @@ std::size_t route_local(Routing routing, std::size_t n_shards,
                         const fed::NonTrainingRequest& req) {
   if (n_shards <= 1) return 0;
   switch (routing) {
-    case Routing::kTenant: return 0;
     case Routing::kClassAffinity:
       return fed::class_index(fed::policy_class_for(req.type)) % n_shards;
     case Routing::kHash:
@@ -153,14 +153,13 @@ core::ServeResult ShardedStore::serve(const ServiceRequest& req, double now) {
 void ShardedStore::run_tenant(
     const Tenant& tenant, Mode mode,
     const std::vector<ServiceRequest>& arrivals, double horizon_s,
-    double round_interval_s, RoundId first_round,
-    const ClosedLoopConfig* closed, const TenantMix* mix,
-    const StreamSpec* stream, std::vector<ServiceRecord>& out,
+    double round_interval_s, RoundId first_round, const StreamSpec* stream,
+    std::vector<ServiceRecord>& out,
     std::array<SchedClassStats, fed::kPolicyClassCount>& sched_out) {
   FLSTORE_CHECK(round_interval_s > 0.0);
   const auto n_local = tenant.shards.size();
 
-  EventQueue events;
+  EventHeap events;
   std::uint64_t seq = 0;
 
   // Training rounds complete on their own clock, independent of serving.
@@ -211,35 +210,6 @@ void ShardedStore::run_tenant(
     FLSTORE_CHECK(stream->config != nullptr && stream->mix != nullptr);
     stream_src.emplace(*stream->config, *stream->mix);
     pull_stream_arrival();
-  }
-
-  // Closed loop: virtual users draw their own requests; the first wave is
-  // staggered across one think interval so users do not phase-lock.
-  std::optional<fed::TraceSampler> sampler;
-  std::optional<Rng> rng;
-  RequestId next_id = (static_cast<RequestId>(tenant.id) + 1) << 40;
-  // One virtual user's next request, issued at time `t` (dropped once the
-  // configured duration is over — that user retires).
-  const auto schedule_user_arrival = [&](double t) {
-    if (t >= closed->duration_s) return;
-    Event ev;
-    ev.time = t;
-    ev.type = EvType::kArrival;
-    ev.seq = seq++;
-    ev.req = ServiceRequest{tenant.id, sampler->sample(next_id++, t, *rng)};
-    events.push(std::move(ev));
-  };
-  if (closed != nullptr) {
-    FLSTORE_CHECK(mix != nullptr);
-    FLSTORE_CHECK(closed->users_per_tenant > 0);
-    sampler.emplace(mix->workloads, *tenant.job, mix->tracked_clients,
-                    round_interval_s);
-    rng.emplace(closed->seed ^ (static_cast<std::uint64_t>(tenant.id) *
-                                0x9E3779B97F4A7C15ULL));
-    for (int u = 0; u < closed->users_per_tenant; ++u) {
-      schedule_user_arrival(closed->think_s * static_cast<double>(u) /
-                            static_cast<double>(closed->users_per_tenant));
-    }
   }
 
   std::vector<RequestScheduler> scheds;
@@ -314,10 +284,6 @@ void ShardedStore::run_tenant(
     done.seq = seq++;
     done.local_shard = local;
     events.push(std::move(done));
-    if (closed != nullptr) {
-      // This virtual user thinks, then issues its next request.
-      schedule_user_arrival(busy[local] + closed->think_s);
-    }
   };
 
   while (!events.empty()) {
@@ -355,13 +321,6 @@ void ShardedStore::run_tenant(
                             tenant.shards[local]);
           }
           out.push_back(rec);  // metrics/SLO booked in book_telemetry()
-          if (closed != nullptr) {
-            // The virtual user was shed, not absorbed: it backs off one
-            // think interval and re-issues, so the closed-loop population
-            // stays at users_per_tenant. The floor keeps think_s = 0 from
-            // retrying at the same instant against the same full queue.
-            schedule_user_arrival(ev.time + std::max(closed->think_s, 1e-3));
-          }
           break;
         }
         dispatch(local, ev.time);
@@ -389,35 +348,11 @@ void ShardedStore::run_tenant(
 
 ServiceReport ShardedStore::run_all_tenants(
     Mode mode, const std::vector<ServiceRequest>& trace, double horizon_s,
-    double round_interval_s, const ClosedLoopConfig* closed,
-    const std::vector<TenantMix>* mix, RoundId first_round,
-    const StreamSpec* stream) {
+    double round_interval_s, RoundId first_round, const StreamSpec* stream) {
   std::vector<std::vector<ServiceRequest>> per_tenant(tenants_.size());
   for (const auto& r : trace) {
     (void)tenant(r.tenant);  // validates
     per_tenant[static_cast<std::size_t>(r.tenant)].push_back(r);
-  }
-
-  // Closed loop: resolve every tenant's mix up front so a bad argument
-  // fails fast with a name, not mid-run via an internal check.
-  std::vector<const TenantMix*> mix_of(tenants_.size(), nullptr);
-  if (closed != nullptr) {
-    FLSTORE_CHECK(mix != nullptr);
-    for (const auto& m : *mix) {
-      (void)tenant(m.tenant);  // validates
-      auto& slot = mix_of[static_cast<std::size_t>(m.tenant)];
-      if (slot != nullptr) {
-        throw InvalidArgument("duplicate mix entry for tenant " +
-                              std::to_string(m.tenant));
-      }
-      slot = &m;
-    }
-    for (const auto& t : tenants_) {
-      if (mix_of[static_cast<std::size_t>(t.id)] == nullptr) {
-        throw InvalidArgument("closed-loop mix is missing tenant " +
-                              std::to_string(t.id));
-      }
-    }
   }
 
   // Windows from a previous run would be "in flight" at this run's early
@@ -434,12 +369,11 @@ ServiceReport ShardedStore::run_all_tenants(
   tasks.reserve(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     tasks.push_back([this, i, mode, &per_tenant, horizon_s, round_interval_s,
-                     first_round, closed, &mix_of, stream, &results,
-                     &sched_stats, &errors] {
+                     first_round, stream, &results, &sched_stats, &errors] {
       try {
         run_tenant(tenants_[i], mode, per_tenant[i], horizon_s,
-                   round_interval_s, first_round, closed, mix_of[i], stream,
-                   results[i], sched_stats[i]);
+                   round_interval_s, first_round, stream, results[i],
+                   sched_stats[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -506,15 +440,7 @@ ServiceReport ShardedStore::replay(const std::vector<ServiceRequest>& trace,
   double horizon = 0.0;
   for (const auto& r : trace) horizon = std::max(horizon, r.request.arrival_s);
   return run_all_tenants(Mode::kReplay, trace, horizon, round_interval_s,
-                         nullptr, nullptr);
-}
-
-ServiceReport ShardedStore::serve_open_loop(
-    const std::vector<ServiceRequest>& trace, double round_interval_s) {
-  double horizon = 0.0;
-  for (const auto& r : trace) horizon = std::max(horizon, r.request.arrival_s);
-  return run_all_tenants(Mode::kQueued, trace, horizon, round_interval_s,
-                         nullptr, nullptr);
+                         /*first_round=*/0, /*stream=*/nullptr);
 }
 
 ServiceReport ShardedStore::serve_open_loop_stream(
@@ -534,7 +460,7 @@ ServiceReport ShardedStore::serve_open_loop_stream(
   }
   const StreamSpec spec{&config, &mix};
   return run_all_tenants(Mode::kQueued, {}, config.duration_s,
-                         config.round_interval_s, nullptr, nullptr, 0, &spec);
+                         config.round_interval_s, /*first_round=*/0, &spec);
 }
 
 ServiceReport ShardedStore::serve_open_loop_window(
@@ -542,6 +468,20 @@ ServiceReport ShardedStore::serve_open_loop_window(
     double window_start_s, double window_end_s) {
   FLSTORE_CHECK(round_interval_s > 0.0);
   FLSTORE_CHECK(window_end_s > window_start_s);
+  // An arrival outside the window would be served "in the past" (on shards
+  // whose ingests have already moved beyond it) or ahead of rounds the next
+  // window owns; either way the composed timeline would be wrong, silently.
+  for (const auto& r : trace) {
+    const double t = r.request.arrival_s;
+    if (!(t >= window_start_s && t < window_end_s)) {
+      throw InvalidArgument("serve_open_loop_window: arrival " +
+                            std::to_string(t) + " s of request " +
+                            std::to_string(r.request.id) +
+                            " lies outside the window [" +
+                            std::to_string(window_start_s) + ", " +
+                            std::to_string(window_end_s) + ")");
+    }
+  }
   // The previous window's horizon already ingested every round through
   // floor(start / interval); this window owns the rest.
   const auto first_round =
@@ -551,13 +491,7 @@ ServiceReport ShardedStore::serve_open_loop_window(
                 std::floor(window_start_s / round_interval_s)) +
                 1;
   return run_all_tenants(Mode::kQueued, trace, window_end_s, round_interval_s,
-                         nullptr, nullptr, first_round);
-}
-
-ServiceReport ShardedStore::serve_closed_loop(
-    const ClosedLoopConfig& config, const std::vector<TenantMix>& mix) {
-  return run_all_tenants(Mode::kQueued, {}, config.duration_s,
-                         config.round_interval_s, &config, &mix);
+                         first_round, /*stream=*/nullptr);
 }
 
 void ShardedStore::book_telemetry(const ServiceReport& report) {
@@ -640,10 +574,7 @@ bool ShardedStore::hot_get(JobId tenant_id, const MetadataKey& key, double now,
       } else {
         pending.push_back({key, 1, hit});
       }
-      if (pending.size() >=
-          static_cast<std::size_t>(std::max(config_.hot_path.drain_batch, 1))) {
-        batch.swap(pending);
-      }
+      if (pending.size() >= kHotDrainBatch) batch.swap(pending);
     }
     if (!batch.empty()) drain_stripe_batch(shard, batch, worker);
   }
@@ -739,25 +670,6 @@ ShardedStore::tenant_class_stats(JobId tenant_id) const {
     }
   }
   return total;
-}
-
-std::array<units::Bytes, fed::kPolicyClassCount>
-ShardedStore::rebalance_tenant_partitions(JobId tenant_id,
-                                          units::Bytes total_per_shard,
-                                          units::Bytes floor_per_shard) {
-  const auto stats = tenant_class_stats(tenant_id);
-  std::array<core::ClassDemand, fed::kPolicyClassCount> demand{};
-  for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
-    demand[c] = {stats[c].hits, stats[c].misses, stats[c].bytes};
-  }
-  const auto budgets = core::PolicyEngine::rebalance_class_budgets(
-      demand, total_per_shard, floor_per_shard);
-  for (const auto global : tenant(tenant_id).shards) {
-    auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
-    shard.store->set_class_capacity(budgets);
-  }
-  return budgets;
 }
 
 backend::DirtyWindowStats ShardedStore::dirty_window_stats(double now) const {

@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "backend/flush_scheduler.hpp"
-#include "backend/object_store_backend.hpp"
 #include "backend/storage_backend.hpp"
-#include "cloud/object_store.hpp"
 #include "common/mutex.hpp"
 #include "core/flstore.hpp"
 #include "obs/hot_counters.hpp"
@@ -43,7 +41,6 @@ namespace flstore::serve {
 
 /// How a tenant's traffic spreads over its cache shards.
 enum class Routing : std::uint8_t {
-  kTenant,         ///< everything on the tenant's first shard (baseline)
   kClassAffinity,  ///< by P1–P4 class: preserves each policy's access
                    ///< pattern (prefetch chains stay on one shard)
   kHash,           ///< by request id: stateless load balancing; shards see
@@ -52,7 +49,6 @@ enum class Routing : std::uint8_t {
 
 [[nodiscard]] constexpr const char* to_string(Routing r) noexcept {
   switch (r) {
-    case Routing::kTenant: return "tenant";
     case Routing::kClassAffinity: return "class-affinity";
     case Routing::kHash: return "hash";
   }
@@ -82,14 +78,6 @@ enum class HotPathMode : std::uint8_t {
 
 struct HotPathConfig {
   HotPathMode mode = HotPathMode::kStriped;
-  /// Deferred-access stripes per shard. Workers map onto stripes round-
-  /// robin, so with stripes >= worker threads a stripe append never
-  /// contends with another worker.
-  int stripes = 16;
-  /// Pending accesses that trigger a stripe's batched drain into the
-  /// engine (one writer acquisition per batch). Larger batches amortize
-  /// the writer lock further but coarsen recency updates.
-  int drain_batch = 256;
   /// Optional padded-relaxed-atomic op counters (obs/hot_counters.hpp) —
   /// the only telemetry allowed on the hot data path. Non-owning;
   /// nullptr = off.
@@ -101,7 +89,7 @@ struct ShardedStoreConfig {
   Routing routing = Routing::kClassAffinity;
   /// Route cold miss fetches through the shared single-flight Coalescer.
   bool coalesce_cold_fetches = true;
-  /// Per-shard scheduler (queued modes only; replay() bypasses queueing).
+  /// Per-shard scheduler (queued runs only; replay() bypasses queueing).
   SchedulerConfig scheduler;
   /// Plane-wide write-back flush policy: when set, it overrides every
   /// tenant's FLStoreConfig::cold_flush, so each primary shard's
@@ -134,11 +122,6 @@ class ShardedStore {
   /// shared-daemon approximation; see FLStore::ingest_round) — prefer
   /// write-through for shared stacks when per-tenant fees matter.
   explicit ShardedStore(backend::StorageBackend& cold,
-                        ShardedStoreConfig config = {});
-
-  /// Convenience: wrap a raw ObjectStore in an owned ObjectStoreBackend
-  /// (the pre-backend API; latencies and fees are bit-identical).
-  explicit ShardedStore(ObjectStore& cold_store,
                         ShardedStoreConfig config = {});
 
   /// Register a tenant backed by `cache_shards` FLStore instances. The
@@ -186,29 +169,26 @@ class ShardedStore {
   ServiceReport replay(const std::vector<ServiceRequest>& trace,
                        double round_interval_s);
 
-  /// Open-loop replay *with* queueing: each shard is a single server fed by
-  /// its RequestScheduler; arrivals beyond capacity queue (or are shed by
-  /// admission control). This is the throughput/tail-latency mode.
-  ServiceReport serve_open_loop(const std::vector<ServiceRequest>& trace,
-                                double round_interval_s);
-
-  /// Queued open-loop serving fed by an ArrivalStream instead of a
-  /// materialized trace: trace memory is O(1) regardless of duration, rate,
-  /// or population size, so this is the entry point for 1M+-client,
-  /// multi-hour scenarios. Each tenant timeline replays its own replica of
-  /// the (deterministic) stream and keeps only its own arrivals — at most
-  /// one pending arrival event per tenant at any instant — which partitions
-  /// the shared sequence exactly as serve_open_loop's up-front split does:
-  /// for a constant-rate, no-population config the report is bit-identical
-  /// to serve_open_loop(open_loop_trace(...)) (regression-tested).
+  /// Queued open-loop serving — the throughput/tail-latency mode: each
+  /// shard is a single server fed by its RequestScheduler, and arrivals
+  /// beyond capacity queue (or are shed by admission control). Arrivals
+  /// come from an ArrivalStream, so trace memory is O(1) regardless of
+  /// duration, rate, or population size (1M+-client, multi-hour
+  /// scenarios). Each tenant timeline replays its own replica of the
+  /// (deterministic) stream and keeps only its own arrivals — at most one
+  /// pending arrival event per tenant at any instant — which partitions the
+  /// shared sequence exactly as an up-front split of the materialized trace
+  /// would: for a constant-rate, no-population config the report is
+  /// bit-identical to serve_open_loop_window over open_loop_trace(...) as
+  /// one window (regression-tested).
   ServiceReport serve_open_loop_stream(const StreamConfig& config,
                                        const std::vector<TenantMix>& mix);
 
-  /// One control-tick window of the queued open-loop mode: serves the
-  /// arrivals in `trace` (the caller slices them to [window_start_s,
-  /// window_end_s)) and ingests only the training rounds landing inside
-  /// the window, so consecutive windows compose into one continuous
-  /// timeline over the same warm shards — the control loop runs the plane
+  /// Queued open-loop serving of a materialized `trace` as one window of
+  /// one continuous timeline: serves the arrivals (each must fall in
+  /// [window_start_s, window_end_s), else InvalidArgument) and ingests only
+  /// the training rounds landing inside the window, so consecutive windows
+  /// compose over the same warm shards — the control loop runs the plane
   /// window by window and actuates between windows. Scheduler queues and
   /// shard busy time do not carry across the boundary (the tick-boundary
   /// approximation; ticks sit on round boundaries where queues drain).
@@ -247,8 +227,8 @@ class ShardedStore {
   }
 
   /// Apply explicit per-class cache budgets to every live shard of
-  /// `tenant` — the controller's bandit-suggested split (see also
-  /// rebalance_tenant_partitions for the ledger-driven variant).
+  /// `tenant` — the controller's bandit-suggested split, or a
+  /// PolicyEngine::rebalance_class_budgets over tenant_class_stats.
   void set_tenant_class_budgets(
       JobId tenant,
       const std::array<units::Bytes, fed::kPolicyClassCount>& budgets);
@@ -272,12 +252,6 @@ class ShardedStore {
   /// billing keep-alive (infrastructure_cost skips them) — the idle-cost
   /// win the controller's scale-in chases. Returns the resulting count.
   int set_tenant_shards(JobId tenant, int target, double now);
-
-  /// Closed loop: `users_per_tenant` virtual users per tenant issue a
-  /// request, wait for its completion, think, and re-issue until the
-  /// configured duration.
-  ServiceReport serve_closed_loop(const ClosedLoopConfig& config,
-                                  const std::vector<TenantMix>& mix);
 
   // --- Real-thread hot path ----------------------------------------------
   // Wall-clock concurrent entry points over the shards' CacheEngines, as
@@ -319,15 +293,6 @@ class ShardedStore {
   [[nodiscard]] std::array<core::CacheEngine::ClassStats,
                            core::CacheEngine::kPartitions>
   tenant_class_stats(JobId tenant) const;
-
-  /// Recompute `tenant`'s per-class budgets from the hit rates its shards
-  /// observed (PolicyEngine::rebalance_class_budgets over the aggregated
-  /// ledger) and apply them to every shard: `total_per_shard` bytes split
-  /// across the four class partitions, `floor_per_shard` guaranteed each.
-  /// Returns the budgets applied.
-  std::array<units::Bytes, fed::kPolicyClassCount> rebalance_tenant_partitions(
-      JobId tenant, units::Bytes total_per_shard,
-      units::Bytes floor_per_shard);
 
   /// Aggregate crash-consistency ledger across every tenant's primary-shard
   /// FlushScheduler at simulated time `now`. All schedulers watch the one
@@ -391,25 +356,24 @@ class ShardedStore {
   [[nodiscard]] const Tenant& tenant(JobId id) const;
 
   /// Run one tenant's discrete-event timeline (see .cpp). `arrivals` must
-  /// be sorted by arrival time; closed-loop passes `closed` instead and
-  /// streaming runs pass `stream` (arrivals then pull from the stream one
-  /// at a time). Rounds [first_round, floor(horizon/interval)] ingest
-  /// (windowed runs pass the first round not yet ingested); per-class
-  /// scheduler stats accumulate into `sched_out` (queued mode only).
+  /// be sorted by arrival time; streaming runs pass `stream` instead
+  /// (arrivals then pull from the stream one at a time). Rounds
+  /// [first_round, floor(horizon/interval)] ingest (windowed runs pass the
+  /// first round not yet ingested); per-class scheduler stats accumulate
+  /// into `sched_out` (queued mode only).
   void run_tenant(const Tenant& tenant, Mode mode,
                   const std::vector<ServiceRequest>& arrivals,
                   double horizon_s, double round_interval_s,
-                  RoundId first_round, const ClosedLoopConfig* closed,
-                  const TenantMix* mix, const StreamSpec* stream,
+                  RoundId first_round, const StreamSpec* stream,
                   std::vector<ServiceRecord>& out,
                   std::array<SchedClassStats, fed::kPolicyClassCount>&
                       sched_out);
 
-  ServiceReport run_all_tenants(
-      Mode mode, const std::vector<ServiceRequest>& trace, double horizon_s,
-      double round_interval_s, const ClosedLoopConfig* closed,
-      const std::vector<TenantMix>* mix, RoundId first_round = 0,
-      const StreamSpec* stream = nullptr);
+  ServiceReport run_all_tenants(Mode mode,
+                                const std::vector<ServiceRequest>& trace,
+                                double horizon_s, double round_interval_s,
+                                RoundId first_round,
+                                const StreamSpec* stream);
 
   /// Build one shard for `tenant` from its stored config (scale-out and
   /// add_tenant share this; `primary` enables cold backup on shard 0 only).
@@ -426,8 +390,6 @@ class ShardedStore {
                           int worker);
 
   ShardedStoreConfig config_;
-  /// Set only by the ObjectStore& convenience constructor.
-  std::unique_ptr<backend::ObjectStoreBackend> owned_cold_;
   backend::StorageBackend* cold_;
   /// One per tenant, indexed by JobId (stable addresses: shards hold raw
   /// interceptor pointers).

@@ -92,16 +92,18 @@ TEST(BackupWriterRegression, BatchedBackupMatchesInlinePathByteForByte) {
 
   // Inline-equivalent path: batch size 1 degenerates to one put per object
   // in enqueue order — exactly the old per-object loop.
-  ObjectStore inline_store(sim::objstore_link(), PricingCatalog::aws());
+  ObjectStoreBackend inline_cold(sim::objstore_link(), PricingCatalog::aws());
+  ObjectStore& inline_store = inline_cold.store();
   core::FLStoreConfig inline_cfg;
   inline_cfg.backup_batch = 1;
-  core::FLStore inline_fl(inline_cfg, job, inline_store);
+  core::FLStore inline_fl(inline_cfg, job, inline_cold);
 
   // Batched path: whole rounds drain through one multi-put.
-  ObjectStore batched_store(sim::objstore_link(), PricingCatalog::aws());
+  ObjectStoreBackend batched_cold(sim::objstore_link(), PricingCatalog::aws());
+  ObjectStore& batched_store = batched_cold.store();
   core::FLStoreConfig batched_cfg;
   batched_cfg.backup_batch = 64;
-  core::FLStore batched_fl(batched_cfg, job, batched_store);
+  core::FLStore batched_fl(batched_cfg, job, batched_cold);
 
   for (RoundId r = 0; r < 3; ++r) {
     const auto record = job.make_round(r);

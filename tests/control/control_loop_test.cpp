@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/object_store_backend.hpp"
 #include "control/sharded_surface.hpp"
 #include "sim/calibration.hpp"
 
@@ -57,7 +58,7 @@ struct ControlledPlane {
   }
 
   obs::Telemetry telemetry;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   fed::FLJob job;
   std::unique_ptr<serve::ShardedStore> store;
 };
@@ -238,6 +239,46 @@ TEST(ControlLoop, FlashCrowdScalesOutThenBackIn) {
     peak_idle = std::max(peak_idle, tick.snapshot.idle_usd_per_hour);
   }
   EXPECT_LT(last.snapshot.idle_usd_per_hour, peak_idle);
+}
+
+// The loop slices its trace into windows with one forward cursor. An
+// out-of-order request would land in a later window and be served "in the
+// past", on a shard whose ingests have moved beyond it; run() refuses the
+// trace instead.
+TEST(ControlLoop, RejectsUnsortedTrace) {
+  ControlledPlane plane;
+  auto trace = trace_at(plane, 0.5, 300.0);
+  ASSERT_GT(trace.size(), 2U);
+  std::swap(trace.front(), trace.back());
+  ControlLoopConfig loop_cfg;
+  loop_cfg.tick_interval_s = 60.0;
+  loop_cfg.round_interval_s = 60.0;
+  ShardedSurface surface(*plane.store, 0);
+  ControlLoop loop(*plane.store, plane.telemetry, surface,
+                   /*controller=*/nullptr, loop_cfg);
+  EXPECT_THROW((void)loop.run(trace, 300.0), InvalidArgument);
+}
+
+// Windows tile the horizon with no gaps even where k * tick and
+// (k - 1) * tick + tick round apart (5 * 0.1 + 0.1 < 6 * 0.1): a sorted
+// arrival at exactly 0.6 s belongs to one window and is served.
+TEST(ControlLoop, WindowsTileTheHorizonExactly) {
+  ControlledPlane plane;
+  auto trace = trace_at(plane, 20.0, 1.0);
+  const auto at = std::find_if(trace.begin(), trace.end(), [](const auto& r) {
+    return r.request.arrival_s >= 0.6;
+  });
+  ASSERT_NE(at, trace.end());
+  at->request.arrival_s = 0.6;  // still sorted: `at` is the first >= 0.6
+  ControlLoopConfig loop_cfg;
+  loop_cfg.tick_interval_s = 0.1;
+  loop_cfg.round_interval_s = 60.0;
+  ShardedSurface surface(*plane.store, 0);
+  ControlLoop loop(*plane.store, plane.telemetry, surface,
+                   /*controller=*/nullptr, loop_cfg);
+  const auto result = loop.run(trace, 1.0);
+  EXPECT_EQ(result.ticks.size(), 10U);
+  EXPECT_EQ(result.completed + result.rejected, trace.size());
 }
 
 }  // namespace

@@ -3,18 +3,21 @@
 // sharding (Appendix D).
 #include <gtest/gtest.h>
 
+#include "backend/object_store_backend.hpp"
 #include "core/adaptive_policy.hpp"
-#include "core/multi_tenant.hpp"
+#include "serve/sharded_store.hpp"
 #include "sim/calibration.hpp"
 
 namespace flstore::core {
 namespace {
 
 // --- multi-tenancy ----------------------------------------------------------
+// Appendix A's isolated per-tenant caches over one shared cold tier: a
+// serving plane with one cache shard per tenant.
 
 struct MultiTenantFixture : ::testing::Test {
   MultiTenantFixture()
-      : cold(sim::objstore_link(), PricingCatalog::aws()), registry(cold) {
+      : cold(sim::objstore_link(), PricingCatalog::aws()), plane(cold) {
     fed::FLJobConfig a;
     a.model = "resnet18";
     a.pool_size = 30;
@@ -28,46 +31,51 @@ struct MultiTenantFixture : ::testing::Test {
     job_b = std::make_unique<fed::FLJob>(b);
   }
 
-  ObjectStore cold;
-  MultiTenantFLStore registry;
+  /// The tenant's cache (its one shard).
+  [[nodiscard]] const FLStore& tenant(JobId id) const {
+    return plane.shard(plane.tenant_primary_shard(id));
+  }
+
+  backend::ObjectStoreBackend cold;
+  serve::ShardedStore plane;
   std::unique_ptr<fed::FLJob> job_a;
   std::unique_ptr<fed::FLJob> job_b;
 };
 
 TEST_F(MultiTenantFixture, TenantsAreIsolated) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
+  const auto ta = plane.add_tenant(*job_a);
+  const auto tb = plane.add_tenant(*job_b);
   EXPECT_NE(ta, tb);
-  EXPECT_EQ(registry.tenant_count(), 2U);
+  EXPECT_EQ(plane.tenant_count(), 2U);
 
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
+  plane.ingest_round(ta, job_a->make_round(0), 0.0);
   // Tenant A's cache holds round 0; tenant B's cache is empty.
-  EXPECT_GT(registry.tenant(ta).engine().cached_bytes(), 0U);
-  EXPECT_EQ(registry.tenant(tb).engine().cached_bytes(), 0U);
+  EXPECT_GT(tenant(ta).engine().cached_bytes(), 0U);
+  EXPECT_EQ(tenant(tb).engine().cached_bytes(), 0U);
   // Function pools are disjoint.
-  EXPECT_GT(registry.tenant(ta).pool().group_count(), 0U);
-  EXPECT_EQ(registry.tenant(tb).pool().group_count(), 0U);
+  EXPECT_GT(tenant(ta).pool().group_count(), 0U);
+  EXPECT_EQ(tenant(tb).pool().group_count(), 0U);
 }
 
 TEST_F(MultiTenantFixture, PerTenantPolicyConfiguration) {
   FLStoreConfig lru_cfg;
   lru_cfg.policy.mode = PolicyMode::kLru;
-  const auto ta = registry.add_tenant(*job_a);           // tailored
-  const auto tb = registry.add_tenant(*job_b, lru_cfg);  // traditional
-  EXPECT_EQ(registry.tenant(ta).config().policy.mode, PolicyMode::kTailored);
-  EXPECT_EQ(registry.tenant(tb).config().policy.mode, PolicyMode::kLru);
+  const auto ta = plane.add_tenant(*job_a);           // tailored
+  const auto tb = plane.add_tenant(*job_b, lru_cfg);  // traditional
+  EXPECT_EQ(tenant(ta).config().policy.mode, PolicyMode::kTailored);
+  EXPECT_EQ(tenant(tb).config().policy.mode, PolicyMode::kLru);
 }
 
 TEST_F(MultiTenantFixture, ServesBothTenantsIndependently) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
-  registry.ingest_round(tb, job_b->make_round(0), 0.0);
+  const auto ta = plane.add_tenant(*job_a);
+  const auto tb = plane.add_tenant(*job_b);
+  plane.ingest_round(ta, job_a->make_round(0), 0.0);
+  plane.ingest_round(tb, job_b->make_round(0), 0.0);
 
   fed::NonTrainingRequest req{1, fed::WorkloadType::kClustering, 0, kNoClient,
                               10.0};
-  const auto ra = registry.serve(ta, req, 10.0);
-  const auto rb = registry.serve(tb, req, 10.0);
+  const auto ra = plane.serve({ta, req}, 10.0);
+  const auto rb = plane.serve({tb, req}, 10.0);
   EXPECT_EQ(ra.misses, 0U);
   EXPECT_EQ(rb.misses, 0U);
   // Different models -> different compute footprints.
@@ -75,18 +83,18 @@ TEST_F(MultiTenantFixture, ServesBothTenantsIndependently) {
 }
 
 TEST_F(MultiTenantFixture, UnknownTenantThrows) {
-  EXPECT_THROW((void)registry.tenant(42), InvalidArgument);
+  EXPECT_THROW((void)plane.tenant_primary_shard(42), InvalidArgument);
 }
 
 TEST_F(MultiTenantFixture, InfrastructureCostSumsTenants) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
-  registry.ingest_round(tb, job_b->make_round(0), 0.0);
+  const auto ta = plane.add_tenant(*job_a);
+  const auto tb = plane.add_tenant(*job_b);
+  plane.ingest_round(ta, job_a->make_round(0), 0.0);
+  plane.ingest_round(tb, job_b->make_round(0), 0.0);
   const double d = 3600.0;
-  EXPECT_NEAR(registry.infrastructure_cost(d),
-              registry.tenant(ta).infrastructure_cost(d) +
-                  registry.tenant(tb).infrastructure_cost(d),
+  EXPECT_NEAR(plane.infrastructure_cost(d),
+              tenant(ta).infrastructure_cost(d) +
+                  tenant(tb).infrastructure_cost(d),
               1e-12);
 }
 

@@ -2,6 +2,7 @@
 // (the Fig 11 / Fig 18 machinery) plus configuration edge cases.
 #include <gtest/gtest.h>
 
+#include "backend/object_store_backend.hpp"
 #include "core/flstore.hpp"
 #include "fed/trace.hpp"
 #include "sim/calibration.hpp"
@@ -48,7 +49,7 @@ struct ModesFixture : ::testing::Test {
   }
 
   fed::FLJob job;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
 };
 
 TEST_F(ModesFixture, TailoredModeHitsEverything) {

@@ -115,7 +115,8 @@ TEST(CoalescerFLStore, TwoShardsShareOneColdFetch) {
   job_cfg.rounds = 10;
   job_cfg.seed = 3;
   fed::FLJob job(job_cfg);
-  auto cold = make_store();
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                   PricingCatalog::aws());
   Coalescer co;
 
   core::FLStoreConfig cfg;
@@ -127,7 +128,7 @@ TEST(CoalescerFLStore, TwoShardsShareOneColdFetch) {
   shard_b.set_cold_fetch_interceptor(&co);
 
   shard_a.ingest_round(job.make_round(0), 0.0);
-  const auto puts_after_ingest = cold.put_count();
+  const auto puts_after_ingest = cold.store().put_count();
 
   fed::NonTrainingRequest req;
   req.type = fed::WorkloadType::kInference;  // needs exactly aggregate(0)
@@ -136,19 +137,20 @@ TEST(CoalescerFLStore, TwoShardsShareOneColdFetch) {
   req.id = 1;
   const auto a = shard_a.serve(req, 10.0);
   ASSERT_EQ(a.misses, 1U);
-  const auto gets_after_a = cold.get_count();
+  const auto gets_after_a = cold.store().get_count();
 
   // Shard B misses the same key while A's fetch is still streaming.
   req.id = 2;
   const auto b = shard_b.serve(req, 11.0);
   ASSERT_EQ(b.misses, 1U);
-  EXPECT_EQ(cold.get_count(), gets_after_a);  // no second GET
+  EXPECT_EQ(cold.store().get_count(), gets_after_a);  // no second GET
   EXPECT_EQ(co.stats().joins, 1U);
   // B's bill is smaller: no request fee and less blocked function time.
   EXPECT_LT(b.cost_usd, a.cost_usd);
   EXPECT_LT(b.comm_s, a.comm_s);
   // Result write-backs aside, B triggered no extra backup puts.
-  EXPECT_EQ(cold.put_count(), puts_after_ingest + 2);  // two result objects
+  EXPECT_EQ(cold.store().put_count(),
+            puts_after_ingest + 2);  // two result objects
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): striped
 // vs exclusive equivalence, partitioned-keyspace determinism against a
 // single-threaded replay, ledger invariants under concurrent mixed traffic,
-// and a stats-polling TSan regression for the shared-lock fast path.
+// and a stats-polling TSan regression for the shared-lock fast path. Every
+// striped test issues enough reads to fill a stripe (256 pending accesses)
+// several times, and checks that stripes drained mid-run before hot_sync.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/object_store_backend.hpp"
 #include "common/rng.hpp"
 #include "obs/hot_counters.hpp"
 #include "serve/sharded_store.hpp"
@@ -112,17 +115,16 @@ struct HotPlane {
     return t;
   }
 
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   std::unique_ptr<fed::FLJob> job;
   std::unique_ptr<ShardedStore> store;
 };
 
-HotPathConfig hot_config(HotPathMode mode, obs::HotCounters* counters = nullptr,
-                         int drain_batch = 32) {
+HotPathConfig hot_config(HotPathMode mode,
+                         obs::HotCounters* counters = nullptr) {
   HotPathConfig cfg;
   cfg.mode = mode;
   cfg.counters = counters;
-  cfg.drain_batch = drain_batch;
   return cfg;
 }
 
@@ -131,8 +133,9 @@ HotPathConfig hot_config(HotPathMode mode, obs::HotCounters* counters = nullptr,
 // the same hit/miss ledgers, object counts, and resident bytes.
 TEST(HotPath, StripedMatchesExclusiveSingleThreaded) {
   const auto stream = mixed_stream(4000, 48, 11);
+  obs::HotCounters counters;
   HotPlane exclusive(hot_config(HotPathMode::kExclusive));
-  HotPlane striped(hot_config(HotPathMode::kStriped));
+  HotPlane striped(hot_config(HotPathMode::kStriped, &counters));
   exclusive.prefill(0, 48);
   striped.prefill(0, 48);
   for (const auto& op : stream) {
@@ -147,6 +150,7 @@ TEST(HotPath, StripedMatchesExclusiveSingleThreaded) {
                 striped.store->hot_evict(0, op.key, 0));
     }
   }
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
   striped.store->hot_sync();
   EXPECT_EQ(exclusive.totals(), striped.totals());
 }
@@ -162,7 +166,9 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
     streams.push_back(mixed_stream(3000, kKeys, 100 + std::uint64_t(w)));
   }
 
-  HotPlane concurrent(hot_config(HotPathMode::kStriped), kWorkers, 1);
+  obs::HotCounters counters;
+  HotPlane concurrent(hot_config(HotPathMode::kStriped, &counters), kWorkers,
+                      1);
   HotPlane reference(hot_config(HotPathMode::kStriped), kWorkers, 1);
   for (int t = 0; t < kWorkers; ++t) {
     concurrent.prefill(t, kKeys);
@@ -173,6 +179,7 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
     concurrent.replay(worker, streams[static_cast<std::size_t>(worker)],
                       worker);
   });
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
   concurrent.store->hot_sync();
   for (int t = 0; t < kWorkers; ++t) {
     reference.replay(t, streams[static_cast<std::size_t>(t)], 0);
@@ -198,9 +205,7 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   constexpr int kKeys = 64;
   constexpr int kOps = 5000;
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters,
-                            /*drain_batch=*/16),
-                 1, 2);
+  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 2);
   plane.prefill(0, kKeys);
   counters.reset();
 
@@ -211,6 +216,7 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   ThreadPool::run_replicated(kWorkers, [&](int worker) {
     plane.replay(0, streams[static_cast<std::size_t>(worker)], worker);
   });
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
   plane.store->hot_sync();
 
   std::uint64_t issued_gets = 0;
@@ -250,7 +256,8 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
 TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   constexpr int kWorkers = 2;
   constexpr int kKeys = 32;
-  HotPlane plane(hot_config(HotPathMode::kStriped), 1, 2);
+  obs::HotCounters counters;
+  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 2);
   plane.prefill(0, kKeys);
 
   std::atomic<bool> done{false};
@@ -270,22 +277,24 @@ TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   });
   done.store(true, std::memory_order_release);
   poller.join();
+  // Stripes drained while the poller ran.
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
   plane.store->hot_sync();
   const auto totals = plane.totals();
   EXPECT_GT(totals.hits, 0U);
 }
 
-// A tiny drain batch forces many mid-run handoffs; the ledger must still be
-// exact and hot_sync must leave nothing pending (drained == issued).
+// Enough reads to fill the one stripe many times over forces many mid-run
+// handoffs; the ledger must still be exact and hot_sync must leave nothing
+// pending (drained == issued).
 TEST(HotPath, HotSyncDrainsExactly) {
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters,
-                            /*drain_batch=*/4),
-                 1, 1);
+  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 1);
   plane.prefill(0, 16);
   counters.reset();
-  const auto stream = mixed_stream(1000, 16, 42);
+  const auto stream = mixed_stream(4000, 16, 42);
   plane.replay(0, stream, 0);
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 1U);
   plane.store->hot_sync();
   EXPECT_EQ(counters.total(obs::HotCounters::kDrainedAccesses),
             counters.total(obs::HotCounters::kGets));

@@ -1,14 +1,18 @@
 // ShardedStore: routing, multi-tenant replay determinism under the worker
-// pool, queued serving (throughput mode), admission control, closed loop.
+// pool, queued serving (throughput mode), admission control, windowed
+// serving.
 #include "serve/sharded_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 
+#include "backend/object_store_backend.hpp"
 #include "sim/calibration.hpp"
 
 namespace flstore::serve {
@@ -45,7 +49,7 @@ struct Plane {
     return out;
   }
 
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   std::vector<std::unique_ptr<fed::FLJob>> jobs;
   std::unique_ptr<ShardedStore> store;
 };
@@ -63,6 +67,18 @@ ShardedStoreConfig plane_config(int threads) {
   ShardedStoreConfig cfg;
   cfg.worker_threads = threads;
   return cfg;
+}
+
+/// Queued open-loop serving of a whole materialized trace: one window from
+/// 0 through the last arrival. Windows are half-open, so the window ends one
+/// ulp past the last arrival — the smallest window that holds every request.
+ServiceReport serve_queued(ShardedStore& store,
+                           const std::vector<ServiceRequest>& trace) {
+  double last = 0.0;
+  for (const auto& r : trace) last = std::max(last, r.request.arrival_s);
+  return store.serve_open_loop_window(
+      trace, 30.0, 0.0,
+      std::nextafter(last, std::numeric_limits<double>::infinity()));
 }
 
 void expect_identical(const ServiceReport& a, const ServiceReport& b) {
@@ -104,16 +120,15 @@ TEST(ShardedStore, QueuedServingDeterministicAcrossPoolSizes) {
   Plane reference(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
   Plane pooled(plane_config(4), /*tenants=*/2, /*shards_each=*/2);
   const auto trace = open_loop_trace(open_loop(0.5, 400.0), reference.mix());
-  const auto a = reference.store->serve_open_loop(trace, 30.0);
-  const auto b = pooled.store->serve_open_loop(trace, 30.0);
+  const auto a = serve_queued(*reference.store, trace);
+  const auto b = serve_queued(*pooled.store, trace);
   expect_identical(a, b);
 }
 
-// A single-shard single-tenant replay matches driving the facade directly —
-// the serving plane adds no hidden cost or latency.
 // The streaming entry point is a pure re-plumbing of the materialized one:
-// for the legacy constant-rate, no-population config the two reports must
-// be bit-identical, record for record.
+// for the constant-rate, no-population config, streaming the arrivals and
+// serving the materialized trace as one window must give bit-identical
+// reports, record for record.
 TEST(ShardedStore, StreamedServingMatchesMaterializedOpenLoop) {
   Plane materialized(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
   Plane streamed(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
@@ -121,7 +136,7 @@ TEST(ShardedStore, StreamedServingMatchesMaterializedOpenLoop) {
   const auto legacy = open_loop(0.5, 400.0);
   const auto trace = open_loop_trace(legacy, materialized.mix());
   ASSERT_GT(trace.size(), 100U);
-  const auto a = materialized.store->serve_open_loop(trace, 30.0);
+  const auto a = serve_queued(*materialized.store, trace);
 
   StreamConfig cfg;
   cfg.rate.base_qps = legacy.offered_qps;
@@ -169,6 +184,8 @@ TEST(ShardedStore, StreamedServingRejectsUnknownOrDuplicateTenants) {
                InvalidArgument);
 }
 
+// A single-shard single-tenant replay matches driving the facade directly —
+// the serving plane adds no hidden cost or latency.
 TEST(ShardedStore, SingleShardReplayMatchesDirectFacade) {
   auto cfg = plane_config(2);
   // The bare-facade reference below has no interceptor, so run the plane
@@ -180,7 +197,8 @@ TEST(ShardedStore, SingleShardReplayMatchesDirectFacade) {
 
   // Reference: a bare FLStore over a fresh cold store, same namespace,
   // same interleaving of ingests and serves.
-  ObjectStore cold2(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold2(sim::objstore_link(),
+                                    PricingCatalog::aws());
   fed::FLJob job2(small_job(100));
   core::FLStoreConfig store_cfg;
   store_cfg.cold_namespace = "t0/";
@@ -232,14 +250,14 @@ TEST(ShardedStore, QueueingKicksInWhenOfferedLoadExceedsCapacity) {
   cfg.worker_threads = 2;
   Plane plane(cfg, /*tenants=*/1);
   const auto trace = open_loop_trace(open_loop(1.0, 300.0), plane.mix());
-  const auto report = plane.store->serve_open_loop(trace, 30.0);
+  const auto report = serve_queued(*plane.store, trace);
   EXPECT_GT(report.queue_waits().percentile(95.0), 0.0);
   // Sharding the same tenant 4 ways at the same offered load cuts the tail.
   ShardedStoreConfig cfg4;
   cfg4.worker_threads = 2;
   cfg4.routing = Routing::kClassAffinity;
   Plane plane4(cfg4, /*tenants=*/1, /*shards_each=*/4);
-  const auto report4 = plane4.store->serve_open_loop(trace, 30.0);
+  const auto report4 = serve_queued(*plane4.store, trace);
   EXPECT_LT(report4.latencies().percentile(95.0),
             report.latencies().percentile(95.0));
   EXPECT_GE(report4.throughput_qps(), report.throughput_qps());
@@ -250,59 +268,16 @@ TEST(ShardedStore, AdmissionControlShedsLoad) {
   cfg.scheduler.class_queue_limit = 2;
   Plane plane(cfg, /*tenants=*/1);
   const auto trace = open_loop_trace(open_loop(2.0, 200.0), plane.mix());
-  const auto report = plane.store->serve_open_loop(trace, 30.0);
+  const auto report = serve_queued(*plane.store, trace);
   EXPECT_GT(report.rejected(), 0U);
   EXPECT_EQ(report.rejected() + report.completed(), trace.size());
-}
-
-TEST(ShardedStore, ClosedLoopBoundsConcurrencyPerTenant) {
-  ShardedStoreConfig cfg;
-  Plane plane(cfg, /*tenants=*/1);
-  ClosedLoopConfig closed;
-  closed.users_per_tenant = 2;
-  closed.think_s = 1.0;
-  closed.duration_s = 300.0;
-  closed.round_interval_s = 30.0;
-  const auto report = plane.store->serve_closed_loop(closed, plane.mix());
-  ASSERT_GT(report.completed(), 10U);
-  // At most `users` requests are ever in flight: sweep the records and
-  // count overlapping [arrival, completion] intervals.
-  for (const auto& r : report.records) {
-    int overlapping = 0;
-    for (const auto& o : report.records) {
-      if (o.request.arrival_s <= r.start_s && o.completion_s() > r.start_s) {
-        ++overlapping;
-      }
-    }
-    EXPECT_LE(overlapping, closed.users_per_tenant);
-  }
-}
-
-TEST(ShardedStore, ClosedLoopSurvivesAdmissionRejections) {
-  // Shed users must re-issue after a think interval, not vanish: with a
-  // 1-deep class queue the run still produces traffic through the whole
-  // duration instead of decaying to zero live users.
-  ShardedStoreConfig cfg;
-  cfg.scheduler.class_queue_limit = 1;
-  Plane plane(cfg, /*tenants=*/1);
-  ClosedLoopConfig closed;
-  closed.users_per_tenant = 6;
-  closed.think_s = 0.5;
-  closed.duration_s = 300.0;
-  closed.round_interval_s = 30.0;
-  const auto report = plane.store->serve_closed_loop(closed, plane.mix());
-  EXPECT_GT(report.rejected(), 0U);
-  double last_arrival = 0.0;
-  for (const auto& r : report.records) {
-    last_arrival = std::max(last_arrival, r.request.arrival_s);
-  }
-  EXPECT_GT(last_arrival, 0.8 * closed.duration_s);
 }
 
 TEST(ShardedStore, CoalescerStatsArePerRunAndWindowsDontLeak) {
   ShardedStoreConfig cfg;
   cfg.routing = Routing::kHash;
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                   PricingCatalog::aws());
   fed::FLJob job(small_job(100));
   ShardedStore store(cold, cfg);
   core::FLStoreConfig store_cfg;
@@ -334,7 +309,8 @@ TEST(ShardedStore, UnknownTenantThrows) {
 // Per-class cache budgets plumb through add_tenant to every shard, bound
 // each partition's resident bytes, and show up in the tenant-level ledger.
 TEST(ShardedStore, ClassPartitionsPlumbThroughAndStayBounded) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                   PricingCatalog::aws());
   fed::FLJob job(small_job(100));
   ShardedStore store(cold, plane_config(0));
   core::FLStoreConfig store_cfg;
@@ -359,7 +335,13 @@ TEST(ShardedStore, ClassPartitionsPlumbThroughAndStayBounded) {
   // class keeps its floor, and the shards adopt them.
   const auto total = 4 * job.model().object_bytes;
   const auto floor = job.model().object_bytes / 4;
-  const auto budgets = store.rebalance_tenant_partitions(tenant, total, floor);
+  std::array<core::ClassDemand, fed::kPolicyClassCount> demand{};
+  for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
+    demand[c] = {stats[c].hits, stats[c].misses, stats[c].bytes};
+  }
+  const auto budgets =
+      core::PolicyEngine::rebalance_class_budgets(demand, total, floor);
+  store.set_tenant_class_budgets(tenant, budgets);
   units::Bytes sum = 0;
   for (const auto b : budgets) {
     EXPECT_GE(b, floor);
@@ -383,8 +365,8 @@ TEST(ShardedStore, TelemetryIsPureBookkeeping) {
   cfg.telemetry = &telemetry;
   Plane traced(cfg, /*tenants=*/2, /*shards_each=*/2);
   const auto trace = open_loop_trace(open_loop(0.5, 400.0), plain.mix());
-  const auto a = plain.store->serve_open_loop(trace, 30.0);
-  const auto b = traced.store->serve_open_loop(trace, 30.0);
+  const auto a = serve_queued(*plain.store, trace);
+  const auto b = serve_queued(*traced.store, trace);
   expect_identical(a, b);
 
   // And the books balance: request counters sum to the completed count,
@@ -454,7 +436,7 @@ TEST(ShardedStore, SchedulerClassLedgersPartitionTheTrace) {
   cfg.scheduler.class_queue_limit = 2;
   Plane plane(cfg, /*tenants=*/2);
   const auto trace = open_loop_trace(open_loop(2.0, 200.0), plane.mix());
-  const auto report = plane.store->serve_open_loop(trace, 30.0);
+  const auto report = serve_queued(*plane.store, trace);
   ASSERT_GT(report.rejected(), 0U);
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
@@ -487,7 +469,7 @@ TEST(ShardedStore, SchedulerGaugesReachTheRegistry) {
   cfg.telemetry = &telemetry;
   Plane plane(cfg, /*tenants=*/1);
   const auto trace = open_loop_trace(open_loop(2.0, 200.0), plane.mix());
-  const auto report = plane.store->serve_open_loop(trace, 30.0);
+  const auto report = serve_queued(*plane.store, trace);
   double gauge_rejects = 0.0;
   double gauge_peak = 0.0;
   for (const auto c : {fed::PolicyClass::kP1, fed::PolicyClass::kP2,
@@ -514,7 +496,7 @@ TEST(ShardedStore, ScaleOutWarmsNewShardsAndBillsThem) {
   cfg.routing = Routing::kHash;
   Plane plane(cfg, /*tenants=*/1, /*shards_each=*/1);
   const auto trace = open_loop_trace(open_loop(0.5, 200.0), plane.mix());
-  (void)plane.store->serve_open_loop(trace, 30.0);
+  (void)serve_queued(*plane.store, trace);
   const auto cost1 = plane.store->infrastructure_cost(3600.0);
   ASSERT_EQ(plane.store->tenant_shard_count(0), 1);
 
@@ -538,7 +520,7 @@ TEST(ShardedStore, ScaleInRehomesAndRetiredSlotsAreReused) {
   cfg.routing = Routing::kHash;
   Plane plane(cfg, /*tenants=*/1, /*shards_each=*/3);
   const auto trace = open_loop_trace(open_loop(0.5, 200.0), plane.mix());
-  (void)plane.store->serve_open_loop(trace, 30.0);
+  (void)serve_queued(*plane.store, trace);
   const auto cost3 = plane.store->infrastructure_cost(3600.0);
 
   ASSERT_GT(plane.store->shard(0).engine().object_count(), 0U);
@@ -598,8 +580,8 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   Plane whole(plane_config(0), /*tenants=*/2);
   Plane windowed(plane_config(0), /*tenants=*/2);
   const auto trace = open_loop_trace(open_loop(0.2, 400.0), whole.mix());
-  (void)whole.store->serve_open_loop(trace, 30.0);
-  const auto whole_puts = whole.cold.put_count();
+  (void)serve_queued(*whole.store, trace);
+  const auto whole_puts = whole.cold.store().put_count();
   ASSERT_GT(whole_puts, 0U);
 
   std::size_t served = 0;
@@ -622,9 +604,46 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   // The windowed horizon reaches 400 s while the unwindowed horizon stops
   // at the last arrival, so the windowed run may ingest at most the last
   // partial round extra — never fewer, never duplicates.
-  EXPECT_GE(windowed.cold.put_count(), whole_puts);
-  EXPECT_LE(windowed.cold.put_count(),
+  EXPECT_GE(windowed.cold.store().put_count(), whole_puts);
+  EXPECT_LE(windowed.cold.store().put_count(),
             whole_puts + whole_puts / 4);  // slack for the final round
+}
+
+// A window serves only its own arrivals. One before window_start_s would be
+// served "in the past", on shards whose ingests have moved beyond it; one
+// at or after window_end_s belongs to the next window, after rounds that
+// window will ingest. Either is refused before anything is served or
+// ingested.
+TEST(ShardedStore, WindowedServingRejectsArrivalsOutsideTheWindow) {
+  Plane plane(plane_config(0), /*tenants=*/1);
+  const auto trace = open_loop_trace(open_loop(0.5, 200.0), plane.mix());
+  std::vector<ServiceRequest> first_half;
+  for (const auto& r : trace) {
+    if (r.request.arrival_s < 100.0) first_half.push_back(r);
+  }
+  ASSERT_FALSE(first_half.empty());
+  ASSERT_LT(first_half.size(), trace.size());
+
+  // Earlier arrivals than the window start.
+  EXPECT_THROW(
+      (void)plane.store->serve_open_loop_window(trace, 30.0, 100.0, 200.0),
+      InvalidArgument);
+  // Later arrivals than the window end.
+  EXPECT_THROW(
+      (void)plane.store->serve_open_loop_window(trace, 30.0, 0.0, 100.0),
+      InvalidArgument);
+  // The end is exclusive.
+  auto at_end = first_half;
+  at_end.back().request.arrival_s = 100.0;
+  EXPECT_THROW(
+      (void)plane.store->serve_open_loop_window(at_end, 30.0, 0.0, 100.0),
+      InvalidArgument);
+  EXPECT_EQ(plane.cold.store().put_count(), 0U);  // nothing ingested
+
+  // The in-window slice serves.
+  const auto report =
+      plane.store->serve_open_loop_window(first_half, 30.0, 0.0, 100.0);
+  EXPECT_EQ(report.completed() + report.rejected(), first_half.size());
 }
 
 }  // namespace

@@ -30,12 +30,19 @@ clang-tidy can express:
                       some bench source actually emits (a JsonReport("x")
                       producing BENCH_x.json) — a baseline for a renamed or
                       deleted bench would gate nothing, silently.
+  orphan-header       every src/**/*.hpp must be #included by at least one
+                      file under src/, bench/ or examples/ other than its
+                      own .cpp — a module that only its own tests reach is
+                      dead code that still compiles, passes, and documents
+                      itself as used.
 
 Suppression syntax (same line or the line above the finding):
 
     // flstore-lint: allow(<rule>) -- <justification>
 
-The justification is mandatory; an allow() without one is itself a finding.
+orphan-header is a whole-file rule: its allow() may sit anywhere in the
+header. The justification is mandatory; an allow() without one is itself a
+finding.
 
 Usage: python3 tools/lint/flstore_lint.py [--root REPO_ROOT]
 Exit status 0 = clean, 1 = findings (printed as file:line: [rule] message).
@@ -57,6 +64,8 @@ WALL_CLOCK_RE = re.compile(
     r"|\bstd::time\s*\(|\brand\s*\(\s*\)|\bsrand\s*\(")
 
 COUT_RE = re.compile(r"std::(cout|cerr)\b")
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
 RAW_MUTEX_RE = re.compile(r"\bstd::(shared_mutex|recursive_mutex|mutex)\b")
 
@@ -260,6 +269,32 @@ def check_baseline_artifact(root: pathlib.Path,
                 "baseline gates an artifact nothing produces"))
 
 
+def check_orphan_header(root: pathlib.Path, findings: list[Finding]) -> None:
+    src = root / "src"
+    if not src.is_dir():
+        return
+    includers: dict[str, set[str]] = {}
+    for path in iter_sources(root, "src", "bench", "examples"):
+        rel = path.relative_to(root).as_posix()
+        for name in INCLUDE_RE.findall(path.read_text(encoding="utf-8")):
+            includers.setdefault(name, set()).add(rel)
+    for path in sorted(src.rglob("*.hpp")):
+        rel = path.relative_to(root).as_posix()
+        own_cpp = rel[: -len(".hpp")] + ".cpp"
+        name = path.relative_to(src).as_posix()  # the src/-relative include
+        if includers.get(name, set()) - {own_cpp}:
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if any(suppressed(lines, i, "orphan-header", findings, rel)
+               for i in range(len(lines))):
+            continue
+        findings.append(Finding(
+            rel, 1, "orphan-header",
+            "no file under src/, bench/ or examples/ includes this header "
+            "(its own .cpp and tests do not count) — delete the dead "
+            "module, or suppress with a justification"))
+
+
 CHECKS = {
     "wall-clock": check_wall_clock,
     "no-cout": check_no_cout,
@@ -267,6 +302,7 @@ CHECKS = {
     "mutex-annotation": check_mutex_annotation,
     "test-registration": check_test_registration,
     "baseline-artifact": check_baseline_artifact,
+    "orphan-header": check_orphan_header,
 }
 
 
