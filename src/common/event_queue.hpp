@@ -1,9 +1,10 @@
-// Minimal discrete-event simulation core.
+// Minimal discrete-event queue on a single virtual clock.
 //
-// The experiment runner schedules request arrivals, function reclamations
-// (fault injection) and completion callbacks on a single virtual clock.
-// Events at equal timestamps run in scheduling order (a strictly increasing
-// sequence number breaks ties), which keeps runs deterministic.
+// Nothing in the library schedules on it: the experiment runner and the
+// serving plane each keep their own clock. Events at equal timestamps run
+// in scheduling order (a strictly increasing sequence number breaks ties),
+// which keeps runs deterministic.
+// flstore-lint: allow(orphan-header) -- unused; its deletion is open on ROADMAP item 2
 #pragma once
 
 #include <cstdint>

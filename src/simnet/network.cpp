@@ -26,4 +26,36 @@ double Link::batch_transfer_time(units::Bytes bytes, std::size_t count,
   return alpha + bulk;
 }
 
+const char* to_string(Endpoint e) noexcept {
+  switch (e) {
+    case Endpoint::kClient: return "client";
+    case Endpoint::kAggregatorVm: return "aggregator_vm";
+    case Endpoint::kObjectStore: return "object_store";
+    case Endpoint::kCloudCache: return "cloud_cache";
+    case Endpoint::kFunction: return "function";
+  }
+  return "?";
+}
+
+std::string Topology::key(Endpoint from, Endpoint to) {
+  return std::string(to_string(from)) + "->" + to_string(to);
+}
+
+void Topology::set_link(Endpoint a, Endpoint b, Link link, bool symmetric) {
+  links_[key(a, b)] = link;
+  if (symmetric) links_[key(b, a)] = link;
+}
+
+bool Topology::has_link(Endpoint from, Endpoint to) const noexcept {
+  return links_.contains(key(from, to));
+}
+
+const Link& Topology::link(Endpoint from, Endpoint to) const {
+  const auto it = links_.find(key(from, to));
+  if (it == links_.end()) {
+    throw InvalidArgument("no link " + key(from, to));
+  }
+  return it->second;
+}
+
 }  // namespace flstore

@@ -7,7 +7,9 @@
 // over, and bulk bytes pay the bandwidth term.
 #pragma once
 
-#include <cstddef>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/units.hpp"
 
@@ -25,6 +27,30 @@ struct Link {
   [[nodiscard]] double batch_transfer_time(units::Bytes bytes,
                                            std::size_t count,
                                            std::size_t parallelism = 1) const;
+};
+
+/// Named endpoints in the simulated deployment.
+enum class Endpoint {
+  kClient,         ///< FL client devices / client daemon
+  kAggregatorVm,   ///< SageMaker-style aggregator instance
+  kObjectStore,    ///< S3/MinIO persistent store
+  kCloudCache,     ///< ElastiCache-style in-memory cache service
+  kFunction,       ///< serverless function instance
+};
+
+[[nodiscard]] const char* to_string(Endpoint e) noexcept;
+
+/// Directed link table between endpoints. Symmetric by default (set once,
+/// both directions resolve), with override support for asymmetric paths.
+class Topology {
+ public:
+  void set_link(Endpoint a, Endpoint b, Link link, bool symmetric = true);
+  [[nodiscard]] const Link& link(Endpoint from, Endpoint to) const;
+  [[nodiscard]] bool has_link(Endpoint from, Endpoint to) const noexcept;
+
+ private:
+  [[nodiscard]] static std::string key(Endpoint from, Endpoint to);
+  std::unordered_map<std::string, Link> links_;
 };
 
 }  // namespace flstore

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 namespace flstore {
 namespace {
 
@@ -47,6 +49,42 @@ TEST(Link, ParallelismNeverSlower) {
   const double seq = l.batch_transfer_time(5 * MB, 20, 1);
   const double par = l.batch_transfer_time(5 * MB, 20, 8);
   EXPECT_LE(par, seq);
+}
+
+TEST(Topology, SymmetricLinkResolvesBothWays) {
+  Topology topo;
+  topo.set_link(Endpoint::kAggregatorVm, Endpoint::kObjectStore, {0.08, 1e8});
+  EXPECT_TRUE(topo.has_link(Endpoint::kAggregatorVm, Endpoint::kObjectStore));
+  EXPECT_TRUE(topo.has_link(Endpoint::kObjectStore, Endpoint::kAggregatorVm));
+  EXPECT_DOUBLE_EQ(
+      topo.link(Endpoint::kObjectStore, Endpoint::kAggregatorVm)
+          .first_byte_latency_s,
+      0.08);
+}
+
+TEST(Topology, AsymmetricOverride) {
+  Topology topo;
+  topo.set_link(Endpoint::kClient, Endpoint::kAggregatorVm, {0.1, 1e7});
+  topo.set_link(Endpoint::kAggregatorVm, Endpoint::kClient, {0.1, 5e7},
+                /*symmetric=*/false);
+  EXPECT_DOUBLE_EQ(
+      topo.link(Endpoint::kClient, Endpoint::kAggregatorVm).bandwidth_bytes_per_s,
+      1e7);
+  EXPECT_DOUBLE_EQ(
+      topo.link(Endpoint::kAggregatorVm, Endpoint::kClient).bandwidth_bytes_per_s,
+      5e7);
+}
+
+TEST(Topology, MissingLinkThrows) {
+  Topology topo;
+  EXPECT_THROW((void)topo.link(Endpoint::kClient, Endpoint::kFunction),
+               InvalidArgument);
+  EXPECT_FALSE(topo.has_link(Endpoint::kClient, Endpoint::kFunction));
+}
+
+TEST(EndpointNames, Distinct) {
+  EXPECT_STREQ(to_string(Endpoint::kClient), "client");
+  EXPECT_STREQ(to_string(Endpoint::kFunction), "function");
 }
 
 }  // namespace
