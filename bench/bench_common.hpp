@@ -1,6 +1,6 @@
-// Shared scaffolding for the benchmark binaries (DESIGN.md §4): every bench
-// prints a banner naming the paper artifact it regenerates, runs the
-// simulation, and closes with paper-vs-measured headlines.
+// Shared scaffolding for the benchmark binaries: every bench prints a banner
+// naming the paper artifact it regenerates, runs the simulation, and closes
+// with paper-vs-measured headlines.
 //
 // Common CLI (parse_args):
 //   --scale X      shrink rounds/request counts proportionally (CI smoke
@@ -269,13 +269,11 @@ inline std::vector<BackendSweepRow> run_backend_sweep(
                                                : core::PolicyMode::kLru,
                                    cell.cached ? units::Bytes{0}
                                                : units::Bytes{1});
-    auto adapter = sim::adapt(*fl);
     BackendSweepRow row;
     row.label = cell.label;
     row.kind = cell.kind;
     row.cached = cell.cached;
-    row.run = sim::run_trace(*adapter, sc.job(), trace,
-                             sc.config().duration_s,
+    row.run = sim::run_trace(*fl, sc.job(), trace, sc.config().duration_s,
                              sc.config().round_interval_s);
     row.idle_usd_per_hour =
         cold->idle_cost(3600.0) + fl->infrastructure_cost(3600.0);
@@ -425,10 +423,9 @@ inline GeoRow run_geo_deployment(
   geo->set_outages(outages);
   auto fl = sc.make_flstore_over(*geo, core::PolicyMode::kLru,
                                  units::Bytes{1});
-  auto adapter = sim::adapt(*fl);
   GeoRow row;
   row.serving_regions = serving_regions;
-  row.run = sim::run_trace(*adapter, sc.job(), trace, sc.config().duration_s,
+  row.run = sim::run_trace(*fl, sc.job(), trace, sc.config().duration_s,
                            sc.config().round_interval_s);
   const auto n = static_cast<double>(
       std::max<std::size_t>(1, row.run.records.size()));

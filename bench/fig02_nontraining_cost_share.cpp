@@ -20,9 +20,8 @@ int main(int argc, char** argv) {
   cfg.pool_size = 200;
   sim::Scenario sc(cfg);
   const auto trace = sc.trace();
-  auto base = sim::adapt(sc.objstore_agg());
-  const auto run = sim::run_trace(*base, sc.job(), trace, cfg.duration_s,
-                                  cfg.round_interval_s);
+  const auto run = sim::run_trace(sc.objstore_agg(), sc.job(), trace,
+                                  cfg.duration_s, cfg.round_interval_s);
   const auto by = sim::by_workload(run);
 
   // Stride adapts so a small --scale never indexes past the job's rounds.

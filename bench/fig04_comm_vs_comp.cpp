@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     job_cfg.rounds =
         std::max<RoundId>(1, static_cast<RoundId>(30 * args.scale));
     fed::FLJob job(job_cfg);
-    ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend store(sim::objstore_link(),
+                                      PricingCatalog::aws());
     const auto fn_profile = core::function_runtime_config(job.model()).profile;
 
     // Populate the data plane.
@@ -43,9 +44,8 @@ int main(int argc, char** argv) {
     for (RoundId r = 0; r < job_cfg.rounds; ++r) {
       records.push_back(job.make_round(r));
     }
-    baselines::BaselineConfig base_cfg;
-    base_cfg.vm_profile = fn_profile;  // compute happens *on the function*
-    baselines::ObjStoreAggregator fn_like(base_cfg, job, store);
+    // Compute happens *on the function*.
+    baselines::ObjStoreAggregator fn_like(fn_profile, job, store);
     for (const auto& rec : records) fn_like.ingest_round(rec, 0.0);
 
     RequestId id = 1;

@@ -20,13 +20,10 @@ int main(int argc, char** argv) {
   cfg.pool_size = 200;
   sim::Scenario sc(cfg);
   const auto trace = sc.trace();
-
-  auto base = sim::adapt(sc.objstore_agg());
-  const auto base_run = sim::run_trace(*base, sc.job(), trace, cfg.duration_s,
-                                       cfg.round_interval_s);
-  auto fl = sim::adapt(sc.flstore());
-  const auto fl_run = sim::run_trace(*fl, sc.job(), trace, cfg.duration_s,
-                                     cfg.round_interval_s);
+  const auto base_run = sim::run_trace(sc.objstore_agg(), sc.job(), trace,
+                                       cfg.duration_s, cfg.round_interval_s);
+  const auto fl_run = sim::run_trace(sc.flstore(), sc.job(), trace,
+                                     cfg.duration_s, cfg.round_interval_s);
   const auto base_by = sim::by_workload(base_run);
   const auto fl_by = sim::by_workload(fl_run);
 

@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
 
   std::map<std::string, std::map<fed::WorkloadType, sim::WorkloadStats>> all;
   for (auto& v : variants) {
-    auto adapter = sim::adapt(*v.store);
-    const auto run = sim::run_trace(*adapter, sc.job(), trace, cfg.duration_s,
+    const auto run = sim::run_trace(*v.store, sc.job(), trace, cfg.duration_s,
                                     cfg.round_interval_s);
     all[v.label] = sim::by_workload(run);
   }

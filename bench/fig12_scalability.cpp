@@ -51,10 +51,9 @@ int main(int argc, char** argv) {
         burst.push_back(fed::NonTrainingRequest{
             static_cast<RequestId>(i + 1), type, target, kNoClient, kBurstAt});
       }
-      auto adapter = sim::adapt(*store);
       sim::RunnerOptions opts;
       opts.servers = kCachedFunctions;
-      const auto run = sim::run_trace(*adapter, sc.job(), burst, kBurstAt + 100.0,
+      const auto run = sim::run_trace(*store, sc.job(), burst, kBurstAt + 100.0,
                                       kRoundInterval, opts);
       SampleSet latency, usd;
       for (const auto& rec : run.records) {

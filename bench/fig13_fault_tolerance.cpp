@@ -49,10 +49,9 @@ int main(int argc, char** argv) {
     run_cfg.replicas = fi;
     sim::Scenario sc(run_cfg);
     const auto trace = sc.trace();
-    auto adapter = sim::adapt(sc.flstore());
     sim::RunnerOptions opts;
     opts.faults = faults;
-    const auto run = sim::run_trace(*adapter, sc.job(), trace,
+    const auto run = sim::run_trace(sc.flstore(), sc.job(), trace,
                                     run_cfg.duration_s,
                                     run_cfg.round_interval_s, opts);
     const auto by = sim::by_workload(run);

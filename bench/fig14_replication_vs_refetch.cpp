@@ -42,10 +42,9 @@ int main(int argc, char** argv) {
     auto run_cfg = cfg;
     run_cfg.replicas = fi;
     sim::Scenario sc(run_cfg);
-    auto adapter = sim::adapt(sc.flstore());
     sim::RunnerOptions opts;
     opts.faults = faults;
-    auto run = sim::run_trace(*adapter, sc.job(), sc.trace(),
+    auto run = sim::run_trace(sc.flstore(), sc.job(), sc.trace(),
                               run_cfg.duration_s, run_cfg.round_interval_s,
                               opts);
     const double keepalive = sc.flstore().infrastructure_cost(

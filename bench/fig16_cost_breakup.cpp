@@ -29,12 +29,10 @@ int main(int argc, char** argv) {
   for (const auto& [model, paper_io, paper_red] : paper) {
     sim::Scenario sc(bench::paper_scenario(model, args.scale));
     const auto trace = sc.trace();
-    auto fl = sim::adapt(sc.flstore());
-    auto base = sim::adapt(sc.objstore_agg());
-    const auto fl_run = sim::run_trace(*fl, sc.job(), trace,
+    const auto fl_run = sim::run_trace(sc.flstore(), sc.job(), trace,
                                        sc.config().duration_s,
                                        sc.config().round_interval_s);
-    const auto base_run = sim::run_trace(*base, sc.job(), trace,
+    const auto base_run = sim::run_trace(sc.objstore_agg(), sc.job(), trace,
                                          sc.config().duration_s,
                                          sc.config().round_interval_s);
     const auto fl_by = sim::by_workload(fl_run);

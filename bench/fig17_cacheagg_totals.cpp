@@ -17,13 +17,10 @@ int main(int argc, char** argv) {
   cfg.workloads = fed::cacheagg_workloads();
   sim::Scenario sc(cfg);
   const auto trace = sc.trace();
-
-  auto fl = sim::adapt(sc.flstore());
-  auto cache = sim::adapt(sc.cache_agg());
-  const auto fl_run = sim::run_trace(*fl, sc.job(), trace, cfg.duration_s,
-                                     cfg.round_interval_s);
-  const auto ca_run = sim::run_trace(*cache, sc.job(), trace, cfg.duration_s,
-                                     cfg.round_interval_s);
+  const auto fl_run = sim::run_trace(sc.flstore(), sc.job(), trace,
+                                     cfg.duration_s, cfg.round_interval_s);
+  const auto ca_run = sim::run_trace(sc.cache_agg(), sc.job(), trace,
+                                     cfg.duration_s, cfg.round_interval_s);
   const auto fl_by = sim::by_workload(fl_run);
   const auto ca_by = sim::by_workload(ca_run);
 

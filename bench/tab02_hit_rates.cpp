@@ -43,10 +43,8 @@ Row run_policy(const std::string& family, core::PolicyMode mode,
   if (during_training) {
     // P4 trace runs while training streams rounds in (write-allocation is
     // what produces its 100 % hit rate).
-    auto adapter = sim::adapt(store);
-    const auto run = sim::run_trace(*adapter, const_cast<fed::FLJob&>(job),
-                                    trace, static_cast<double>(trace.size()),
-                                    1.0);
+    const auto run = sim::run_trace(
+        store, job, trace, static_cast<double>(trace.size()), 1.0);
     row.hits = run.total_hits();
     row.misses = run.total_misses();
   } else {
@@ -89,7 +87,7 @@ EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
   {
     FunctionRuntime runtime(FunctionRuntime::Config{}, PricingCatalog::aws());
     core::ServerlessCachePool pool(
-        core::ServerlessCachePool::Config{4 * units::GB, 1, 0.5, 0}, runtime);
+        core::ServerlessCachePool::Config{4 * units::GB, 1, 0}, runtime);
     core::CacheEngine engine(
         core::CacheEngine::Config{n * units::KB, order, round_aware}, pool);
     const auto blob = std::make_shared<const Blob>(Blob{1});
@@ -308,9 +306,8 @@ int main() {
     cfg.cache_capacity = capacity;
     if (partitioned) cfg.class_capacity = budgets;
     core::FLStore store(cfg, mixed_job, mixed_cold);
-    auto adapter = sim::adapt(store);
     const auto run =
-        sim::run_trace(*adapter, mixed_job, mixed_trace, trace_cfg.duration_s,
+        sim::run_trace(store, mixed_job, mixed_trace, trace_cfg.duration_s,
                        trace_cfg.round_interval_s);
     const auto label = partitioned ? "partitioned" : "unpartitioned";
     std::array<core::ClassDemand, fed::kPolicyClassCount> demand{};

@@ -99,7 +99,7 @@ BENCHMARK(BM_RequestTrackerLookup)->Arg(1000)->Arg(100000);
 struct EngineHarness {
   EngineHarness()
       : runtime(FunctionRuntime::Config{}, PricingCatalog::aws()),
-        pool(ServerlessCachePool::Config{10 * units::GB, 1, 0.5, 0}, runtime),
+        pool(ServerlessCachePool::Config{10 * units::GB, 1, 0}, runtime),
         engine(CacheEngine::Config{}, pool) {}
   FunctionRuntime runtime;
   ServerlessCachePool pool;

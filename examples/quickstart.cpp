@@ -29,9 +29,7 @@ int main() {
   // 3. FLStore with default tailored policies, and the ObjStore-Agg
   //    baseline for comparison.
   core::FLStore store(core::FLStoreConfig{}, job, cold);
-  baselines::BaselineConfig base_cfg;
-  base_cfg.vm_profile = sim::vm_profile();
-  baselines::ObjStoreAggregator baseline(base_cfg, job, cold.store());
+  baselines::ObjStoreAggregator baseline(sim::vm_profile(), job, cold);
 
   // 4. Stream training rounds in (one per 180 s of virtual time).
   double now = 0.0;

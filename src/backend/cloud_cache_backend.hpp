@@ -10,7 +10,8 @@
 // which is precisely the cost behaviour the paper holds against this tier.
 // With auto_scale off the fleet is fixed and over-capacity writes evict LRU
 // (a get of an evicted object misses — a durability hazard a *cold* tier
-// must price in, hence TieredColdStore's object-store fallback).
+// must price in, hence TieredColdStore's object-store fallback); that fixed
+// fleet is the tier baselines::CacheAggregator provisions.
 #pragma once
 
 #include <list>

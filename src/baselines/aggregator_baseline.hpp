@@ -4,65 +4,49 @@
 //
 //  * ObjStoreAggregator — data plane is the cloud object store (S3/MinIO):
 //    cheap storage, slow per-object access. Baseline of Figs 7/8/15/16.
+//    Runs on the backend::StorageBackend it is given — in the benches a
+//    backend::ObjectStoreBackend over the scenario's shared store.
 //  * CacheAggregator — data plane adds an ElastiCache-style in-memory tier
 //    in front of the store: faster access, expensive provisioned node-hours.
-//    Baseline of Figs 9/17.
+//    Baseline of Figs 9/17. The tier is a fixed-fleet
+//    backend::CloudCacheBackend (auto_scale off, LRU eviction) it owns, in
+//    front of the same StorageBackend.
 //
-// Both run the *same* workload implementations as FLStore; only the data
-// path differs — that isolation is the point of the comparison.
+// Both run the *same* workload implementations as FLStore, through the same
+// core::ServingSystem contract; only the data path differs — that isolation
+// is the point of the comparison.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
+#include "backend/cloud_cache_backend.hpp"
+#include "backend/storage_backend.hpp"
 #include "cloud/cost_meter.hpp"
-#include "cloud/memcache.hpp"
-#include "cloud/object_store.hpp"
-#include "cloud/vm_instance.hpp"
+#include "common/compute_work.hpp"
+#include "core/serving_system.hpp"
 #include "fed/fl_job.hpp"
-#include "workloads/workload.hpp"
+#include "simnet/network.hpp"
 
 namespace flstore::baselines {
 
-struct BaselineServeResult {
-  double latency_s = 0.0;
-  double comm_s = 0.0;  ///< data-plane round trips (the §2.3 bottleneck)
-  double comp_s = 0.0;
-  double cost_usd = 0.0;  ///< VM time for this request + store fees
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  workloads::WorkloadOutput output;
-};
-
-struct BaselineConfig {
-  /// The aggregator VM's effective single-request throughput.
-  ComputeProfile vm_profile{0.7e9, 35.0e9};
-  /// Client -> aggregator request hop.
-  double routing_overhead_s = 0.02;
-};
-
 /// Shared fetch-compute-store pipeline; subclasses provide the data plane.
-class AggregatorBaseline {
+class AggregatorBaseline : public core::ServingSystem {
  public:
-  AggregatorBaseline(BaselineConfig config, const fed::FLJob& job,
-                     ObjectStore& store);
-  virtual ~AggregatorBaseline() = default;
-  AggregatorBaseline(const AggregatorBaseline&) = delete;
-  AggregatorBaseline& operator=(const AggregatorBaseline&) = delete;
+  /// `vm` is the aggregator VM's effective single-request throughput; `job`
+  /// and `store` must outlive the baseline.
+  AggregatorBaseline(ComputeProfile vm, const fed::FLJob& job,
+                     backend::StorageBackend& store);
 
   /// Store a finished round into the data plane (training-side writes).
-  virtual void ingest_round(const fed::RoundRecord& record, double now);
+  void ingest_round(const fed::RoundRecord& record, double now) override;
 
-  [[nodiscard]] BaselineServeResult serve(const fed::NonTrainingRequest& req,
-                                          double now);
+  core::ServeResult serve(const fed::NonTrainingRequest& req,
+                          double now) override;
 
   /// Always-on services for an interval: the VM bills whether or not
   /// requests arrive, plus storage (and cache nodes for CacheAggregator).
-  [[nodiscard]] virtual double infrastructure_cost(double seconds) const;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] const VmInstance& vm() const noexcept { return vm_; }
+  [[nodiscard]] double infrastructure_cost(double seconds) const override;
 
  protected:
   struct Fetched {
@@ -70,16 +54,14 @@ class AggregatorBaseline {
     double latency_s = 0.0;
     bool cache_hit = false;
   };
-  /// Pull one object into VM memory; charges request fees to `fees`.
-  virtual Fetched fetch(const MetadataKey& key, CostMeter& fees) = 0;
-  /// Result write-back latency.
-  virtual double store_result(const std::string& name, units::Bytes bytes,
-                              CostMeter& fees);
+  /// Pull one object into VM memory at `now`; charges request fees to
+  /// `fees`.
+  virtual Fetched fetch(const MetadataKey& key, double now,
+                        CostMeter& fees) = 0;
 
-  BaselineConfig config_;
+  ComputeProfile vm_;
   const fed::FLJob* job_;
-  ObjectStore* store_;
-  VmInstance vm_;
+  backend::StorageBackend* store_;
 };
 
 class ObjStoreAggregator final : public AggregatorBaseline {
@@ -88,29 +70,29 @@ class ObjStoreAggregator final : public AggregatorBaseline {
   [[nodiscard]] std::string name() const override { return "ObjStore-Agg"; }
 
  protected:
-  Fetched fetch(const MetadataKey& key, CostMeter& fees) override;
+  Fetched fetch(const MetadataKey& key, double now, CostMeter& fees) override;
 };
 
 class CacheAggregator final : public AggregatorBaseline {
  public:
   /// The cache tier is provisioned to hold `working_set` bytes (the paper
   /// keeps all FL metadata in the data plane — pass the job footprint).
-  CacheAggregator(BaselineConfig config, const fed::FLJob& job,
-                  ObjectStore& store, units::Bytes working_set,
+  CacheAggregator(ComputeProfile vm, const fed::FLJob& job,
+                  backend::StorageBackend& store, units::Bytes working_set,
                   Link cache_link);
 
   [[nodiscard]] std::string name() const override { return "Cache-Agg"; }
   void ingest_round(const fed::RoundRecord& record, double now) override;
   [[nodiscard]] double infrastructure_cost(double seconds) const override;
-  [[nodiscard]] const MemCacheService& cache() const noexcept {
-    return *cache_;
+  [[nodiscard]] const backend::CloudCacheBackend& cache() const noexcept {
+    return cache_;
   }
 
  protected:
-  Fetched fetch(const MetadataKey& key, CostMeter& fees) override;
+  Fetched fetch(const MetadataKey& key, double now, CostMeter& fees) override;
 
  private:
-  std::unique_ptr<MemCacheService> cache_;
+  backend::CloudCacheBackend cache_;
 };
 
 /// Footprint of an FL job's full metadata (sizing the Cache-Agg tier).

@@ -1,6 +1,6 @@
 // Cloud pricing catalog (AWS us-east-1 list prices as of the paper's 2024
 // references). Every $-figure produced by a bench traces back to one of
-// these constants — see DESIGN.md §5.
+// these constants.
 #pragma once
 
 #include "common/units.hpp"

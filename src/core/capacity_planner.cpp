@@ -41,12 +41,7 @@ CapacityPlan plan_full_cache(const CapacityRequest& req) {
   FLSTORE_CHECK(req.clients_per_round > 0);
   FLSTORE_CHECK(req.rounds > 0);
   const auto per_round =
-      static_cast<units::Bytes>(req.clients_per_round) *
-          req.model->object_bytes +
-      req.model->object_bytes +  // aggregate
-      static_cast<units::Bytes>(req.clients_per_round) *
-          fed::kMetricsLogicalBytes +
-      fed::kRoundInfoLogicalBytes;
+      fed::round_logical_bytes(req.model->object_bytes, req.clients_per_round);
   return finish_plan(per_round * static_cast<units::Bytes>(req.rounds), req);
 }
 

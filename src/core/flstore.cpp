@@ -11,41 +11,8 @@ namespace flstore::core {
 
 namespace {
 
-/// Encode one record of a round keyed for storage.
-struct EncodedObject {
-  Blob blob;
-  units::Bytes logical_bytes = 0;
-};
-
-EncodedObject encode_for_key(const MetadataKey& key,
-                             const fed::RoundRecord& record) {
-  switch (key.kind) {
-    case ObjectKind::ClientUpdate:
-      for (const auto& u : record.updates) {
-        if (u.client == key.client) {
-          return {fed::encode_update(u), u.logical_bytes};
-        }
-      }
-      break;
-    case ObjectKind::AggregatedModel:
-      return {fed::encode_aggregate(record.round, record.aggregate,
-                                    record.model_bytes),
-              record.model_bytes};
-    case ObjectKind::ClientMetrics:
-      for (const auto& m : record.metrics) {
-        if (m.client == key.client) {
-          return {fed::encode_metrics(m), fed::kMetricsLogicalBytes};
-        }
-      }
-      break;
-    case ObjectKind::RoundMetadata: {
-      fed::RoundInfo info{record.round, record.hparams, record.global_loss,
-                          static_cast<std::int32_t>(record.updates.size())};
-      return {fed::encode_round_info(info), fed::kRoundInfoLogicalBytes};
-    }
-  }
-  throw InternalError("encode_for_key: key not present in round record");
-}
+/// Bandwidth between functions when a request's data spans groups.
+constexpr double kIntraDcBandwidthBps = 1.0e9;
 
 }  // namespace
 
@@ -91,26 +58,17 @@ FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
 }
 
 void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
-  // All metadata keys this round produced.
-  std::vector<MetadataKey> keys;
-  for (const auto& u : record.updates) {
-    keys.push_back(MetadataKey::update(u.client, record.round));
-    keys.push_back(MetadataKey::metrics(u.client, record.round));
-  }
-  keys.push_back(MetadataKey::aggregate(record.round));
-  keys.push_back(MetadataKey::metadata(record.round));
-
   // Async batched backup of everything to the persistent data plane (fees
   // accrue, no serving latency): objects queue on the BackupWriter and
   // drain through the backend's batched multi-put. Secondary shards of a
   // tenant skip it: the primary already streamed the round out, and double
   // puts mean double fees.
-  std::unordered_map<MetadataKey, EncodedObject, MetadataKeyHash> encoded;
-  for (const auto& key : keys) {
-    auto obj = encode_for_key(key, record);
+  std::unordered_map<MetadataKey, fed::EncodedObject, MetadataKeyHash> encoded;
+  for (auto& obj : fed::encode_round(record)) {
     if (config_.backup_to_cold) {
-      backup_.enqueue(cold_name(key), obj.blob, obj.logical_bytes, now);
+      backup_.enqueue(cold_name(obj.key), obj.blob, obj.logical_bytes, now);
     }
+    const auto key = obj.key;
     encoded.emplace(key, std::move(obj));
   }
   // Drain before any request can arrive: the cold store's contents at every
@@ -255,7 +213,7 @@ ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
 ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
                                    double now) {
   ServeResult res;
-  res.comm_s = config_.routing_overhead_s;
+  res.comm_s = kRoutingOverheadS;
   CostMeter request_fees;
 
   // Request span: child of the serving plane's root when one is in scope,
@@ -319,8 +277,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
     if (hit.failover_delay_s > 0.0) {
       obs::instant_span(tracer, "replica.failover", "core", now);
     }
-    if (hit.failover_delay_s > 0.0 && hit.group != kNoGroup &&
-        config_.auto_repair) {
+    if (hit.failover_delay_s > 0.0 && hit.group != kNoGroup) {
       if (pool_->repair(hit.group)) ++repairs_;
     }
     if (hit.hit) {
@@ -385,7 +342,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
         1.0 - static_cast<double>(primary_bytes) /
                   static_cast<double>(total_bytes);
     res.comm_s += remote_frac * res.output.work.bytes_touched /
-                  config_.intra_dc_bandwidth_bps;
+                  kIntraDcBandwidthBps;
   }
   const auto invocation = runtime_.invoke(primary, res.output.work);
   res.comp_s = invocation.duration_s;
@@ -400,7 +357,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
   // failovers (serverless time is wall-clock, not CPU) — this is what makes
   // cache misses expensive, not just slow.
   const double blocked_s =
-      std::max(0.0, res.comm_s - config_.routing_overhead_s);
+      std::max(0.0, res.comm_s - kRoutingOverheadS);
   if (blocked_s > 0.0) {
     const double gb = units::to_gb(runtime_.instance(primary).memory_limit());
     request_fees.charge(

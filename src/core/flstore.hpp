@@ -33,11 +33,16 @@
 #include "core/policy.hpp"
 #include "core/request_tracker.hpp"
 #include "core/serverless_cache.hpp"
+#include "core/serving_system.hpp"
 #include "fed/fl_job.hpp"
 #include "obs/telemetry.hpp"
-#include "workloads/workload.hpp"
 
 namespace flstore::core {
+
+/// Request routing + tracker/engine lookups. §5.5 measures this path as
+/// sub-millisecond, so it must stay below 1 ms (regression-tested in
+/// tests/core/flstore_test.cpp).
+inline constexpr double kRoutingOverheadS = 0.0005;
 
 struct FLStoreConfig {
   PolicyConfig policy;
@@ -51,14 +56,6 @@ struct FLStoreConfig {
   /// cannot wash out another's working set; the serving plane uses this for
   /// tailored-vs-LRU sweeps with bounded per-class memory.
   std::array<units::Bytes, fed::kPolicyClassCount> class_capacity{};
-  /// Request routing + tracker/engine lookups. §5.5 measures this path as
-  /// sub-millisecond, so the default must stay below 1 ms (regression-tested
-  /// in tests/core/flstore_test.cpp).
-  double routing_overhead_s = 0.0005;
-  /// Bandwidth between functions when a request's data spans groups.
-  double intra_dc_bandwidth_bps = 1.0e9;
-  /// Repair replica groups automatically after a failover.
-  bool auto_repair = true;
   /// How long a P3 client track stays active after its last request.
   /// While active, ingest pins the tracked client's new data (Fig 6,
   /// step ② — the Cache Engine consults incoming-request info).
@@ -87,18 +84,7 @@ struct FLStoreConfig {
   backend::FlushPolicy cold_flush;
 };
 
-struct ServeResult {
-  double latency_s = 0.0;  ///< comm_s + comp_s
-  double comm_s = 0.0;     ///< routing, failover, misses, prefetch waits
-  double comp_s = 0.0;     ///< locality-aware execution on the function
-  double cost_usd = 0.0;   ///< function GB-s + store request fees
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  workloads::WorkloadOutput output;
-  FunctionId executed_on = kNoFunction;
-};
-
-class FLStore {
+class FLStore final : public ServingSystem {
  public:
   /// `job` is the training job (round directory + model); `cold` is the
   /// persistent data plane — any backend (object store, cloud cache, local
@@ -108,17 +94,22 @@ class FLStore {
 
   /// Stream a finished training round in: async backup of every object to
   /// the cold store plus policy-driven write-allocation into the cache.
-  void ingest_round(const fed::RoundRecord& record, double now);
+  void ingest_round(const fed::RoundRecord& record, double now) override;
 
   /// Serve one non-training request.
-  ServeResult serve(const fed::NonTrainingRequest& req, double now);
+  ServeResult serve(const fed::NonTrainingRequest& req, double now) override;
 
   /// Reclaim the rank-th function instance (Zipf fault injection).
   /// Returns true if a whole replica group died with it.
-  bool inject_fault(std::int32_t function_rank);
+  bool inject_fault(std::int32_t function_rank) override;
 
-  /// Keep-alive + cold-storage fees for an interval of `seconds`.
-  [[nodiscard]] double infrastructure_cost(double seconds) const;
+  /// Keep-alive fees of the warm functions for an interval of `seconds`.
+  [[nodiscard]] double infrastructure_cost(double seconds) const override;
+
+  /// The policy mode's name ("FLStore" for the tailored policies).
+  [[nodiscard]] std::string name() const override {
+    return to_string(config_.policy.mode);
+  }
 
   /// Re-budget the engine's class partitions (policy-layer rebalancing from
   /// observed hit rates; see PolicyEngine::rebalance_class_budgets).

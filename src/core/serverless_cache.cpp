@@ -4,6 +4,13 @@
 
 namespace flstore::core {
 
+namespace {
+
+/// Detection timeout added per dead member tried before failover.
+constexpr double kFailoverTimeoutS = 0.5;
+
+}  // namespace
+
 const FunctionInstance* ServerlessCachePool::first_warm(
     const Group& g) const {
   for (const auto id : g.members) {
@@ -72,7 +79,7 @@ ServerlessCachePool::Access ServerlessCachePool::get(
     const auto& fn = runtime_->instance(id);
     if (!fn.warm()) {
       // The request tracker only learns a replica is gone when it times out.
-      access.failover_delay_s += config_.failover_timeout_s;
+      access.failover_delay_s += kFailoverTimeoutS;
       continue;
     }
     auto blob = fn.get_object(name);

@@ -29,8 +29,6 @@ class ServerlessCachePool {
   struct Config {
     units::Bytes function_memory = 4 * units::GB;
     int replicas = 1;  ///< function instances per group (FI in Fig 13)
-    /// Detection timeout added per dead member tried before failover.
-    double failover_timeout_s = 0.5;
     /// Max groups (0 = unbounded, spawn on demand).
     std::int32_t max_groups = 0;
   };

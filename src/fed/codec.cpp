@@ -195,4 +195,28 @@ RoundInfo decode_round_info(std::span<const std::uint8_t> bytes) {
   return info;
 }
 
+std::vector<EncodedObject> encode_round(const RoundRecord& record) {
+  FLSTORE_CHECK(record.metrics.size() == record.updates.size());
+  std::vector<EncodedObject> out;
+  out.reserve(2 * record.updates.size() + 2);
+  for (std::size_t i = 0; i < record.updates.size(); ++i) {
+    const auto& u = record.updates[i];
+    const auto& m = record.metrics[i];
+    FLSTORE_CHECK(m.client == u.client);
+    out.push_back({MetadataKey::update(u.client, record.round),
+                   encode_update(u), u.logical_bytes});
+    out.push_back({MetadataKey::metrics(m.client, record.round),
+                   encode_metrics(m), kMetricsLogicalBytes});
+  }
+  out.push_back({MetadataKey::aggregate(record.round),
+                 encode_aggregate(record.round, record.aggregate,
+                                  record.model_bytes),
+                 record.model_bytes});
+  const RoundInfo info{record.round, record.hparams, record.global_loss,
+                       static_cast<std::int32_t>(record.updates.size())};
+  out.push_back({MetadataKey::metadata(record.round), encode_round_info(info),
+                 kRoundInfoLogicalBytes});
+  return out;
+}
+
 }  // namespace flstore::fed

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "fed/metadata.hpp"
 
 namespace flstore::fed {
@@ -49,5 +50,28 @@ struct RoundInfo {
 /// multi-hundred-MB updates is exactly what policy P4 exploits.
 inline constexpr units::Bytes kMetricsLogicalBytes = 2 * units::KB;
 inline constexpr units::Bytes kRoundInfoLogicalBytes = 4 * units::KB;
+
+/// Logical bytes one round stores — the objects encode_round emits: every
+/// participant's update and metrics, the aggregate, and the round metadata.
+[[nodiscard]] constexpr units::Bytes round_logical_bytes(
+    units::Bytes model_bytes, std::int64_t participants) noexcept {
+  return static_cast<units::Bytes>(participants) *
+             (model_bytes + kMetricsLogicalBytes) +
+         model_bytes + kRoundInfoLogicalBytes;
+}
+
+/// One stored object of a round: its key, its blob, and the logical size
+/// latency and cost are computed from.
+struct EncodedObject {
+  MetadataKey key;
+  Blob blob;
+  units::Bytes logical_bytes = 0;
+};
+
+/// Every object a finished round stores, in storage order: each
+/// participant's update then its metrics, then the aggregate, then the
+/// round metadata. Backup batches and cold-tier insertion follow this order.
+[[nodiscard]] std::vector<EncodedObject> encode_round(
+    const RoundRecord& record);
 
 }  // namespace flstore::fed

@@ -2,8 +2,8 @@
 //
 // The ten figure workloads (Figs 1/2/7-11) plus two extension workloads:
 // Provenance (the across-rounds P3 family member used by Table 2) and
-// HyperparamTracking (P4 family). DESIGN.md §3 records the Debugging
-// P2-vs-P3 inconsistency in the paper and our resolution.
+// HyperparamTracking (P4 family). The paper lists Debugging under both P2
+// and P3; it is P2 here, since FedDebug tests one round's updates.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
-// Manual serverless function runtime — the substitute for OpenFaaS/Lambda
-// (DESIGN.md §1). Owns all function instances, provides spawn / invoke /
-// reclaim / keep-alive semantics and GB-second billing.
+// Manual serverless function runtime — the in-process substitute for
+// OpenFaaS/Lambda, so runs need no cloud and stay deterministic. Owns all
+// function instances, provides spawn / invoke / reclaim / keep-alive
+// semantics and GB-second billing.
 //
 // Time does not live here: callers (the experiment scheduler) decide when
 // things happen; the runtime answers "how long would this take" and "what

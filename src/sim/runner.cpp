@@ -9,51 +9,6 @@ namespace flstore::sim {
 
 namespace {
 
-class FLStoreAdapter final : public ServingAdapter {
- public:
-  explicit FLStoreAdapter(core::FLStore& store) : store_(&store) {}
-
-  void ingest(const fed::RoundRecord& record, double now) override {
-    store_->ingest_round(record, now);
-  }
-  Outcome serve(const fed::NonTrainingRequest& req, double now) override {
-    const auto res = store_->serve(req, now);
-    return {res.comm_s, res.comp_s, res.cost_usd, res.hits, res.misses};
-  }
-  [[nodiscard]] double infrastructure_cost(double seconds) const override {
-    return store_->infrastructure_cost(seconds);
-  }
-  [[nodiscard]] std::string name() const override {
-    return core::to_string(store_->config().policy.mode);
-  }
-  [[nodiscard]] core::FLStore* flstore() noexcept { return store_; }
-
- private:
-  core::FLStore* store_;
-};
-
-class BaselineAdapter final : public ServingAdapter {
- public:
-  explicit BaselineAdapter(baselines::AggregatorBaseline& baseline)
-      : baseline_(&baseline) {}
-
-  void ingest(const fed::RoundRecord& record, double now) override {
-    baseline_->ingest_round(record, now);
-  }
-  Outcome serve(const fed::NonTrainingRequest& req, double now) override {
-    const auto res = baseline_->serve(req, now);
-    return {res.comm_s, res.comp_s, res.cost_usd, res.cache_hits,
-            res.cache_misses};
-  }
-  [[nodiscard]] double infrastructure_cost(double seconds) const override {
-    return baseline_->infrastructure_cost(seconds);
-  }
-  [[nodiscard]] std::string name() const override { return baseline_->name(); }
-
- private:
-  baselines::AggregatorBaseline* baseline_;
-};
-
 enum class EventType : int { kIngest = 0, kFault = 1, kRequest = 2 };
 
 struct TimelineEvent {
@@ -63,15 +18,6 @@ struct TimelineEvent {
 };
 
 }  // namespace
-
-std::unique_ptr<ServingAdapter> adapt(core::FLStore& store) {
-  return std::make_unique<FLStoreAdapter>(store);
-}
-
-std::unique_ptr<ServingAdapter> adapt(
-    baselines::AggregatorBaseline& baseline) {
-  return std::make_unique<BaselineAdapter>(baseline);
-}
 
 double RunResult::total_latency_s() const {
   double t = 0.0;
@@ -104,7 +50,7 @@ std::uint64_t RunResult::total_misses() const {
   return t;
 }
 
-RunResult run_trace(ServingAdapter& system, fed::FLJob& job,
+RunResult run_trace(core::ServingSystem& system, const fed::FLJob& job,
                     const std::vector<fed::NonTrainingRequest>& trace,
                     double duration_s, double round_interval_s,
                     const RunnerOptions& options) {
@@ -138,7 +84,6 @@ RunResult run_trace(ServingAdapter& system, fed::FLJob& job,
                      return static_cast<int>(a.type) < static_cast<int>(b.type);
                    });
 
-  auto* flstore_adapter = dynamic_cast<FLStoreAdapter*>(&system);
   std::vector<double> server_free(
       options.servers > 0 ? static_cast<std::size_t>(options.servers) : 0,
       0.0);
@@ -148,14 +93,11 @@ RunResult run_trace(ServingAdapter& system, fed::FLJob& job,
     switch (ev.type) {
       case EventType::kIngest: {
         const auto record = job.make_round(static_cast<RoundId>(ev.index));
-        system.ingest(record, ev.time);
+        system.ingest_round(record, ev.time);
         break;
       }
       case EventType::kFault: {
-        if (flstore_adapter != nullptr) {
-          (void)flstore_adapter->flstore()->inject_fault(
-              options.faults[ev.index].victim_rank);
-        }
+        (void)system.inject_fault(options.faults[ev.index].victim_rank);
         break;
       }
       case EventType::kRequest: {

@@ -3,40 +3,16 @@
 // queueing on a bounded server pool, and optional fault injection.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "baselines/aggregator_baseline.hpp"
-#include "core/flstore.hpp"
+#include "core/serving_system.hpp"
+#include "fed/fl_job.hpp"
 #include "fed/request.hpp"
 #include "serverless/fault_injector.hpp"
 #include "sim/scenario.hpp"
 
 namespace flstore::sim {
-
-/// Uniform view over FLStore and the baselines.
-class ServingAdapter {
- public:
-  struct Outcome {
-    double comm_s = 0.0;
-    double comp_s = 0.0;
-    double cost_usd = 0.0;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-  };
-
-  virtual ~ServingAdapter() = default;
-  virtual void ingest(const fed::RoundRecord& record, double now) = 0;
-  virtual Outcome serve(const fed::NonTrainingRequest& req, double now) = 0;
-  [[nodiscard]] virtual double infrastructure_cost(double seconds) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-[[nodiscard]] std::unique_ptr<ServingAdapter> adapt(core::FLStore& store);
-[[nodiscard]] std::unique_ptr<ServingAdapter> adapt(
-    baselines::AggregatorBaseline& baseline);
 
 struct RequestRecord {
   fed::NonTrainingRequest request;
@@ -57,7 +33,8 @@ struct RunnerOptions {
   /// which is what the paper's per-request figures report. A positive value
   /// bounds concurrency (Fig 12's "cached parallel functions").
   int servers = 0;
-  /// Fault schedule applied to FLStore (ranks map to function instances).
+  /// Fault schedule, delivered through ServingSystem::inject_fault (ranks
+  /// map to function instances; systems without any ignore it).
   std::vector<FaultEvent> faults;
 };
 
@@ -75,11 +52,14 @@ struct RunResult {
   [[nodiscard]] std::uint64_t total_misses() const;
 };
 
-/// Replay `trace` against `system`. Rounds 0..ceil(duration/interval) of
-/// `job` are ingested at their completion times; requests arriving before
-/// their round finished are served at the round boundary.
+/// Replay `trace` against `system`. Rounds 0..min(job.latest_round(),
+/// floor(duration/interval)) of `job` are ingested, round r at
+/// r * interval. Each request is served at its arrival — or, with a bounded
+/// server pool, once the earliest-free server frees. Events at the same
+/// instant run ingest first, then faults, then requests, so a request never
+/// misses a round that finished at its arrival.
 [[nodiscard]] RunResult run_trace(
-    ServingAdapter& system, fed::FLJob& job,
+    core::ServingSystem& system, const fed::FLJob& job,
     const std::vector<fed::NonTrainingRequest>& trace, double duration_s,
     double round_interval_s, const RunnerOptions& options = {});
 

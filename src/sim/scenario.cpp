@@ -3,7 +3,6 @@
 #include "backend/cloud_cache_backend.hpp"
 #include "backend/local_ssd_backend.hpp"
 #include "backend/object_store_backend.hpp"
-#include "backend/replicated_cold_store.hpp"
 #include "common/error.hpp"
 #include "obs/instrumented_backend.hpp"
 
@@ -154,7 +153,8 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
 
   store_ = std::make_unique<ObjectStore>(objstore_link(),
                                          PricingCatalog::aws());
-  backend_ = make_cold_backend(config_.cold_backend, config_.cold_replication);
+  backend_ = make_cold_backend(backend::BackendKind::kObjectStore);
+  baseline_store_ = std::make_unique<backend::ObjectStoreBackend>(*store_);
 
   core::FLStoreConfig fl_cfg;
   fl_cfg.pool.replicas = config_.replicas;
@@ -163,12 +163,10 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   flstore_ = std::make_unique<core::FLStore>(fl_cfg, *job_, *backend_);
   flstore_->set_telemetry(config_.telemetry);
 
-  baselines::BaselineConfig base_cfg;
-  base_cfg.vm_profile = vm_profile();
   objstore_agg_ = std::make_unique<baselines::ObjStoreAggregator>(
-      base_cfg, *job_, *store_);
+      vm_profile(), *job_, *baseline_store_);
   cache_agg_ = std::make_unique<baselines::CacheAggregator>(
-      base_cfg, *job_, *store_,
+      vm_profile(), *job_, *baseline_store_,
       baselines::job_metadata_footprint(*job_), cloudcache_link());
 }
 
@@ -197,76 +195,41 @@ std::unique_ptr<core::FLStore> Scenario::make_flstore_variant(
   return store;
 }
 
-std::unique_ptr<backend::StorageBackend> Scenario::instrumented(
-    std::unique_ptr<backend::StorageBackend> raw) const {
-  if (config_.telemetry == nullptr) return raw;
-  obs::InstrumentedBackend::Options opts;
-  opts.metrics = &config_.telemetry->metrics;
-  opts.tracer = &config_.telemetry->tracer;
-  return std::make_unique<obs::InstrumentedBackend>(std::move(raw),
-                                                    std::move(opts));
-}
-
 std::unique_ptr<backend::StorageBackend> Scenario::make_cold_backend(
     backend::BackendKind kind) const {
-  return instrumented(make_raw_backend(kind));
-}
-
-std::unique_ptr<backend::StorageBackend> Scenario::make_raw_backend(
-    backend::BackendKind kind) const {
+  std::unique_ptr<backend::StorageBackend> raw;
   switch (kind) {
     case backend::BackendKind::kObjectStore:
-      return std::make_unique<backend::ObjectStoreBackend>(*store_);
+      raw = std::make_unique<backend::ObjectStoreBackend>(*store_);
+      break;
     case backend::BackendKind::kCloudCache: {
       backend::CloudCacheBackend::Config cfg;
       cfg.link = cloudcache_link();
-      return std::make_unique<backend::CloudCacheBackend>(
+      raw = std::make_unique<backend::CloudCacheBackend>(
           cfg, PricingCatalog::aws());
+      break;
     }
     case backend::BackendKind::kLocalSsd: {
       backend::LocalSsdBackend::Config cfg;
       cfg.link = local_ssd_link();
-      return std::make_unique<backend::LocalSsdBackend>(cfg,
-                                                        PricingCatalog::aws());
+      raw = std::make_unique<backend::LocalSsdBackend>(cfg,
+                                                       PricingCatalog::aws());
+      break;
     }
     case backend::BackendKind::kTiered:
     case backend::BackendKind::kReplicated:
       break;  // compositions, not kinds the scenario can conjure alone
   }
-  throw InvalidArgument("make_cold_backend: unsupported backend kind");
-}
-
-std::unique_ptr<backend::StorageBackend> Scenario::make_cold_backend(
-    backend::BackendKind kind, const ColdReplicationSpec& replication) const {
-  if (replication.regions <= 1) return make_cold_backend(kind);
-  // Regions stay raw; the composition is instrumented once at the top, so
-  // op counters and spans cover the replicated store's client-visible
-  // behaviour (quorums, failover) rather than each region's share.
-  std::vector<backend::ReplicatedColdStore::Region> regions;
-  regions.reserve(static_cast<std::size_t>(replication.regions));
-  for (int i = 0; i < replication.regions; ++i) {
-    backend::ReplicatedColdStore::Region region;
-    region.name = "region-" + std::to_string(i);
-    region.wan = interregion_link(i);
-    region.far = i >= 3;  // continent-crossing past the near neighbours
-    if (kind == backend::BackendKind::kObjectStore && i > 0) {
-      // Only the serving region adapts the scenario's shared store; the
-      // replicas are private per-region buckets.
-      region.owned = std::make_unique<backend::ObjectStoreBackend>(
-          objstore_link(), PricingCatalog::aws());
-    } else {
-      // The single-backend wiring, calibration included (kObjectStore at
-      // i == 0 adapts the shared store; cache/SSD kinds own their tier
-      // either way).
-      region.owned = make_raw_backend(kind);
-    }
-    regions.push_back(std::move(region));
+  if (raw == nullptr) {
+    throw InvalidArgument("make_cold_backend: unsupported backend kind");
   }
-  backend::ReplicatedColdStore::Config cfg;
-  cfg.write_quorum = replication.write_quorum;
-  cfg.read_repair = replication.read_repair;
-  return instrumented(std::make_unique<backend::ReplicatedColdStore>(
-      std::move(regions), cfg, PricingCatalog::aws()));
+  if (config_.telemetry == nullptr) return raw;
+  // With telemetry on, wrap in an owning InstrumentedBackend.
+  obs::InstrumentedBackend::Options opts;
+  opts.metrics = &config_.telemetry->metrics;
+  opts.tracer = &config_.telemetry->tracer;
+  return std::make_unique<obs::InstrumentedBackend>(std::move(raw),
+                                                    std::move(opts));
 }
 
 std::unique_ptr<core::FLStore> Scenario::make_flstore_over(

@@ -1,13 +1,13 @@
 // Scenario: one §5.1 evaluation setup — a training job, a shared persistent
 // store, FLStore and both baselines over it, and the request trace.
 //
-// Benches construct a Scenario per model and hand its systems to the
-// ExperimentRunner. Extra FLStore variants (LRU/FIFO/Random/Static/limited)
-// can be spawned against the same job and store for the policy ablations,
-// and FLStore's cold tier is a pluggable backend::StorageBackend: the
-// scenario builds the configured kind (object store by default) and
-// make_cold_backend() hands benches fresh instances for head-to-head
-// backend sweeps through the one core::FLStore code path.
+// Benches construct a Scenario per model and hand its systems — each a
+// core::ServingSystem — to sim::run_trace. Extra FLStore variants
+// (LRU/FIFO/Random/Static/limited) can be spawned against the same job and
+// store for the policy ablations, and FLStore's cold tier is a pluggable
+// backend::StorageBackend: the scenario's own is an object-store adapter of
+// the shared store, and make_cold_backend() hands benches fresh instances
+// for head-to-head backend sweeps through the one core::FLStore code path.
 #pragma once
 
 #include <array>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "backend/flush_scheduler.hpp"
+#include "backend/object_store_backend.hpp"
 #include "backend/storage_backend.hpp"
 #include "baselines/aggregator_baseline.hpp"
 #include "cloud/object_store.hpp"
@@ -28,16 +29,6 @@
 
 namespace flstore::sim {
 
-/// Multi-region replication of the cold backend (off while regions <= 1).
-/// Region 0 is the serving region; region i sits i WAN hops away
-/// (sim::interregion_link) and cross-region bytes bill egress
-/// (PricingCatalog inter-region rates; distance >= 3 uses the far rate).
-struct ColdReplicationSpec {
-  int regions = 1;
-  int write_quorum = 0;  ///< 0 = majority of regions
-  bool read_repair = true;
-};
-
 struct ScenarioConfig {
   std::string model = "efficientnet_v2_s";
   std::int32_t pool_size = 250;
@@ -49,13 +40,6 @@ struct ScenarioConfig {
   std::vector<fed::WorkloadType> workloads;  ///< empty = the paper's ten
   std::uint64_t seed = 42;
   int replicas = 1;
-  /// Cold tier behind the scenario's FLStore. kObjectStore (the default)
-  /// reproduces the paper's setup bit-for-bit; kCloudCache / kLocalSsd put
-  /// the whole data plane on that tier instead.
-  backend::BackendKind cold_backend = backend::BackendKind::kObjectStore;
-  /// Replicate that cold tier across regions (backend::ReplicatedColdStore
-  /// composing per-region backends of `cold_backend` kind).
-  ColdReplicationSpec cold_replication;
   /// Write-back flush policy for the cold tier, applied to every FLStore
   /// the scenario builds (the main instance, variants, and backend-sweep
   /// instances). The default keeps the legacy flush-at-every-round cadence;
@@ -163,13 +147,6 @@ class Scenario {
   [[nodiscard]] std::unique_ptr<backend::StorageBackend> make_cold_backend(
       backend::BackendKind kind) const;
 
-  /// Same, replicated across `replication.regions` regions: region 0 is the
-  /// serving-region backend make_cold_backend would have built (kObjectStore
-  /// still adapts the shared store), farther regions own private instances
-  /// of the same kind. regions <= 1 degrades to the plain single backend.
-  [[nodiscard]] std::unique_ptr<backend::StorageBackend> make_cold_backend(
-      backend::BackendKind kind, const ColdReplicationSpec& replication) const;
-
   /// An FLStore variant over an explicit cold backend (the benches' backend
   /// sweeps; `cache_capacity` = 1 effectively disables the serverless cache
   /// so every request runs against the backend).
@@ -178,18 +155,13 @@ class Scenario {
       units::Bytes cache_capacity = 0) const;
 
  private:
-  /// make_cold_backend's body without the telemetry wrap (the replicated
-  /// composition instruments once at the top, not per region).
-  [[nodiscard]] std::unique_ptr<backend::StorageBackend> make_raw_backend(
-      backend::BackendKind kind) const;
-  /// Wrap `raw` in an owning InstrumentedBackend when telemetry is on.
-  [[nodiscard]] std::unique_ptr<backend::StorageBackend> instrumented(
-      std::unique_ptr<backend::StorageBackend> raw) const;
-
   ScenarioConfig config_;
   std::unique_ptr<fed::FLJob> job_;
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<backend::StorageBackend> backend_;
+  /// The baselines' data plane: a plain adapter of the shared store. Not
+  /// instrumented — baseline operations never book into telemetry.
+  std::unique_ptr<backend::ObjectStoreBackend> baseline_store_;
   std::unique_ptr<core::FLStore> flstore_;
   std::unique_ptr<baselines::ObjStoreAggregator> objstore_agg_;
   std::unique_ptr<baselines::CacheAggregator> cache_agg_;

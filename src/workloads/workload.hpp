@@ -58,7 +58,8 @@ class Workload {
 
   [[nodiscard]] virtual fed::WorkloadType type() const noexcept = 0;
 
-  /// Metadata keys required to serve `req` (DESIGN.md §3 windows).
+  /// Metadata keys required to serve `req`: its round's objects, or a
+  /// window of recent rounds for the across-round and metadata families.
   [[nodiscard]] virtual std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
       const fed::RoundDirectory& dir) const = 0;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "backend/cloud_cache_backend.hpp"
 #include "backend/local_ssd_backend.hpp"
@@ -155,23 +157,35 @@ TEST(FLStoreBackends, ScenarioBuildsReplicatedColdBackend) {
   cfg.duration_s = 1000.0;
   cfg.pool_size = 20;
   cfg.clients_per_round = 4;
-  cfg.cold_replication.regions = 3;
   sim::Scenario sc(cfg);
-  EXPECT_EQ(sc.cold_backend().kind(), backend::BackendKind::kReplicated);
-  auto* repl =
-      dynamic_cast<backend::ReplicatedColdStore*>(&sc.cold_backend());
-  ASSERT_NE(repl, nullptr);
-  EXPECT_EQ(repl->region_count(), 3U);
-  EXPECT_EQ(repl->write_quorum(), 2);
+  // Three regions: the serving region adapts the scenario's shared store,
+  // the farther ones are private per-region buckets one WAN hop apart.
+  std::vector<backend::ReplicatedColdStore::Region> regions;
+  for (int i = 0; i < 3; ++i) {
+    backend::ReplicatedColdStore::Region region;
+    region.name = "region-" + std::to_string(i);
+    region.wan = sim::interregion_link(i);
+    region.owned =
+        i == 0 ? sc.make_cold_backend(backend::BackendKind::kObjectStore)
+               : std::make_unique<backend::ObjectStoreBackend>(
+                     sim::objstore_link(), PricingCatalog::aws());
+    regions.push_back(std::move(region));
+  }
+  backend::ReplicatedColdStore repl(std::move(regions), {},
+                                    PricingCatalog::aws());
+  EXPECT_EQ(repl.kind(), backend::BackendKind::kReplicated);
+  EXPECT_EQ(repl.region_count(), 3U);
+  EXPECT_EQ(repl.write_quorum(), 2);
 
   // Serving works unchanged through the replicated seam, and the round
   // backup fanned out across regions (cross-region bytes billed).
-  sc.flstore().ingest_round(sc.job().make_round(0), 0.0);
-  const auto res = sc.flstore().serve(inference(1, 0), 10.0);
+  const auto fl = sc.make_flstore_over(repl, core::PolicyMode::kTailored);
+  fl->ingest_round(sc.job().make_round(0), 0.0);
+  const auto res = fl->serve(inference(1, 0), 10.0);
   EXPECT_FALSE(res.output.summary.empty());
-  EXPECT_GT(repl->egress_fees_usd(), 0.0);
-  for (std::size_t i = 0; i < repl->region_count(); ++i) {
-    EXPECT_GT(repl->region_backend(i).stored_logical_bytes(), 0U) << i;
+  EXPECT_GT(repl.egress_fees_usd(), 0.0);
+  for (std::size_t i = 0; i < repl.region_count(); ++i) {
+    EXPECT_GT(repl.region_backend(i).stored_logical_bytes(), 0U) << i;
   }
 }
 
@@ -185,11 +199,12 @@ TEST(FLStoreBackends, ScenarioBuildsEveryColdBackendKind) {
   for (const auto kind :
        {backend::BackendKind::kObjectStore, backend::BackendKind::kCloudCache,
         backend::BackendKind::kLocalSsd}) {
-    cfg.cold_backend = kind;
     sim::Scenario sc(cfg);
-    EXPECT_EQ(sc.cold_backend().kind(), kind);
-    sc.flstore().ingest_round(sc.job().make_round(0), 0.0);
-    const auto res = sc.flstore().serve(inference(1, 0), 10.0);
+    const auto cold = sc.make_cold_backend(kind);
+    EXPECT_EQ(cold->kind(), kind);
+    const auto fl = sc.make_flstore_over(*cold, core::PolicyMode::kTailored);
+    fl->ingest_round(sc.job().make_round(0), 0.0);
+    const auto res = fl->serve(inference(1, 0), 10.0);
     EXPECT_FALSE(res.output.summary.empty());
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/object_store_backend.hpp"
 #include "common/error.hpp"
 #include "sim/calibration.hpp"
 
@@ -23,18 +24,12 @@ struct BaselineFixture : ::testing::Test {
     return cfg;
   }
 
-  BaselineConfig base_config() const {
-    BaselineConfig cfg;
-    cfg.vm_profile = sim::vm_profile();
-    return cfg;
-  }
-
   ObjStoreAggregator make_objstore_agg() {
-    return ObjStoreAggregator(base_config(), job, store);
+    return ObjStoreAggregator(sim::vm_profile(), job, store);
   }
 
   CacheAggregator make_cache_agg() {
-    return CacheAggregator(base_config(), job, store,
+    return CacheAggregator(sim::vm_profile(), job, store,
                            job_metadata_footprint(job),
                            sim::cloudcache_link());
   }
@@ -49,7 +44,7 @@ struct BaselineFixture : ::testing::Test {
   }
 
   fed::FLJob job;
-  ObjectStore store;
+  backend::ObjectStoreBackend store;
 };
 
 TEST_F(BaselineFixture, ObjStoreServeIsCommunicationBound) {
@@ -82,7 +77,7 @@ TEST_F(BaselineFixture, CacheAggFasterThanObjStoreAgg) {
   const auto slow = objagg.serve(req, 100.0);
   const auto fast = cacheagg.serve(req, 100.0);
   EXPECT_LT(fast.latency_s, slow.latency_s / 2.0);
-  EXPECT_GT(fast.cache_hits, 0U);
+  EXPECT_GT(fast.hits, 0U);
   // But Cache-Agg still ships data over the network: not compute-bound.
   EXPECT_GT(fast.comm_s, fast.comp_s);
 }
@@ -94,20 +89,20 @@ TEST_F(BaselineFixture, CacheAggFallsBackToStoreOnMiss) {
   filler.ingest_round(job.make_round(0), 0.0);
   const auto res =
       cacheagg.serve(request(1, fed::WorkloadType::kClustering, 0), 10.0);
-  EXPECT_EQ(res.cache_hits, 0U);
-  EXPECT_EQ(res.cache_misses, 8U);
+  EXPECT_EQ(res.hits, 0U);
+  EXPECT_EQ(res.misses, 8U);
   EXPECT_GT(res.comm_s, 40.0);
   // Re-serving hits the now-populated cache tier.
   const auto again =
       cacheagg.serve(request(2, fed::WorkloadType::kClustering, 0), 20.0);
-  EXPECT_EQ(again.cache_misses, 0U);
+  EXPECT_EQ(again.misses, 0U);
   EXPECT_LT(again.comm_s, res.comm_s / 2.0);
 }
 
 TEST_F(BaselineFixture, CacheAggProvisionedForFullJob) {
   auto cacheagg = make_cache_agg();
   const auto footprint = job_metadata_footprint(job);
-  EXPECT_GE(cacheagg.cache().capacity(), footprint);
+  EXPECT_GE(cacheagg.cache().capacity_bytes(), footprint);
   // resnet18, 30 rounds x 8 clients: ~12 GB -> a single 26 GB node.
   EXPECT_EQ(cacheagg.cache().nodes(), 1);
 }

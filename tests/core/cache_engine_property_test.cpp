@@ -78,7 +78,7 @@ TEST_P(EngineFuzz, InvariantsHoldUnderRandomOps) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
   FunctionRuntime runtime(FunctionRuntime::Config{}, PricingCatalog::aws());
   ServerlessCachePool pool(
-      ServerlessCachePool::Config{1 * units::GB, 1, 0.5, 0}, runtime);
+      ServerlessCachePool::Config{1 * units::GB, 1, 0}, runtime);
   const units::Bytes capacity = 500 * MB;
   CacheEngine engine(CacheEngine::Config{capacity, PolicyMode::kLru}, pool);
 
@@ -128,7 +128,7 @@ TEST_P(VictimOracleFuzz, VictimChoiceMatchesFullScanOracleInAllModes) {
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 131 + 11);
     FunctionRuntime runtime(FunctionRuntime::Config{}, PricingCatalog::aws());
     ServerlessCachePool pool(
-        ServerlessCachePool::Config{1 * units::GB, 1, 0.5, 0}, runtime);
+        ServerlessCachePool::Config{1 * units::GB, 1, 0}, runtime);
     const units::Bytes capacity = 500 * MB;
     CacheEngine engine(
         CacheEngine::Config{capacity, mode.order, mode.round_aware}, pool);
@@ -220,7 +220,7 @@ TEST_P(PoolFuzz, ReplicaGroupsSurviveRandomFaultsAndRepairs) {
   FunctionRuntime runtime(FunctionRuntime::Config{}, PricingCatalog::aws());
   const int replicas = 3;
   ServerlessCachePool pool(
-      ServerlessCachePool::Config{1 * units::GB, replicas, 0.5, 0}, runtime);
+      ServerlessCachePool::Config{1 * units::GB, replicas, 0}, runtime);
   const auto blob = std::make_shared<const Blob>(Blob{9});
   const auto group = pool.put("obj", blob, 100 * units::MB);
   ASSERT_TRUE(group.has_value());

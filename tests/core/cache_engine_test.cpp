@@ -16,7 +16,7 @@ using units::MB;
 struct EngineFixture : ::testing::Test {
   EngineFixture()
       : runtime(FunctionRuntime::Config{}, PricingCatalog::aws()),
-        pool(ServerlessCachePool::Config{1 * GB, 1, 0.5, 0}, runtime) {}
+        pool(ServerlessCachePool::Config{1 * GB, 1, 0}, runtime) {}
 
   CacheEngine make_engine(units::Bytes capacity = 0,
                           PolicyMode order = PolicyMode::kLru) {

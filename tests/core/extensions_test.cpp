@@ -186,7 +186,7 @@ TEST(AdaptivePolicy, SuggestedBudgetsSplitEvenlyBeforeAnyPull) {
 struct ShardingFixture : ::testing::Test {
   ShardingFixture()
       : runtime(FunctionRuntime::Config{}, PricingCatalog::aws()),
-        pool(ServerlessCachePool::Config{10 * units::GB, 1, 0.5, 0},
+        pool(ServerlessCachePool::Config{10 * units::GB, 1, 0},
              runtime) {}
   FunctionRuntime runtime;
   ServerlessCachePool pool;
@@ -245,7 +245,7 @@ TEST_F(ShardingFixture, LostShardBreaksThePipeline) {
 TEST_F(ShardingFixture, BoundedPoolRollsBackPartialPlacement) {
   FunctionRuntime rt(FunctionRuntime::Config{}, PricingCatalog::aws());
   ServerlessCachePool bounded(
-      ServerlessCachePool::Config{10 * units::GB, 1, 0.5, /*max_groups=*/2},
+      ServerlessCachePool::Config{10 * units::GB, 1, /*max_groups=*/2},
       rt);
   const auto blob = std::make_shared<const Blob>(Blob{1});
   // 27 GB needs 4 groups; only 2 allowed -> rejected, nothing left behind.

@@ -20,7 +20,7 @@ struct PoolFixture : ::testing::Test {
   ServerlessCachePool make_pool(int replicas = 1, std::int32_t max_groups = 0,
                                 units::Bytes memory = 1 * GB) {
     return ServerlessCachePool(
-        ServerlessCachePool::Config{memory, replicas, 0.5, max_groups},
+        ServerlessCachePool::Config{memory, replicas, max_groups},
         runtime);
   }
 

@@ -26,14 +26,11 @@ struct EndToEnd : ::testing::Test {
 TEST_F(EndToEnd, ThreeSystemsLatencyOrdering) {
   Scenario sc(config());
   const auto trace = sc.trace();
-  auto fl = adapt(sc.flstore());
-  auto obj = adapt(sc.objstore_agg());
-  auto cache = adapt(sc.cache_agg());
   const auto d = config().duration_s;
   const auto i = config().round_interval_s;
-  const auto fl_run = run_trace(*fl, sc.job(), trace, d, i);
-  const auto obj_run = run_trace(*obj, sc.job(), trace, d, i);
-  const auto cache_run = run_trace(*cache, sc.job(), trace, d, i);
+  const auto fl_run = run_trace(sc.flstore(), sc.job(), trace, d, i);
+  const auto obj_run = run_trace(sc.objstore_agg(), sc.job(), trace, d, i);
+  const auto cache_run = run_trace(sc.cache_agg(), sc.job(), trace, d, i);
 
   // The paper's ordering: FLStore << Cache-Agg << ObjStore-Agg.
   EXPECT_LT(fl_run.total_latency_s(), cache_run.total_latency_s() * 0.6);
@@ -43,12 +40,10 @@ TEST_F(EndToEnd, ThreeSystemsLatencyOrdering) {
 TEST_F(EndToEnd, HeadlineReductionsInPaperBands) {
   Scenario sc(config());
   const auto trace = sc.trace();
-  auto fl = adapt(sc.flstore());
-  auto obj = adapt(sc.objstore_agg());
   const auto d = config().duration_s;
   const auto i = config().round_interval_s;
-  const auto fl_run = run_trace(*fl, sc.job(), trace, d, i);
-  const auto obj_run = run_trace(*obj, sc.job(), trace, d, i);
+  const auto fl_run = run_trace(sc.flstore(), sc.job(), trace, d, i);
+  const auto obj_run = run_trace(sc.objstore_agg(), sc.job(), trace, d, i);
 
   // Latency: paper reports 50.75% average reduction (ours is higher since
   // the simulated trace hits almost always); must be at least that.
@@ -66,12 +61,10 @@ TEST_F(EndToEnd, InfrastructureCostOrdering) {
   // Cache-Agg provisions nodes on top of the VM; FLStore pays only pings
   // and shared cold storage.
   const double d = units::hours(50);
-  auto fl = adapt(sc.flstore());
-  auto obj = adapt(sc.objstore_agg());
-  auto cache = adapt(sc.cache_agg());
-  EXPECT_LT(fl->infrastructure_cost(d), 0.1);
-  EXPECT_GT(obj->infrastructure_cost(d), 40.0);  // ~$0.922/h VM
-  EXPECT_GT(cache->infrastructure_cost(d), obj->infrastructure_cost(d));
+  EXPECT_LT(sc.flstore().infrastructure_cost(d), 0.1);
+  EXPECT_GT(sc.objstore_agg().infrastructure_cost(d), 40.0);  // ~$0.922/h VM
+  EXPECT_GT(sc.cache_agg().infrastructure_cost(d),
+            sc.objstore_agg().infrastructure_cost(d));
 }
 
 TEST_F(EndToEnd, IdenticalWorkloadResultsAcrossSystems) {
@@ -99,9 +92,8 @@ TEST_F(EndToEnd, IdenticalWorkloadResultsAcrossSystems) {
 
 TEST_F(EndToEnd, FLStoreHitRateAboveTable2Band) {
   Scenario sc(config());
-  auto fl = adapt(sc.flstore());
-  const auto run = run_trace(*fl, sc.job(), sc.trace(), config().duration_s,
-                             config().round_interval_s);
+  const auto run = run_trace(sc.flstore(), sc.job(), sc.trace(),
+                             config().duration_s, config().round_interval_s);
   const double rate =
       static_cast<double>(run.total_hits()) /
       static_cast<double>(run.total_hits() + run.total_misses());
@@ -112,14 +104,13 @@ TEST_F(EndToEnd, TraditionalVariantsMissAndSlow) {
   Scenario sc(config());
   const auto trace = sc.trace();
   auto fl_run = [&] {
-    auto fl = adapt(sc.flstore());
-    return run_trace(*fl, sc.job(), trace, config().duration_s,
+    return run_trace(sc.flstore(), sc.job(), trace, config().duration_s,
                      config().round_interval_s);
   }();
   auto lru_store = sc.make_flstore_variant(
       core::PolicyMode::kLru, 20ULL * sc.job().model().object_bytes);
-  auto lru = adapt(*lru_store);
-  const auto lru_run = run_trace(*lru, sc.job(), trace, config().duration_s,
+  const auto lru_run = run_trace(*lru_store, sc.job(), trace,
+                                 config().duration_s,
                                  config().round_interval_s);
   EXPECT_GT(lru_run.total_misses(), fl_run.total_misses() * 10);
   EXPECT_GT(lru_run.total_latency_s(), fl_run.total_latency_s() * 3.0);
@@ -138,8 +129,7 @@ TEST_F(EndToEnd, FaultStormDegradesGracefullyWithReplicas) {
     auto c = cfg;
     c.replicas = fi;
     Scenario sc(c);
-    auto fl = adapt(sc.flstore());
-    return run_trace(*fl, sc.job(), sc.trace(), c.duration_s,
+    return run_trace(sc.flstore(), sc.job(), sc.trace(), c.duration_s,
                      c.round_interval_s, opts)
         .total_latency_s();
   };

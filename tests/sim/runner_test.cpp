@@ -2,10 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/report.hpp"
 
 namespace flstore::sim {
 namespace {
+
+/// A ServingSystem that records every call run_trace makes, in order, and
+/// serves each request in a fixed kServiceS of communication.
+class RecordingSystem final : public core::ServingSystem {
+ public:
+  static constexpr double kServiceS = 10.0;
+
+  void ingest_round(const fed::RoundRecord& record, double now) override {
+    ingests.emplace_back(record.round, now);
+    log.push_back("ingest " + std::to_string(record.round));
+  }
+  core::ServeResult serve(const fed::NonTrainingRequest& req,
+                          double now) override {
+    serve_times.push_back(now);
+    log.push_back("request " + std::to_string(req.id));
+    core::ServeResult res;
+    res.comm_s = kServiceS;
+    res.latency_s = kServiceS;
+    return res;
+  }
+  [[nodiscard]] double infrastructure_cost(double seconds) const override {
+    (void)seconds;
+    return 0.0;
+  }
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  bool inject_fault(std::int32_t function_rank) override {
+    faults.push_back(function_rank);
+    log.push_back("fault " + std::to_string(function_rank));
+    return false;
+  }
+
+  std::vector<std::pair<RoundId, double>> ingests;
+  std::vector<std::int32_t> faults;
+  std::vector<double> serve_times;
+  std::vector<std::string> log;
+};
+
+fed::FLJob tiny_job(RoundId rounds) {
+  fed::FLJobConfig cfg;
+  cfg.model = "mobilenet_v3_small";
+  cfg.pool_size = 6;
+  cfg.clients_per_round = 2;
+  cfg.rounds = rounds;
+  cfg.seed = 3;
+  return fed::FLJob(cfg);
+}
+
+fed::NonTrainingRequest request_at(RequestId id, double arrival_s) {
+  return {id, fed::WorkloadType::kInference, 0, kNoClient, arrival_s};
+}
 
 ScenarioConfig small_scenario() {
   ScenarioConfig cfg;
@@ -23,8 +77,7 @@ ScenarioConfig small_scenario() {
 TEST(Runner, TraceReplayProducesRecordsForAllRequests) {
   Scenario sc(small_scenario());
   const auto trace = sc.trace();
-  auto adapter = adapt(sc.flstore());
-  const auto run = run_trace(*adapter, sc.job(), trace, 2000.0, 50.0);
+  const auto run = run_trace(sc.flstore(), sc.job(), trace, 2000.0, 50.0);
   EXPECT_EQ(run.records.size(), trace.size());
   EXPECT_EQ(run.system, "FLStore");
   EXPECT_GT(run.infrastructure_usd, 0.0);
@@ -33,10 +86,9 @@ TEST(Runner, TraceReplayProducesRecordsForAllRequests) {
 TEST(Runner, FLStoreDominatesObjStoreAggOnLatency) {
   Scenario sc(small_scenario());
   const auto trace = sc.trace();
-  auto fl = adapt(sc.flstore());
-  auto base = adapt(sc.objstore_agg());
-  const auto fl_run = run_trace(*fl, sc.job(), trace, 2000.0, 50.0);
-  const auto base_run = run_trace(*base, sc.job(), trace, 2000.0, 50.0);
+  const auto fl_run = run_trace(sc.flstore(), sc.job(), trace, 2000.0, 50.0);
+  const auto base_run =
+      run_trace(sc.objstore_agg(), sc.job(), trace, 2000.0, 50.0);
   // Headline: >50% average per-request latency reduction (paper: 71%).
   EXPECT_LT(fl_run.total_latency_s(), base_run.total_latency_s() * 0.5);
   // And the baseline is communication-bound (§2.3).
@@ -46,8 +98,7 @@ TEST(Runner, FLStoreDominatesObjStoreAggOnLatency) {
 TEST(Runner, FLStoreHitRateNearPerfect) {
   Scenario sc(small_scenario());
   const auto trace = sc.trace();
-  auto fl = adapt(sc.flstore());
-  const auto run = run_trace(*fl, sc.job(), trace, 2000.0, 50.0);
+  const auto run = run_trace(sc.flstore(), sc.job(), trace, 2000.0, 50.0);
   const auto hits = run.total_hits();
   const auto misses = run.total_misses();
   ASSERT_GT(hits + misses, 0U);
@@ -59,8 +110,7 @@ TEST(Runner, FLStoreHitRateNearPerfect) {
 TEST(Runner, DeterministicAcrossRuns) {
   const auto once = [] {
     Scenario sc(small_scenario());
-    auto fl = adapt(sc.flstore());
-    return run_trace(*fl, sc.job(), sc.trace(), 2000.0, 50.0);
+    return run_trace(sc.flstore(), sc.job(), sc.trace(), 2000.0, 50.0);
   };
   const auto a = once();
   const auto b = once();
@@ -74,14 +124,14 @@ TEST(Runner, DeterministicAcrossRuns) {
 TEST(Runner, BoundedServersIntroduceQueueing) {
   Scenario sc(small_scenario());
   const auto trace = sc.trace();
-  auto base_open = adapt(sc.objstore_agg());
-  const auto open = run_trace(*base_open, sc.job(), trace, 2000.0, 50.0);
+  const auto open =
+      run_trace(sc.objstore_agg(), sc.job(), trace, 2000.0, 50.0);
 
   Scenario sc2(small_scenario());
-  auto base_q = adapt(sc2.objstore_agg());
   RunnerOptions opts;
   opts.servers = 1;
-  const auto queued = run_trace(*base_q, sc2.job(), trace, 2000.0, 50.0, opts);
+  const auto queued =
+      run_trace(sc2.objstore_agg(), sc2.job(), trace, 2000.0, 50.0, opts);
 
   double open_queue = 0.0, q_queue = 0.0;
   for (const auto& r : open.records) open_queue += r.queue_s;
@@ -95,9 +145,8 @@ TEST(Runner, FaultsDegradeSingleReplicaFLStore) {
   Scenario healthy(cfg);
   Scenario faulty(cfg);
   const auto trace = healthy.trace();
-
-  auto fl_ok = adapt(healthy.flstore());
-  const auto ok = run_trace(*fl_ok, healthy.job(), trace, 2000.0, 50.0);
+  const auto ok =
+      run_trace(healthy.flstore(), healthy.job(), trace, 2000.0, 50.0);
 
   Rng rng(5);
   FaultInjectorConfig fic;
@@ -105,8 +154,8 @@ TEST(Runner, FaultsDegradeSingleReplicaFLStore) {
   fic.population = 8;
   RunnerOptions opts;
   opts.faults = generate_fault_schedule(fic, 2000.0, rng);
-  auto fl_bad = adapt(faulty.flstore());
-  const auto bad = run_trace(*fl_bad, faulty.job(), trace, 2000.0, 50.0, opts);
+  const auto bad =
+      run_trace(faulty.flstore(), faulty.job(), trace, 2000.0, 50.0, opts);
 
   EXPECT_GT(bad.total_latency_s(), ok.total_latency_s());
 }
@@ -122,8 +171,7 @@ TEST(Runner, ReplicasAbsorbFaults) {
   fic.population = 8;
   RunnerOptions opts;
   opts.faults = generate_fault_schedule(fic, 2000.0, rng);
-  auto fl = adapt(sc.flstore());
-  const auto run = run_trace(*fl, sc.job(), trace, 2000.0, 50.0, opts);
+  const auto run = run_trace(sc.flstore(), sc.job(), trace, 2000.0, 50.0, opts);
   // With 3 replicas the hit rate stays high despite the fault storm.
   const double rate =
       static_cast<double>(run.total_hits()) /
@@ -131,10 +179,64 @@ TEST(Runner, ReplicasAbsorbFaults) {
   EXPECT_GT(rate, 0.85);
 }
 
+TEST(Runner, IngestsRoundsUpToDurationOverInterval) {
+  const auto job = tiny_job(10);
+  RecordingSystem sys;
+  // floor(1000 / 300) = 3: rounds 0-3 finish inside the run, round 4
+  // (due at 1200 s) does not.
+  (void)run_trace(sys, job, {}, 1000.0, 300.0);
+  const std::vector<std::pair<RoundId, double>> expected{
+      {0, 0.0}, {1, 300.0}, {2, 600.0}, {3, 900.0}};
+  EXPECT_EQ(sys.ingests, expected);
+}
+
+TEST(Runner, LatestRoundCapsIngestedRounds) {
+  const auto job = tiny_job(3);  // latest_round() == 2
+  RecordingSystem sys;
+  (void)run_trace(sys, job, {}, 1000.0, 100.0);
+  ASSERT_EQ(sys.ingests.size(), 3U);
+  EXPECT_EQ(sys.ingests.back().first, 2);
+}
+
+TEST(Runner, SameInstantRunsIngestThenFaultThenRequest) {
+  const auto job = tiny_job(10);
+  RecordingSystem sys;
+  RunnerOptions opts;
+  opts.faults.push_back(FaultEvent{300.0, 4});
+  (void)run_trace(sys, job, {request_at(1, 300.0)}, 300.0, 300.0, opts);
+  const std::vector<std::string> expected{"ingest 0", "ingest 1", "fault 4",
+                                          "request 1"};
+  EXPECT_EQ(sys.log, expected);
+}
+
+TEST(Runner, FaultEventsReachTheSystem) {
+  const auto job = tiny_job(10);
+  RecordingSystem sys;
+  RunnerOptions opts;
+  opts.faults = {FaultEvent{10.0, 7}, FaultEvent{20.0, 3}};
+  (void)run_trace(sys, job, {}, 100.0, 100.0, opts);
+  EXPECT_EQ(sys.faults, (std::vector<std::int32_t>{7, 3}));
+}
+
+TEST(Runner, SingleServerQueuesSecondRequestUntilFirstCompletes) {
+  const auto job = tiny_job(10);
+  RecordingSystem sys;
+  RunnerOptions opts;
+  opts.servers = 1;
+  const std::vector<fed::NonTrainingRequest> trace{request_at(1, 0.0),
+                                                   request_at(2, 1.0)};
+  const auto run = run_trace(sys, job, trace, 100.0, 100.0, opts);
+  // The second request arrives at 1 s but starts when the first completes.
+  EXPECT_EQ(sys.serve_times,
+            (std::vector<double>{0.0, RecordingSystem::kServiceS}));
+  ASSERT_EQ(run.records.size(), 2U);
+  EXPECT_DOUBLE_EQ(run.records[0].queue_s, 0.0);
+  EXPECT_DOUBLE_EQ(run.records[1].queue_s, RecordingSystem::kServiceS - 1.0);
+}
+
 TEST(Report, ByWorkloadCoversTraceMix) {
   Scenario sc(small_scenario());
-  auto fl = adapt(sc.flstore());
-  const auto run = run_trace(*fl, sc.job(), sc.trace(), 2000.0, 50.0);
+  const auto run = run_trace(sc.flstore(), sc.job(), sc.trace(), 2000.0, 50.0);
   const auto grouped = by_workload(run);
   EXPECT_GE(grouped.size(), 5U);
   std::size_t total = 0;
