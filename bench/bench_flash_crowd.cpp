@@ -93,8 +93,8 @@ struct Arm {
 
 /// Full offered rate inside the crowd window, one request in ten outside.
 std::vector<serve::ServiceRequest> make_trace(const Arm& arm) {
-  serve::OpenLoopConfig cfg;
-  cfg.offered_qps = kCrowdQps;
+  serve::StreamConfig cfg;
+  cfg.rate.base_qps = kCrowdQps;
   cfg.duration_s = kHorizonS;
   cfg.round_interval_s = kTickS;
   cfg.seed = 7;

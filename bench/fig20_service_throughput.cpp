@@ -46,23 +46,14 @@ fed::FLJobConfig bench_job() {
 constexpr double kRoundIntervalS = 30.0;
 constexpr double kDurationS = 900.0;
 
-serve::OpenLoopConfig load(double qps) {
-  serve::OpenLoopConfig cfg;
-  cfg.offered_qps = qps;
+// Constant-rate Poisson arrivals at `qps`: streamed by the queued cells,
+// materialized by the replay cells.
+serve::StreamConfig load(double qps) {
+  serve::StreamConfig cfg;
+  cfg.rate.base_qps = qps;
   cfg.duration_s = kDurationS;
   cfg.round_interval_s = kRoundIntervalS;
   cfg.seed = 11;
-  return cfg;
-}
-
-// The constant-rate Poisson process of `open`, streamed instead of
-// materialized (the queued cells serve it through serve_open_loop_stream).
-serve::StreamConfig streamed(const serve::OpenLoopConfig& open) {
-  serve::StreamConfig cfg;
-  cfg.rate.base_qps = open.offered_qps;
-  cfg.duration_s = open.duration_s;
-  cfg.round_interval_s = open.round_interval_s;
-  cfg.seed = open.seed;
   return cfg;
 }
 
@@ -111,7 +102,7 @@ int main(int argc, char** argv) {
       serve::ShardedStore plane(cold, cfg);
       (void)plane.add_tenant(job, {}, shards);
       const auto report =
-          plane.serve_open_loop_stream(streamed(load(qps)), mix);
+          plane.serve_open_loop_stream(load(qps), mix);
       const auto lat = report.latencies();
       sweep.add_row({fmt(qps, 2), std::to_string(shards),
                      serve::to_string(routing),
@@ -287,7 +278,7 @@ int main(int argc, char** argv) {
     serve::ShardedStore plane(
         wrapped ? static_cast<backend::StorageBackend&>(*wrapped) : raw, cfg);
     (void)plane.add_tenant(job, {}, 4);
-    return plane.serve_open_loop_stream(streamed(load(1.0)), mix);
+    return plane.serve_open_loop_stream(load(1.0), mix);
   };
   const auto off_report = run_obs_cell(nullptr);
   obs::Telemetry telemetry;  // sample_every = 1: every request traced

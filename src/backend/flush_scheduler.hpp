@@ -6,7 +6,7 @@
 // story only holds if the write-back dirty window is *bounded* and
 // *priced*. The scheduler bounds it: instead of callers invoking flush()
 // explicitly, they observe() the backend on the ingest cadence (every
-// BackupWriter batch drain, every round boundary) and the policy decides
+// backup put_batch, every round boundary) and the policy decides
 // when to drain:
 //
 //   max_dirty_age_s   — no acked object stays un-flushed longer than this.

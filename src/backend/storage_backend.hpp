@@ -177,8 +177,8 @@ class StorageBackend {
 
   /// Batched multi-put: one admission, one streamed transfer. The default
   /// implementation loops over put() and sums latencies; backends override
-  /// it to amortize the per-object first-byte cost (the BackupWriter's
-  /// whole point).
+  /// it to amortize the per-object first-byte cost (FLStore backs every
+  /// ingested round up through it).
   virtual BatchPutResult put_batch(std::vector<PutRequest> batch, double now);
 
   virtual GetResult get(const std::string& name, double now) = 0;

@@ -12,30 +12,23 @@
 // implementations must be safe to call from multiple shard threads.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "backend/storage_backend.hpp"
-#include "common/units.hpp"
 
 namespace flstore::core {
 
 class ColdFetchInterceptor {
  public:
-  struct Fetched {
-    bool found = false;
-    std::shared_ptr<const Blob> blob;  ///< null when !found
-    units::Bytes logical_bytes = 0;
-    double latency_s = 0.0;         ///< time until the bytes are available
-    double request_fee_usd = 0.0;   ///< 0 for piggybacked (coalesced) reads
-  };
-
   virtual ~ColdFetchInterceptor() = default;
 
-  /// Resolve `object_name` against `cold` at simulated time `now`.
-  [[nodiscard]] virtual Fetched fetch(const std::string& object_name,
-                                      backend::StorageBackend& cold,
-                                      double now) = 0;
+  /// Resolve `object_name` against `cold` at simulated time `now`. The
+  /// result reads like cold.get's: latency_s is the time until the bytes
+  /// are available, and request_fee_usd is 0 for a piggybacked (coalesced)
+  /// read.
+  [[nodiscard]] virtual backend::GetResult fetch(
+      const std::string& object_name, backend::StorageBackend& cold,
+      double now) = 0;
 };
 
 }  // namespace flstore::core

@@ -14,6 +14,10 @@ namespace {
 /// Bandwidth between functions when a request's data spans groups.
 constexpr double kIntraDcBandwidthBps = 1.0e9;
 
+/// Objects per cold-tier put_batch when a round is backed up: one admission
+/// and one streamed transfer per slice.
+constexpr std::size_t kBackupSlice = 64;
+
 }  // namespace
 
 FunctionRuntime::Config function_runtime_config(const ModelSpec& model) {
@@ -37,12 +41,7 @@ FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
       job_(&job),
       cold_(&cold),
       runtime_(function_runtime_config(job.model()), PricingCatalog::aws()),
-      backup_(*cold_, infra_meter_,
-              backend::BackupWriter::Config{config_.backup_batch}),
       flush_sched_(*cold_, config_.cold_flush) {
-  // Every backup batch the writer drains is an observation point for the
-  // write-back flush scheduler (the ingest cadence).
-  backup_.set_flush_scheduler(&flush_sched_);
   auto pool_cfg = config_.pool;
   if (pool_cfg.function_memory == 0) {
     pool_cfg.function_memory = function_sizing_for(job.model()).memory;
@@ -58,33 +57,42 @@ FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
 }
 
 void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
-  // Async batched backup of everything to the persistent data plane (fees
-  // accrue, no serving latency): objects queue on the BackupWriter and
-  // drain through the backend's batched multi-put. Secondary shards of a
-  // tenant skip it: the primary already streamed the round out, and double
-  // puts mean double fees.
-  std::unordered_map<MetadataKey, fed::EncodedObject, MetadataKeyHash> encoded;
-  for (auto& obj : fed::encode_round(record)) {
-    if (config_.backup_to_cold) {
-      backup_.enqueue(cold_name(obj.key), obj.blob, obj.logical_bytes, now);
-    }
-    const auto key = obj.key;
-    encoded.emplace(key, std::move(obj));
-  }
-  // Drain before any request can arrive: the cold store's contents at every
-  // serve point are identical to the old inline-per-object path. The
-  // backend flush then makes a write-back tiered composition durable (its
-  // put_batch parks objects in the fast tier). With a *shared* write-back
-  // composition the flush drains every tenant's pending objects and the
-  // flushing tenant books the drain fees — the shared-daemon approximation;
-  // give tenants their own compositions (or write-through) when per-tenant
-  // fee attribution matters. A capacity-bounded cold tier that refuses
-  // backups shows up in backup_writer().stats().rejected — and later as
-  // NotFound on the first cache miss for the dropped object; run bounded
-  // backends auto-scaled or behind a TieredColdStore whose deepest tier is
-  // unbounded (every default configuration is).
+  auto objects = fed::encode_round(record);
+  // Back everything up to the persistent data plane (fees accrue, no
+  // serving latency) in put_batch slices, in encode_round's order, before
+  // any request can arrive: the cold store's contents at every serve point
+  // are identical to a put per object. Secondary shards of a tenant skip
+  // it: the primary already streamed the round out, and double puts mean
+  // double fees. The scheduler drains then make a write-back tiered
+  // composition durable (its put_batch parks objects in the fast tier).
+  // With a *shared* write-back composition a drain covers every tenant's
+  // pending objects and the draining tenant books the fees — the
+  // shared-daemon approximation; give tenants their own compositions (or
+  // write-through) when per-tenant fee attribution matters. A
+  // capacity-bounded cold tier that refuses backups shows up in its
+  // stats().rejected_puts — and later as NotFound on the first cache miss
+  // for the dropped object; run bounded backends auto-scaled or behind a
+  // TieredColdStore whose deepest tier is unbounded (every default
+  // configuration is).
   if (config_.backup_to_cold) {
-    (void)backup_.flush(now);
+    for (std::size_t first = 0; first < objects.size();
+         first += kBackupSlice) {
+      const auto last = std::min(objects.size(), first + kBackupSlice);
+      std::vector<backend::PutRequest> slice;
+      slice.reserve(last - first);
+      for (std::size_t i = first; i < last; ++i) {
+        const auto& obj = objects[i];
+        slice.push_back({cold_name(obj.key), obj.blob, obj.logical_bytes});
+      }
+      const auto put = cold_->put_batch(std::move(slice), now);
+      infra_meter_.charge(CostCategory::kStorageService, put.request_fee_usd);
+      // Every slice is an observation point for the write-back flush
+      // scheduler (the ingest cadence), so age/byte thresholds fire
+      // mid-round without an explicit flush.
+      const auto drained = flush_sched_.observe(now);
+      infra_meter_.charge(CostCategory::kStorageService,
+                          drained.request_fee_usd);
+    }
     // Round boundary: the scheduler decides whether to drain. The default
     // policy flushes here unconditionally — the legacy cadence, same
     // contents and fees as the old explicit cold_->flush (the drain now
@@ -94,6 +102,12 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
     const auto drained = flush_sched_.observe(now, /*round_boundary=*/true);
     infra_meter_.charge(CostCategory::kStorageService,
                         drained.request_fee_usd);
+  }
+
+  std::unordered_map<MetadataKey, fed::EncodedObject, MetadataKeyHash> encoded;
+  for (auto& obj : objects) {
+    const auto key = obj.key;
+    encoded.emplace(key, std::move(obj));
   }
 
   // Tailored write-allocation (hot data stays next to compute).
@@ -175,23 +189,17 @@ void FLStore::set_telemetry(obs::Telemetry* telemetry) {
   }
 }
 
-FLStore::FetchOutcome FLStore::fetch_cold(const MetadataKey& key,
-                                          CostMeter& meter, double now) {
+backend::GetResult FLStore::fetch_cold(const MetadataKey& key,
+                                       CostMeter& meter, double now) {
   const auto name = cold_name(key);
-  if (cold_interceptor_ != nullptr) {
-    auto got = cold_interceptor_->fetch(name, *cold_, now);
-    meter.charge(CostCategory::kStorageService, got.request_fee_usd);
-    if (!got.found) {
-      throw NotFound("cold store lacks " + name);
-    }
-    return {std::move(got.blob), got.logical_bytes, got.latency_s};
-  }
-  auto got = cold_->get(name, now);
+  auto got = cold_interceptor_ != nullptr
+                 ? cold_interceptor_->fetch(name, *cold_, now)
+                 : cold_->get(name, now);
   meter.charge(CostCategory::kStorageService, got.request_fee_usd);
   if (!got.found) {
     throw NotFound("cold store lacks " + name);
   }
-  return {got.blob, got.logical_bytes, got.latency_s};
+  return got;
 }
 
 ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
@@ -258,7 +266,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
   const auto traced_fetch = [&](const MetadataKey& key, CostMeter& meter,
                                 double at) {
     const auto span = obs::begin_span(tracer, "cold.fetch", "core", at);
-    FetchOutcome fetched;
+    backend::GetResult fetched;
     {
       std::optional<obs::Tracer::Scope> scope;
       if (tracer != nullptr) scope.emplace(tracer, span);
@@ -394,7 +402,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
       // end after the request completes.
       const auto pf = obs::begin_detached_span(tracer, "prefetch.fetch",
                                                "core", now + res.comm_s);
-      FetchOutcome fetched;
+      backend::GetResult fetched;
       {
         std::optional<obs::Tracer::Scope> scope;
         if (tracer != nullptr) scope.emplace(tracer, pf);

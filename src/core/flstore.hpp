@@ -5,8 +5,8 @@
 // — cloud object store, provisioned cloud cache, local SSD, or a tiered
 // stack of them — so the paper's FLStore-vs-ObjStore-vs-CloudCache sweeps
 // run through this one code path. Training rounds stream in through
-// ingest_round (client updates + async batched cold backup via
-// backend::BackupWriter); non-training requests are served with
+// ingest_round (client updates + a batched backup to the cold tier through
+// StorageBackend::put_batch); non-training requests are served with
 // locality-aware execution on the functions that cache the data, with
 // policy-driven prefetch/evict around each request.
 //
@@ -24,7 +24,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "backend/backup_writer.hpp"
 #include "backend/flush_scheduler.hpp"
 #include "backend/storage_backend.hpp"
 #include "cloud/cost_meter.hpp"
@@ -68,17 +67,13 @@ struct FLStoreConfig {
   /// Secondary cache shards of one tenant disable this: the primary shard
   /// backs the round up once, and duplicate puts would double the fees.
   bool backup_to_cold = true;
-  /// Batch size of the async BackupWriter draining ingested rounds to the
-  /// cold tier (0 = drain only at end of ingest). Contents are identical
-  /// for any value (regression-tested); only the write schedule changes.
-  std::size_t backup_batch = 64;
   /// Flush policy for the cold tier's write-back dirty window. The default
   /// (flush at every round boundary, no thresholds) keeps the legacy
   /// explicit-flush cadence — same contents, counts, and fees, with the
   /// drain order now oldest-first; scheduled deployments turn the
   /// round-boundary drain off and set age/byte thresholds instead — the
-  /// FlushScheduler then drains from the ingest cadence (every BackupWriter
-  /// batch and every round boundary are observation points) and keeps the
+  /// FlushScheduler then drains from the ingest cadence (every backup
+  /// put_batch and every round boundary are observation points) and keeps the
   /// crash-consistency ledger. Irrelevant for synchronously durable
   /// backends (they are never dirty).
   backend::FlushPolicy cold_flush;
@@ -92,8 +87,10 @@ class FLStore final : public ServingSystem {
   FLStore(FLStoreConfig config, const fed::FLJob& job,
           backend::StorageBackend& cold);
 
-  /// Stream a finished training round in: async backup of every object to
-  /// the cold store plus policy-driven write-allocation into the cache.
+  /// Stream a finished training round in: backup of every object to the
+  /// cold store (put_batch slices of 64, fees to infra_meter(); the cold
+  /// tier's stats().rejected_puts counts objects a bounded tier refused)
+  /// plus policy-driven write-allocation into the cache.
   void ingest_round(const fed::RoundRecord& record, double now) override;
 
   /// Serve one non-training request.
@@ -153,9 +150,6 @@ class FLStore final : public ServingSystem {
   [[nodiscard]] backend::StorageBackend& cold_backend() noexcept {
     return *cold_;
   }
-  [[nodiscard]] const backend::BackupWriter& backup_writer() const noexcept {
-    return backup_;
-  }
   /// The cold tier's ingest-driven drainer + crash-consistency ledger
   /// (non-const: tests and fault scenarios inject crash()es through it).
   [[nodiscard]] backend::FlushScheduler& flush_scheduler() noexcept {
@@ -170,17 +164,13 @@ class FLStore final : public ServingSystem {
   [[nodiscard]] const FLStoreConfig& config() const noexcept { return config_; }
 
  private:
-  struct FetchOutcome {
-    std::shared_ptr<const Blob> blob;
-    units::Bytes logical_bytes = 0;
-    double latency_s = 0.0;
-  };
   /// serve() between the tracker's begin and finish.
   ServeResult serve_tracked(const fed::NonTrainingRequest& req, double now);
   /// Synchronous cold-store fetch (miss path) at simulated time `now`;
-  /// charges fees to `meter`. Goes through the interceptor when one is set.
-  FetchOutcome fetch_cold(const MetadataKey& key, CostMeter& meter,
-                          double now);
+  /// charges fees to `meter` and throws NotFound when the object is
+  /// missing. Goes through the interceptor when one is set.
+  backend::GetResult fetch_cold(const MetadataKey& key, CostMeter& meter,
+                                double now);
   /// Namespaced cold-store name for `key` (tenant prefix applied).
   [[nodiscard]] std::string cold_name(const MetadataKey& key) const {
     return config_.cold_namespace + key.object_name();
@@ -200,11 +190,7 @@ class FLStore final : public ServingSystem {
   std::unique_ptr<CacheEngine> engine_;
   RequestTracker tracker_;
   CostMeter infra_meter_;  ///< fees not attributable to one request
-  /// Async batched backup of ingested rounds into `cold_` (declared after
-  /// infra_meter_: it charges fees there).
-  backend::BackupWriter backup_;
-  /// Ingest-driven write-back drainer over `cold_` (declared after
-  /// backup_, which observes through it after every batch drain).
+  /// Ingest-driven write-back drainer over `cold_`.
   backend::FlushScheduler flush_sched_;
   /// Active P3 client tracks: client -> last request time. Ingest pins new
   /// rounds of tracked clients so across-round workloads keep hitting at

@@ -9,8 +9,8 @@
 //
 // so 1.0 means "consuming budget exactly as provisioned", 10x means the
 // month's budget burns in ~3 days. A request is *bad* when admission shed
-// it or its end-to-end latency exceeded its class objective (defaults
-// mirror SchedulerConfig::slo_s).
+// it or its end-to-end latency exceeded its class objective (by default
+// the scheduler's deadline table, serve::kClassSloS).
 //
 // Mechanics: per class, a ring of fixed-width time buckets keyed by the
 // *absolute* bucket index of the record's completion time — O(1) record,
@@ -33,15 +33,15 @@
 #include "common/mutex.hpp"
 #include "fed/request.hpp"
 #include "obs/metrics.hpp"
+#include "serve/scheduler.hpp"
 #include "serve/service_metrics.hpp"
 
 namespace flstore::obs {
 
 struct SloConfig {
-  /// Per-class end-to-end latency objective in seconds (P1..P4). Defaults
-  /// mirror serve::SchedulerConfig::slo_s.
-  std::array<double, fed::kPolicyClassCount> objective_latency_s{1.0, 120.0,
-                                                                 30.0, 5.0};
+  /// Per-class end-to-end latency objective in seconds (P1..P4).
+  std::array<double, fed::kPolicyClassCount> objective_latency_s =
+      serve::kClassSloS;
   /// Fraction of requests that must meet their objective (the SLO itself).
   double good_fraction = 0.999;
   /// Rolling windows to report (seconds of simulated time). The largest

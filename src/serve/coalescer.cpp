@@ -4,9 +4,19 @@
 
 namespace flstore::serve {
 
-core::ColdFetchInterceptor::Fetched Coalescer::fetch(
-    const std::string& object_name, backend::StorageBackend& cold,
-    double now) {
+namespace {
+
+/// Scan trigger, not a hard cap: once the window table exceeds this, each
+/// new lead prunes every *expired* window. Live windows are never dropped
+/// (dropping one would turn joinable misses into duplicate fetches), so the
+/// table can exceed this while that many transfers genuinely overlap.
+constexpr std::size_t kMaxTracked = 4096;
+
+}  // namespace
+
+backend::GetResult Coalescer::fetch(const std::string& object_name,
+                                    backend::StorageBackend& cold,
+                                    double now) {
   // mu_ guards only the window table and stats — never the backend fetch or
   // the tracer (which takes its own mutex per span). Holding it across both
   // used to serialize every cold miss of a tenant behind whichever transfer
@@ -57,12 +67,12 @@ core::ColdFetchInterceptor::Fetched Coalescer::fetch(
   if (!got.found) {
     // Misses pay the control-plane round trip but open no window (the
     // object may appear any moment via ingest backup).
-    return {false, nullptr, 0, got.latency_s, got.request_fee_usd};
+    return got;
   }
   {
     const MutexLock lock(mu_);
     ++stats_.leads;
-    if (inflight_.size() >= config_.max_tracked) {
+    if (inflight_.size() >= kMaxTracked) {
       // Prune windows that ended before this fetch began; simulated clocks
       // across shards stay close, so expired-for-us is expired-for-all in
       // practice (a late joiner would lead a fresh fetch, which is correct,
@@ -75,8 +85,7 @@ core::ColdFetchInterceptor::Fetched Coalescer::fetch(
         InFlight{now,      now + got.latency_s,     got.blob,
                  got.logical_bytes, got.request_fee_usd, got.latency_s};
   }
-  return {true, got.blob, got.logical_bytes, got.latency_s,
-          got.request_fee_usd};
+  return got;
 }
 
 void Coalescer::reset() {

@@ -34,15 +34,6 @@ namespace flstore::serve {
 
 class Coalescer final : public core::ColdFetchInterceptor {
  public:
-  struct Config {
-    /// Scan trigger, not a hard cap: once the table exceeds this, each new
-    /// lead prunes every *expired* window. Live windows are never dropped
-    /// (dropping one would turn joinable misses into duplicate fetches),
-    /// so the table can exceed this while that many transfers genuinely
-    /// overlap.
-    std::size_t max_tracked = 4096;
-  };
-
   struct Stats {
     std::uint64_t leads = 0;         ///< fetches actually issued
     std::uint64_t joins = 0;         ///< misses served by an in-flight fetch
@@ -50,14 +41,11 @@ class Coalescer final : public core::ColdFetchInterceptor {
     double wait_saved_s = 0.0;       ///< latency the joins did not wait
   };
 
-  Coalescer() = default;
-  explicit Coalescer(Config config) : config_(config) {}
-
   /// ColdFetchInterceptor: resolve `object_name` at simulated time `now`,
   /// joining an in-flight fetch when one covers `now`.
-  [[nodiscard]] core::ColdFetchInterceptor::Fetched fetch(
-      const std::string& object_name, backend::StorageBackend& cold,
-      double now) override EXCLUDES(mu_);
+  [[nodiscard]] backend::GetResult fetch(const std::string& object_name,
+                                         backend::StorageBackend& cold,
+                                         double now) override EXCLUDES(mu_);
 
   [[nodiscard]] Stats stats() const EXCLUDES(mu_) {
     const MutexLock lock(mu_);
@@ -84,7 +72,6 @@ class Coalescer final : public core::ColdFetchInterceptor {
     double latency_s = 0.0;    ///< the leader's full transfer time
   };
 
-  Config config_;
   /// Set-once wiring (add_tenant, before any traffic); unguarded by design.
   obs::Tracer* tracer_ = nullptr;
   mutable Mutex mu_;

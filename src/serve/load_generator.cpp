@@ -237,20 +237,11 @@ std::size_t trace_reserve_hint(double offered_qps,
              : kMaxReserve;
 }
 
-std::vector<ServiceRequest> open_loop_trace(const OpenLoopConfig& config,
+std::vector<ServiceRequest> open_loop_trace(const StreamConfig& config,
                                             const std::vector<TenantMix>& mix) {
-  FLSTORE_CHECK(config.offered_qps > 0.0);
-  FLSTORE_CHECK(config.duration_s > 0.0);
-
-  StreamConfig stream_cfg;
-  stream_cfg.rate.base_qps = config.offered_qps;
-  stream_cfg.duration_s = config.duration_s;
-  stream_cfg.round_interval_s = config.round_interval_s;
-  stream_cfg.seed = config.seed;
-  ArrivalStream stream(stream_cfg, mix);
-
+  ArrivalStream stream(config, mix);
   std::vector<ServiceRequest> out;
-  out.reserve(trace_reserve_hint(config.offered_qps, config.duration_s));
+  out.reserve(trace_reserve_hint(config.rate.peak_qps(), config.duration_s));
   while (auto req = stream.next()) out.push_back(std::move(*req));
   return out;
 }

@@ -15,9 +15,8 @@
 //    are synthesized without per-client state (rejection-inversion Zipf
 //    over client ranks, device classes with availability windows).
 //  * open_loop_trace materializes a bounded stream into a vector for the
-//    callers that replay or window a trace; for the constant-rate,
-//    no-population config it is bit-identical to what the stream yields
-//    (regression-tested).
+//    callers that replay or window a trace; it is bit-identical to what the
+//    stream yields (regression-tested).
 #pragma once
 
 #include <cstdint>
@@ -172,13 +171,6 @@ class ArrivalStream {
   double last_arrival_s_ = 0.0;
 };
 
-struct OpenLoopConfig {
-  double offered_qps = 1.0;
-  double duration_s = 3600.0;
-  double round_interval_s = 180.0;  ///< training pace behind the requests
-  std::uint64_t seed = 99;
-};
-
 /// Index into a cumulative weight vector for a draw u in [0, total): the
 /// first slot whose cumulative weight strictly exceeds u, clamped to the
 /// last slot so a draw that rounds to exactly the total cannot fall out of
@@ -195,14 +187,14 @@ struct OpenLoopConfig {
 [[nodiscard]] std::size_t trace_reserve_hint(double offered_qps,
                                              double duration_s) noexcept;
 
-/// Poisson arrivals at `offered_qps` over the tenant mix, sorted by arrival
-/// time with globally unique ids. Deterministic in (config, mix).
+/// The arrivals of `config` over the tenant mix, sorted by arrival time
+/// with globally unique ids. Deterministic in (config, mix).
 ///
 /// Materializes an ArrivalStream, so it is byte-for-byte the streamed
-/// sequence; the reserve hint is clamped (the expected count can be huge or
-/// overflow a size_t for large sweeps — those should consume the stream
-/// directly instead of materializing).
+/// sequence; the reserve hint (from the peak rate) is clamped (the expected
+/// count can be huge or overflow a size_t for large sweeps — those should
+/// consume the stream directly instead of materializing).
 [[nodiscard]] std::vector<ServiceRequest> open_loop_trace(
-    const OpenLoopConfig& config, const std::vector<TenantMix>& mix);
+    const StreamConfig& config, const std::vector<TenantMix>& mix);
 
 }  // namespace flstore::serve

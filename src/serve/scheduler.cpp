@@ -6,19 +6,6 @@
 
 namespace flstore::serve {
 
-namespace {
-
-/// kStatic dispatch order: latency-critical inference first, near-free
-/// metadata lookups next, client tracks, then the batch analytics scans.
-constexpr std::array<std::size_t, fed::kPolicyClassCount> kStaticOrder = {
-    fed::class_index(fed::PolicyClass::kP1),
-    fed::class_index(fed::PolicyClass::kP4),
-    fed::class_index(fed::PolicyClass::kP3),
-    fed::class_index(fed::PolicyClass::kP2),
-};
-
-}  // namespace
-
 RequestScheduler::RequestScheduler(SchedulerConfig config) : config_(config) {}
 
 bool RequestScheduler::admit(const fed::NonTrainingRequest& req, double now) {
@@ -39,66 +26,26 @@ bool RequestScheduler::admit(const fed::NonTrainingRequest& req, double now) {
   return true;
 }
 
-std::size_t RequestScheduler::pick_class(double now) const {
+std::size_t RequestScheduler::pick_class() const {
   constexpr auto kNone = static_cast<std::size_t>(-1);
-  switch (config_.policy) {
-    case SchedPolicy::kFifo: {
-      std::size_t best = kNone;
-      std::uint64_t best_seq = 0;
-      for (std::size_t c = 0; c < queues_.size(); ++c) {
-        if (queues_[c].empty()) continue;
-        if (best == kNone || queues_[c].front().seq < best_seq) {
-          best = c;
-          best_seq = queues_[c].front().seq;
-        }
-      }
-      return best;
-    }
-    case SchedPolicy::kStatic: {
-      if (config_.aging_s > 0.0) {
-        // Starvation guard: the longest-overdue head (by wait) wins.
-        std::size_t aged = kNone;
-        double worst_wait = config_.aging_s;
-        for (std::size_t c = 0; c < queues_.size(); ++c) {
-          if (queues_[c].empty()) continue;
-          const double wait = now - queues_[c].front().enqueued_s;
-          if (wait > worst_wait ||
-              (aged != kNone && wait == worst_wait &&
-               queues_[c].front().seq < queues_[aged].front().seq)) {
-            aged = c;
-            worst_wait = wait;
-          }
-        }
-        if (aged != kNone) return aged;
-      }
-      for (const auto c : kStaticOrder) {
-        if (!queues_[c].empty()) return c;
-      }
-      return kNone;
-    }
-    case SchedPolicy::kSlo: {
-      std::size_t best = kNone;
-      double best_deadline = 0.0;
-      for (std::size_t c = 0; c < queues_.size(); ++c) {
-        if (queues_[c].empty()) continue;
-        const auto& head = queues_[c].front();
-        const double deadline = head.enqueued_s + config_.slo_s[c];
-        if (best == kNone || deadline < best_deadline ||
-            (deadline == best_deadline &&
-             head.seq < queues_[best].front().seq)) {
-          best = c;
-          best_deadline = deadline;
-        }
-      }
-      return best;
+  std::size_t best = kNone;
+  double best_deadline = 0.0;
+  for (std::size_t c = 0; c < queues_.size(); ++c) {
+    if (queues_[c].empty()) continue;
+    const auto& head = queues_[c].front();
+    const double deadline = head.enqueued_s + kClassSloS[c];
+    if (best == kNone || deadline < best_deadline ||
+        (deadline == best_deadline && head.seq < queues_[best].front().seq)) {
+      best = c;
+      best_deadline = deadline;
     }
   }
-  return kNone;
+  return best;
 }
 
-fed::NonTrainingRequest RequestScheduler::pop(double now) {
+fed::NonTrainingRequest RequestScheduler::pop() {
   FLSTORE_CHECK(queued_ > 0);
-  const auto c = pick_class(now);
+  const auto c = pick_class();
   FLSTORE_CHECK(c < queues_.size());
   auto req = queues_[c].front().request;
   queues_[c].pop_front();

@@ -1,18 +1,14 @@
 // Per-shard request scheduler: one FIFO queue per Table-1 workload class
-// (P1–P4) with admission control and an SLO-aware dispatch policy.
+// (P1–P4) with admission control and earliest-deadline-first dispatch.
 //
 // The paper serves every request immediately on an idle function; under
 // offered load beyond a shard's capacity, *which* request runs next decides
 // whether latency-critical P1 inference hides behind minute-long P2
-// analytics scans. Three policies:
-//
-//  * kFifo    — global arrival order, class-blind (the baseline).
-//  * kStatic  — strict class priority P1 > P4 > P3 > P2 with an aging guard
-//               so a starved batch request eventually runs.
-//  * kSlo     — earliest-deadline-first over per-class SLO targets. A fresh
-//               P1 (deadline now+1s) beats a fresh P2 (deadline now+120s),
-//               but an old P2 whose deadline has passed wins over new
-//               arrivals — starvation-freedom falls out of the math.
+// analytics scans. Each class has a latency SLO target (kClassSloS), and a
+// request's deadline is its arrival plus its class's target. A fresh P1
+// (deadline now+1s) beats a fresh P2 (deadline now+120s), but an old P2
+// whose deadline has passed wins over new arrivals — starvation-freedom
+// falls out of the math. Equal deadlines go to the earlier arrival.
 //
 // Single-threaded by design: each shard owns one scheduler and drives it
 // from its discrete-event loop, so dispatch decisions depend only on
@@ -27,29 +23,17 @@
 
 namespace flstore::serve {
 
-enum class SchedPolicy : std::uint8_t { kFifo, kStatic, kSlo };
-
-[[nodiscard]] constexpr const char* to_string(SchedPolicy p) noexcept {
-  switch (p) {
-    case SchedPolicy::kFifo: return "fifo";
-    case SchedPolicy::kStatic: return "static-priority";
-    case SchedPolicy::kSlo: return "slo-edf";
-  }
-  return "?";
-}
+/// Per-class latency SLO targets in seconds (P1..P4): the scheduler's
+/// dispatch deadlines (arrival + target) and obs::SloConfig's default
+/// objectives. Inference goes ahead of batch work.
+inline constexpr std::array<double, fed::kPolicyClassCount> kClassSloS = {
+    1.0, 120.0, 30.0, 5.0};
 
 struct SchedulerConfig {
-  SchedPolicy policy = SchedPolicy::kSlo;
   /// Admission control: max queued requests per class; 0 = unbounded.
   /// A full class queue rejects new arrivals (load shedding) instead of
   /// letting the backlog grow without bound.
   std::size_t class_queue_limit = 1024;
-  /// Per-class latency SLO targets in seconds (P1..P4). kSlo dispatches by
-  /// arrival + slo_s[class]; defaults order inference ahead of batch work.
-  std::array<double, fed::kPolicyClassCount> slo_s = {1.0, 120.0, 30.0, 5.0};
-  /// kStatic aging guard: a head-of-line request that has waited longer
-  /// than this is served before any higher class. 0 disables.
-  double aging_s = 60.0;
 };
 
 class RequestScheduler {
@@ -60,8 +44,8 @@ class RequestScheduler {
   /// request's class queue is at its limit.
   bool admit(const fed::NonTrainingRequest& req, double now);
 
-  /// Pop the request to dispatch at simulated time `now`. Requires !empty().
-  [[nodiscard]] fed::NonTrainingRequest pop(double now);
+  /// Pop the request with the earliest deadline. Requires !empty().
+  [[nodiscard]] fed::NonTrainingRequest pop();
 
   [[nodiscard]] bool empty() const noexcept { return queued_ == 0; }
   [[nodiscard]] std::size_t queued() const noexcept { return queued_; }
@@ -92,10 +76,10 @@ class RequestScheduler {
   struct Entry {
     fed::NonTrainingRequest request;
     double enqueued_s = 0.0;
-    std::uint64_t seq = 0;  ///< global arrival order (kFifo, tie-breaks)
+    std::uint64_t seq = 0;  ///< global arrival order (deadline tie-breaks)
   };
 
-  [[nodiscard]] std::size_t pick_class(double now) const;
+  [[nodiscard]] std::size_t pick_class() const;
 
   SchedulerConfig config_;
   std::array<std::deque<Entry>, fed::kPolicyClassCount> queues_;

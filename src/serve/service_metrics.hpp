@@ -15,6 +15,7 @@
 #include "common/stats.hpp"
 #include "fed/request.hpp"
 #include "serve/coalescer.hpp"
+#include "serve/scheduler.hpp"
 
 namespace flstore::serve {
 
@@ -42,23 +43,17 @@ struct ServiceRecord {
   }
 };
 
-/// One class's scheduler ledger aggregated over a run: admitted/rejected
-/// sum across every shard's RequestScheduler; peak_queued is the worst
-/// backlog any single shard's class queue held (queues are per shard, so a
-/// sum of peaks would describe no queue that ever existed).
-struct SchedClassStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::size_t peak_queued = 0;
-};
-
 struct ServiceReport {
   std::vector<ServiceRecord> records;  ///< arrival order (rejected included)
   Coalescer::Stats coalescer;
   /// Per-class scheduler admission/backlog ledger (queued modes only;
   /// replay() bypasses the schedulers and leaves this zero). Indexed by
-  /// fed::class_index.
-  std::array<SchedClassStats, fed::kPolicyClassCount> scheduler{};
+  /// fed::class_index. admitted/rejected sum across every shard's
+  /// RequestScheduler; peak_queued is the worst backlog any single shard's
+  /// class queue held (queues are per shard, so a sum of peaks would
+  /// describe no queue that ever existed).
+  std::array<RequestScheduler::ClassStats, fed::kPolicyClassCount>
+      scheduler{};
 
   [[nodiscard]] std::uint64_t completed() const;
   [[nodiscard]] std::uint64_t rejected() const;

@@ -48,6 +48,15 @@ struct EventAfter {
 
 using EventHeap = std::priority_queue<Event, std::vector<Event>, EventAfter>;
 
+/// Fold one scheduler ledger into a total: admissions and rejections sum,
+/// queue peaks take the max (each shard is its own single-server queue).
+void fold(RequestScheduler::ClassStats& total,
+          const RequestScheduler::ClassStats& s) {
+  total.admitted += s.admitted;
+  total.rejected += s.rejected;
+  total.peak_queued = std::max(total.peak_queued, s.peak_queued);
+}
+
 }  // namespace
 
 ShardedStore::ShardedStore(backend::StorageBackend& cold,
@@ -155,7 +164,7 @@ void ShardedStore::run_tenant(
     const std::vector<ServiceRequest>& arrivals, double horizon_s,
     double round_interval_s, RoundId first_round, const StreamSpec* stream,
     std::vector<ServiceRecord>& out,
-    std::array<SchedClassStats, fed::kPolicyClassCount>& sched_out) {
+    decltype(ServiceReport::scheduler)& sched_out) {
   FLSTORE_CHECK(round_interval_s > 0.0);
   const auto n_local = tenant.shards.size();
 
@@ -275,7 +284,7 @@ void ShardedStore::run_tenant(
   const auto dispatch = [&](std::size_t local, double when) {
     if (mode != Mode::kQueued) return;
     if (busy[local] > when || scheds[local].empty()) return;
-    const auto req = scheds[local].pop(when);
+    const auto req = scheds[local].pop();
     const auto res = serve_on(local, req, when);
     busy[local] = when + res.comm_s + res.comp_s;
     Event done;
@@ -333,15 +342,10 @@ void ShardedStore::run_tenant(
   }
 
   // Fold the schedulers' per-class admission ledgers into the tenant's
-  // slot: counts sum across this tenant's shards, queue peaks take the max
-  // (each shard is its own single-server queue).
+  // slot.
   for (const auto& sched : scheds) {
     for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
-      const auto& s = sched.class_stats(static_cast<fed::PolicyClass>(c));
-      sched_out[c].admitted += s.admitted;
-      sched_out[c].rejected += s.rejected;
-      sched_out[c].peak_queued = std::max(sched_out[c].peak_queued,
-                                          s.peak_queued);
+      fold(sched_out[c], sched.class_stats(static_cast<fed::PolicyClass>(c)));
     }
   }
 }
@@ -361,8 +365,7 @@ ServiceReport ShardedStore::run_all_tenants(
   const auto coalescer_before = coalescer_stats();
 
   std::vector<std::vector<ServiceRecord>> results(tenants_.size());
-  std::vector<std::array<SchedClassStats, fed::kPolicyClassCount>> sched_stats(
-      tenants_.size());
+  std::vector<decltype(ServiceReport::scheduler)> sched_stats(tenants_.size());
   std::vector<std::exception_ptr> errors(tenants_.size());
   ThreadPool pool(config_.worker_threads);
   std::vector<std::function<void()>> tasks;
@@ -390,10 +393,7 @@ ServiceReport ShardedStore::run_all_tenants(
   }
   for (const auto& per_class : sched_stats) {
     for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
-      report.scheduler[c].admitted += per_class[c].admitted;
-      report.scheduler[c].rejected += per_class[c].rejected;
-      report.scheduler[c].peak_queued = std::max(
-          report.scheduler[c].peak_queued, per_class[c].peak_queued);
+      fold(report.scheduler[c], per_class[c]);
     }
   }
   // Canonical order, independent of tenant task interleaving.

@@ -178,9 +178,8 @@ class ShardedStore {
   /// (deterministic) stream and keeps only its own arrivals — at most one
   /// pending arrival event per tenant at any instant — which partitions the
   /// shared sequence exactly as an up-front split of the materialized trace
-  /// would: for a constant-rate, no-population config the report is
-  /// bit-identical to serve_open_loop_window over open_loop_trace(...) as
-  /// one window (regression-tested).
+  /// would: the report is bit-identical to serve_open_loop_window over
+  /// open_loop_trace(config, mix) as one window (regression-tested).
   ServiceReport serve_open_loop_stream(const StreamConfig& config,
                                        const std::vector<TenantMix>& mix);
 
@@ -202,8 +201,8 @@ class ShardedStore {
   // quiescent (no run in flight). Each takes effect on the next window.
 
   /// Replace the per-shard scheduler configuration used by subsequent
-  /// queued runs (admission limits, SLOs, aging). The controller's
-  /// admission-tightening knob.
+  /// queued runs (admission limits). The controller's admission-tightening
+  /// knob.
   void set_scheduler_config(const SchedulerConfig& config) {
     config_.scheduler = config;
   }
@@ -366,8 +365,7 @@ class ShardedStore {
                   double horizon_s, double round_interval_s,
                   RoundId first_round, const StreamSpec* stream,
                   std::vector<ServiceRecord>& out,
-                  std::array<SchedClassStats, fed::kPolicyClassCount>&
-                      sched_out);
+                  decltype(ServiceReport::scheduler)& sched_out);
 
   ServiceReport run_all_tenants(Mode mode,
                                 const std::vector<ServiceRequest>& trace,

@@ -342,7 +342,7 @@ TEST_F(FLStorePlumb, ScheduledPolicyDrainsFromTheIngestCadence) {
   const auto round0 = tiered.dirty_count();
   EXPECT_GT(round0, 0U);
 
-  // The third ingest's BackupWriter batch observes the scheduler: round
+  // The third ingest's backup put_batch observes the scheduler: round
   // 0/1 objects are past their 200 s deadline and drain (stamped at the
   // deadline); round 2's own objects stay dirty.
   fl.ingest_round(job.make_round(2), 360.0);

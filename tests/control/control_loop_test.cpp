@@ -65,8 +65,8 @@ struct ControlledPlane {
 
 std::vector<ServiceRequest> trace_at(const ControlledPlane& plane, double qps,
                                      double duration) {
-  serve::OpenLoopConfig cfg;
-  cfg.offered_qps = qps;
+  serve::StreamConfig cfg;
+  cfg.rate.base_qps = qps;
   cfg.duration_s = duration;
   cfg.round_interval_s = 60.0;
   cfg.seed = 7;

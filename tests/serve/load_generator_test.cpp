@@ -127,18 +127,13 @@ TEST(ArrivalStream, ConstantRateStreamMatchesMaterializedTrace) {
   // The legacy constant-rate, no-population config: the streamed sequence
   // must be byte-for-byte what open_loop_trace materializes.
   const Jobs jobs(3);
-  OpenLoopConfig legacy;
-  legacy.offered_qps = 2.0;
-  legacy.duration_s = 900.0;
-  legacy.round_interval_s = 30.0;
-  legacy.seed = 7;
-  const auto materialized = open_loop_trace(legacy, jobs.mix());
-
   StreamConfig cfg;
-  cfg.rate.base_qps = legacy.offered_qps;
-  cfg.duration_s = legacy.duration_s;
-  cfg.round_interval_s = legacy.round_interval_s;
-  cfg.seed = legacy.seed;
+  cfg.rate.base_qps = 2.0;
+  cfg.duration_s = 900.0;
+  cfg.round_interval_s = 30.0;
+  cfg.seed = 7;
+  const auto materialized = open_loop_trace(cfg, jobs.mix());
+
   ArrivalStream stream(cfg, jobs.mix());
   const auto streamed = drain(stream);
 

@@ -1,5 +1,5 @@
-// RequestScheduler: class priorities, FIFO-within-class, admission control,
-// and the SLO-aware (EDF) promotion of latency-critical work.
+// RequestScheduler: earliest-deadline-first dispatch over the per-class SLO
+// targets, FIFO-within-class, admission control, and starvation-freedom.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -19,50 +19,34 @@ fed::NonTrainingRequest request(RequestId id, fed::WorkloadType type,
   return req;
 }
 
-SchedulerConfig config(SchedPolicy policy) {
-  SchedulerConfig cfg;
-  cfg.policy = policy;
-  return cfg;
-}
-
 TEST(Scheduler, StaticPriorityServesP1BeforeBatchClasses) {
-  RequestScheduler sched(config(SchedPolicy::kStatic));
+  RequestScheduler sched;
   // Arrival order: P2 analytics, P3 track, P4 metadata, P1 inference.
   ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
   ASSERT_TRUE(sched.admit(request(2, fed::WorkloadType::kReputation), 0.1));
   ASSERT_TRUE(sched.admit(request(3, fed::WorkloadType::kSchedulingPerf), 0.2));
   ASSERT_TRUE(sched.admit(request(4, fed::WorkloadType::kInference), 0.3));
-  // Dispatch order: P1 > P4 > P3 > P2.
-  EXPECT_EQ(sched.pop(1.0).id, 4U);
-  EXPECT_EQ(sched.pop(1.0).id, 3U);
-  EXPECT_EQ(sched.pop(1.0).id, 2U);
-  EXPECT_EQ(sched.pop(1.0).id, 1U);
+  // Dispatch order by deadline (arrival + 1/5/30/120 s): P1 > P4 > P3 > P2.
+  EXPECT_EQ(sched.pop().id, 4U);
+  EXPECT_EQ(sched.pop().id, 3U);
+  EXPECT_EQ(sched.pop().id, 2U);
+  EXPECT_EQ(sched.pop().id, 1U);
   EXPECT_TRUE(sched.empty());
 }
 
 TEST(Scheduler, FifoWithinClass) {
-  RequestScheduler sched(config(SchedPolicy::kStatic));
+  RequestScheduler sched;
   for (RequestId id = 1; id <= 5; ++id) {
     ASSERT_TRUE(sched.admit(
         request(id, fed::WorkloadType::kClustering, 0.1 * double(id)), 0.1 * double(id)));
   }
   for (RequestId id = 1; id <= 5; ++id) {
-    EXPECT_EQ(sched.pop(1.0).id, id);
+    EXPECT_EQ(sched.pop().id, id);
   }
 }
 
-TEST(Scheduler, FifoPolicyIsClassBlind) {
-  RequestScheduler sched(config(SchedPolicy::kFifo));
-  ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
-  ASSERT_TRUE(sched.admit(request(2, fed::WorkloadType::kInference), 0.1));
-  ASSERT_TRUE(sched.admit(request(3, fed::WorkloadType::kClustering), 0.2));
-  EXPECT_EQ(sched.pop(1.0).id, 1U);
-  EXPECT_EQ(sched.pop(1.0).id, 2U);
-  EXPECT_EQ(sched.pop(1.0).id, 3U);
-}
-
 TEST(Scheduler, AdmissionControlRejectsWhenClassQueueFull) {
-  auto cfg = config(SchedPolicy::kStatic);
+  SchedulerConfig cfg;
   cfg.class_queue_limit = 2;
   RequestScheduler sched(cfg);
   EXPECT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
@@ -77,40 +61,40 @@ TEST(Scheduler, AdmissionControlRejectsWhenClassQueueFull) {
 }
 
 TEST(Scheduler, SloPromotesLateArrivingP1AheadOfQueuedP2) {
-  RequestScheduler sched(config(SchedPolicy::kSlo));
+  RequestScheduler sched;
   // P2 has been queued since t=0 (deadline 0+120); P1 arrives at t=2
   // (deadline 2+1=3) and must still go first.
   ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
   ASSERT_TRUE(sched.admit(request(2, fed::WorkloadType::kInference), 2.0));
-  EXPECT_EQ(sched.pop(2.0).id, 2U);
-  EXPECT_EQ(sched.pop(2.0).id, 1U);
+  EXPECT_EQ(sched.pop().id, 2U);
+  EXPECT_EQ(sched.pop().id, 1U);
 }
 
 TEST(Scheduler, SloEventuallyServesOverdueBatchWork) {
-  RequestScheduler sched(config(SchedPolicy::kSlo));
+  RequestScheduler sched;
   // P2 queued at t=0: deadline 120. A P1 arriving at t=130 has deadline
   // 131 > 120, so the overdue batch request finally wins — EDF is
   // starvation-free without a separate aging knob.
   ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
   ASSERT_TRUE(sched.admit(request(2, fed::WorkloadType::kInference), 130.0));
-  EXPECT_EQ(sched.pop(130.0).id, 1U);
-  EXPECT_EQ(sched.pop(130.0).id, 2U);
+  EXPECT_EQ(sched.pop().id, 1U);
+  EXPECT_EQ(sched.pop().id, 2U);
 }
 
-TEST(Scheduler, StaticAgingGuardPreventsStarvation) {
-  auto cfg = config(SchedPolicy::kStatic);
-  cfg.aging_s = 10.0;
-  RequestScheduler sched(cfg);
-  ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kClustering), 0.0));
-  ASSERT_TRUE(sched.admit(request(2, fed::WorkloadType::kInference), 11.0));
-  // The P2 head has waited 11 s > aging_s, so it beats the fresh P1.
-  EXPECT_EQ(sched.pop(11.0).id, 1U);
-  EXPECT_EQ(sched.pop(11.0).id, 2U);
+TEST(Scheduler, EqualDeadlinesServeEarlierArrivalFirst) {
+  RequestScheduler sched;
+  // P3 at t=0 (deadline 0+30) and P4 at t=25 (deadline 25+5) tie at 30;
+  // the earlier arrival wins the tie.
+  ASSERT_TRUE(sched.admit(request(1, fed::WorkloadType::kReputation), 0.0));
+  ASSERT_TRUE(
+      sched.admit(request(2, fed::WorkloadType::kSchedulingPerf, 25.0), 25.0));
+  EXPECT_EQ(sched.pop().id, 1U);
+  EXPECT_EQ(sched.pop().id, 2U);
 }
 
 TEST(Scheduler, PopOnEmptyThrows) {
   RequestScheduler sched;
-  EXPECT_THROW((void)sched.pop(0.0), InternalError);
+  EXPECT_THROW((void)sched.pop(), InternalError);
 }
 
 }  // namespace

@@ -54,9 +54,9 @@ struct Plane {
   std::unique_ptr<ShardedStore> store;
 };
 
-OpenLoopConfig open_loop(double qps, double duration) {
-  OpenLoopConfig cfg;
-  cfg.offered_qps = qps;
+StreamConfig open_loop(double qps, double duration) {
+  StreamConfig cfg;
+  cfg.rate.base_qps = qps;
   cfg.duration_s = duration;
   cfg.round_interval_s = 30.0;
   cfg.seed = 7;
@@ -133,16 +133,30 @@ TEST(ShardedStore, StreamedServingMatchesMaterializedOpenLoop) {
   Plane materialized(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
   Plane streamed(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
 
-  const auto legacy = open_loop(0.5, 400.0);
-  const auto trace = open_loop_trace(legacy, materialized.mix());
+  const auto cfg = open_loop(0.5, 400.0);
+  const auto trace = open_loop_trace(cfg, materialized.mix());
   ASSERT_GT(trace.size(), 100U);
   const auto a = serve_queued(*materialized.store, trace);
+  const auto b = streamed.store->serve_open_loop_stream(cfg, streamed.mix());
 
-  StreamConfig cfg;
-  cfg.rate.base_qps = legacy.offered_qps;
-  cfg.duration_s = legacy.duration_s;
-  cfg.round_interval_s = legacy.round_interval_s;
-  cfg.seed = legacy.seed;
+  ASSERT_EQ(a.records.size(), trace.size());
+  expect_identical(a, b);
+}
+
+// The same equivalence for a shaped stream: thinning under a 4x surge and a
+// diurnal swing, with arrivals drawn from a client population.
+TEST(ShardedStore, StreamedServingMatchesMaterializedSurge) {
+  Plane materialized(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
+  Plane streamed(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
+
+  auto cfg = open_loop(0.4, 600.0);
+  cfg.rate.diurnal_amplitude = 0.5;
+  cfg.rate.diurnal_period_s = 300.0;
+  cfg.rate.surges.push_back(RateProfile::Surge{200.0, 320.0, 4.0});
+  cfg.population.clients = 5000;
+  const auto trace = open_loop_trace(cfg, materialized.mix());
+  ASSERT_GT(trace.size(), 100U);
+  const auto a = serve_queued(*materialized.store, trace);
   const auto b = streamed.store->serve_open_loop_stream(cfg, streamed.mix());
 
   ASSERT_EQ(a.records.size(), trace.size());
