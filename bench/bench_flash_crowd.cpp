@@ -9,14 +9,14 @@
 //   static-base  1 shard forever (what the tenant provisioned)
 //   static-peak  4 shards forever (provision for the crowd, pay all day)
 //   closed-loop  1 shard + Controller: SLO burn drives scale-out toward
-//                the sizing oracle during the crowd, calm ticks walk the
-//                fleet back down after
+//                the fleet the load needs during the crowd, calm ticks
+//                walk the fleet back down after
 //
 // The economics under test are FLStore's: serving capacity billed per
 // warm-shard-hour means the static-peak arm buys crowd-grade tail latency
 // by idling 4 shards through the 80% of the horizon that is trickle. The
 // closed loop should absorb the crowd within a few rounds of its onset
-// (queueing collapses once the fleet reaches the oracle target) and then
+// (queueing collapses once the fleet reaches the planned size) and then
 // shed the extra shards, ending the run at trickle-sized idle cost.
 //
 // Verdicts (also in the JSON): the loop scales out during the crowd and
@@ -210,9 +210,7 @@ int main(int argc, char** argv) {
   ctl_cfg.scale_cooldown_ticks = 0;
   ctl_cfg.scale_in_quiet_ticks = 2;
   ctl_cfg.max_shards = kPeakShards;
-  control::PlannerSizingOracle oracle(
-      control::PlannerSizingOracle::Config{0.7, kPeakShards});
-  control::Controller controller(ctl_cfg, oracle);
+  control::Controller controller(ctl_cfg);
   const auto loop = run_arm(loop_arm, trace, &controller);
 
   struct Row {

@@ -19,9 +19,19 @@ int main(int argc, char** argv) {
   sim::Scenario sc(cfg);
   const auto trace = sc.trace();
 
+  // Each variant is its own deployment over its own bucket.
   struct Variant {
     std::string label;
+    std::unique_ptr<backend::StorageBackend> cold;
     std::unique_ptr<core::FLStore> store;
+  };
+  const auto variant = [&sc](std::string label, core::PolicyMode mode,
+                             units::Bytes cache_capacity = 0) {
+    Variant v{std::move(label),
+              sc.make_cold_backend(backend::BackendKind::kObjectStore),
+              nullptr};
+    v.store = sc.make_flstore_over(*v.cold, mode, cache_capacity);
+    return v;
   };
   // FLStore's tailored working set: two rounds of updates + aggregates +
   // metadata windows, plus headroom for in-flight prefetches (the measured
@@ -33,19 +43,15 @@ int main(int argc, char** argv) {
   // Traditional variants get the same capacity FLStore's tailored policies
   // actually use; FLStore-limited gets half of it (§5.4).
   std::vector<Variant> variants;
-  variants.push_back({"FLStore-LRU",
-                      sc.make_flstore_variant(core::PolicyMode::kLru,
-                                              working_set)});
-  variants.push_back({"FLStore-FIFO",
-                      sc.make_flstore_variant(core::PolicyMode::kFifo,
-                                              working_set)});
-  variants.push_back({"FLStore-Random",
-                      sc.make_flstore_variant(core::PolicyMode::kTailoredRandom)});
-  variants.push_back({"FLStore-limited",
-                      sc.make_flstore_variant(core::PolicyMode::kTailored,
-                                              working_set / 2)});
-  variants.push_back({"FLStore",
-                      sc.make_flstore_variant(core::PolicyMode::kTailored)});
+  variants.push_back(
+      variant("FLStore-LRU", core::PolicyMode::kLru, working_set));
+  variants.push_back(
+      variant("FLStore-FIFO", core::PolicyMode::kFifo, working_set));
+  variants.push_back(
+      variant("FLStore-Random", core::PolicyMode::kTailoredRandom));
+  variants.push_back(variant("FLStore-limited", core::PolicyMode::kTailored,
+                             working_set / 2));
+  variants.push_back(variant("FLStore", core::PolicyMode::kTailored));
 
   std::map<std::string, std::map<fed::WorkloadType, sim::WorkloadStats>> all;
   for (auto& v : variants) {
@@ -53,6 +59,9 @@ int main(int argc, char** argv) {
                                     cfg.round_interval_s);
     all[v.label] = sim::by_workload(run);
   }
+  const auto mean_latency = [&](const char* label, fed::WorkloadType type) {
+    return all[label].at(type).latency.mean();
+  };
 
   Table lat({"application", "LRU (s)", "FIFO (s)", "Random (s)",
              "limited (s)", "FLStore (s)"});
@@ -60,7 +69,7 @@ int main(int argc, char** argv) {
               "limited ($)", "FLStore ($)"});
   for (const auto type : fed::paper_workloads()) {
     auto cell_lat = [&](const char* label) {
-      return fmt(all[label].at(type).latency.mean(), 2);
+      return fmt(mean_latency(label, type), 2);
     };
     auto cell_cost = [&](const char* label) {
       return fmt_usd(all[label].at(type).cost.mean());
@@ -76,17 +85,57 @@ int main(int argc, char** argv) {
   std::printf("\nPer-request cost:\n%s", cost.to_string().c_str());
 
   const auto dbg = fed::WorkloadType::kDebugging;
-  const double dbg_lru = all["FLStore-LRU"].at(dbg).latency.mean();
-  const double dbg_fl = all["FLStore"].at(dbg).latency.mean();
+  const double dbg_lru = mean_latency("FLStore-LRU", dbg);
+  const double dbg_fl = mean_latency("FLStore", dbg);
   std::printf("\nHeadlines (paper vs measured):\n");
   report.headline("debugging latency reduction vs traditional", 97.15,
                   percent_reduction(dbg_lru, dbg_fl), "%");
   report.headline("debugging absolute reduction", 380.0, dbg_lru - dbg_fl,
                   "s");
-  bench::note(
-      "Shape check: FLStore <= FLStore-limited << Random < LRU/FIFO on the\n"
-      "iterative workloads; even FLStore-limited beats every traditional\n"
-      "policy, as in the paper.");
+
+  // The paper's shape, one clause at a time over a named workload set. The
+  // iterative workloads are the P2 ones: each reads every client update of
+  // the newest round. "<<" means at most half; "traditional" is the better
+  // of LRU and FIFO.
+  std::vector<fed::WorkloadType> iterative;
+  for (const auto type : fed::paper_workloads()) {
+    if (fed::policy_class_for(type) == fed::PolicyClass::kP2) {
+      iterative.push_back(type);
+    }
+  }
+  const auto every = [](const std::vector<fed::WorkloadType>& set,
+                        const auto& pred) {
+    return std::all_of(set.begin(), set.end(), pred);
+  };
+  const auto clause = [&](const char* key, const char* text, bool holds) {
+    std::printf("  %-48s %s\n", text, holds ? "holds" : "VIOLATED");
+    report.add(std::string("shape/") + key, holds ? 1.0 : 0.0);
+  };
+  const auto fl = [&](fed::WorkloadType t) {
+    return mean_latency("FLStore", t);
+  };
+  const auto limited = [&](fed::WorkloadType t) {
+    return mean_latency("FLStore-limited", t);
+  };
+  const auto random = [&](fed::WorkloadType t) {
+    return mean_latency("FLStore-Random", t);
+  };
+  const auto traditional = [&](fed::WorkloadType t) {
+    return std::min(mean_latency("FLStore-LRU", t),
+                    mean_latency("FLStore-FIFO", t));
+  };
+  std::printf("\nShape check over the iterative (P2) workloads:\n");
+  clause("flstore_le_limited", "FLStore <= FLStore-limited",
+         every(iterative, [&](auto t) { return fl(t) <= limited(t); }));
+  clause("limited_much_lt_random", "FLStore-limited << Random",
+         every(iterative,
+               [&](auto t) { return limited(t) <= 0.5 * random(t); }));
+  clause("random_lt_traditional", "Random < LRU and FIFO",
+         every(iterative, [&](auto t) { return random(t) < traditional(t); }));
+  std::printf("Shape check over all ten workloads:\n");
+  clause("limited_beats_traditional", "FLStore-limited < LRU and FIFO",
+         every(fed::paper_workloads(),
+               [&](auto t) { return limited(t) < traditional(t); }));
   report.write(args);
   return 0;
 }

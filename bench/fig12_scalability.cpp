@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
       // Fresh store per cell so warm-up is identical everywhere; the runner
       // ingests training rounds on its own clock, and the burst targets the
       // round that is newest (and therefore cached) at burst time.
-      auto store = sc.make_flstore_variant(core::PolicyMode::kTailored);
+      auto cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
+      auto store = sc.make_flstore_over(*cold, core::PolicyMode::kTailored);
       constexpr double kBurstAt = 200.0;
       constexpr double kRoundInterval = 10.0;
       const auto target = static_cast<RoundId>(kBurstAt / kRoundInterval);

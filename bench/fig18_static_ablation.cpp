@@ -21,8 +21,12 @@ int main(int argc, char** argv) {
   cfg.rounds = std::max<RoundId>(cfg.rounds, 60);
   sim::Scenario sc(cfg);
 
-  auto adaptive = sc.make_flstore_variant(core::PolicyMode::kTailored);
-  auto static_store = sc.make_flstore_variant(core::PolicyMode::kTailoredStatic);
+  auto adaptive_cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
+  auto static_cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
+  auto adaptive =
+      sc.make_flstore_over(*adaptive_cold, core::PolicyMode::kTailored);
+  auto static_store =
+      sc.make_flstore_over(*static_cold, core::PolicyMode::kTailoredStatic);
 
   // Phase 1: inference era (both caches tuned for P1 work).
   RoundId round = 0;

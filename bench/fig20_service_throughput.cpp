@@ -164,12 +164,12 @@ int main(int argc, char** argv) {
     const auto report = plane.replay(co_trace, kRoundIntervalS);
     const auto stats = report.coalescer;
     co.add_row({coalesce ? "on" : "off",
-                std::to_string(cold.store().get_count()),
+                std::to_string(cold.stats().gets),
                 std::to_string(stats.joins), fmt(stats.fees_saved_usd, 6),
                 fmt(stats.wait_saved_s, 1), fmt(report.total_cost_usd(), 2),
                 fmt(report.latencies().percentile(95.0), 2)});
     (coalesce ? cost_with : cost_without) = report.total_cost_usd();
-    (coalesce ? gets_with : gets_without) = cold.store().get_count();
+    (coalesce ? gets_with : gets_without) = cold.stats().gets;
   }
   std::printf("%s", co.to_string().c_str());
 
@@ -262,8 +262,8 @@ int main(int argc, char** argv) {
   throttled_cfg.throttle.burst_ops = 2.0;
   const auto run_obs_cell =
       [&](obs::Telemetry* telemetry) -> serve::ServiceReport {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
-    backend::ObjectStoreBackend raw(cold, throttled_cfg);
+    backend::ObjectStoreBackend raw(sim::objstore_link(),
+                                    PricingCatalog::aws(), throttled_cfg);
     std::optional<obs::InstrumentedBackend> wrapped;
     if (telemetry != nullptr) {
       obs::InstrumentedBackend::Options opts;

@@ -1,21 +1,30 @@
 #include "backend/object_store_backend.hpp"
 
+#include "common/error.hpp"
+
 namespace flstore::backend {
 
-double ObjectStoreBackend::admit(double now) {
-  const MutexLock lock(mu_);
-  return admit_throttled(throttle_, stats_, now);
+void ObjectStoreBackend::store_locked(const std::string& name, Blob blob,
+                                      units::Bytes logical_bytes) {
+  auto [it, inserted] = objects_.try_emplace(name);
+  if (!inserted) {
+    FLSTORE_CHECK(stored_logical_ >= it->second.logical_bytes);
+    stored_logical_ -= it->second.logical_bytes;
+  }
+  it->second.blob = std::make_shared<const Blob>(std::move(blob));
+  it->second.logical_bytes = logical_bytes;
+  stored_logical_ += logical_bytes;
 }
 
 PutResult ObjectStoreBackend::put(const std::string& name, Blob blob,
                                   units::Bytes logical_bytes, double now) {
-  const double wait = admit(now);
   const units::Bytes logical = effective_logical(blob, logical_bytes);
-  const auto store_res = store_->put(name, std::move(blob), logical);
   PutResult res;
-  res.latency_s = wait + store_res.latency_s;
-  res.request_fee_usd = store_res.request_fee_usd;
+  res.request_fee_usd = pricing_->s3_usd_per_put;
   const MutexLock lock(mu_);
+  res.latency_s = admit_throttled(throttle_, stats_, now) +
+                  link_.transfer_time(logical);
+  store_locked(name, std::move(blob), logical);
   ++stats_.puts;
   stats_.bytes_written += logical;
   stats_.fees_usd += res.request_fee_usd;
@@ -27,21 +36,20 @@ BatchPutResult ObjectStoreBackend::put_batch(std::vector<PutRequest> batch,
   // One admission and one streamed transfer for the whole batch: the
   // per-object first-byte cost collapses to a single setup, which is what
   // batching buys. S3 semantics keep the per-PUT request fee per object.
-  const double wait = admit(now);
   BatchPutResult res;
-  res.latency_s = wait;
-  res.accepted.assign(batch.size(), true);  // the store is unbounded
+  res.accepted.assign(batch.size(), true);  // the bucket is unbounded
   units::Bytes total = 0;
+  const MutexLock lock(mu_);
+  res.latency_s = admit_throttled(throttle_, stats_, now);
   for (auto& item : batch) {
     const units::Bytes logical =
         effective_logical(item.blob, item.logical_bytes);
-    const auto put_res = store_->put(item.name, std::move(item.blob), logical);
-    res.request_fee_usd += put_res.request_fee_usd;
+    store_locked(item.name, std::move(item.blob), logical);
+    res.request_fee_usd += pricing_->s3_usd_per_put;
     total += logical;
     ++res.stored;
   }
-  res.latency_s += store_->access_link().transfer_time(total);
-  const MutexLock lock(mu_);
+  res.latency_s += link_.transfer_time(total);
   ++stats_.batches;
   stats_.puts += res.stored;
   stats_.bytes_written += total;
@@ -50,15 +58,20 @@ BatchPutResult ObjectStoreBackend::put_batch(std::vector<PutRequest> batch,
 }
 
 GetResult ObjectStoreBackend::get(const std::string& name, double now) {
-  const double wait = admit(now);
-  auto store_res = store_->get(name);
   GetResult res;
-  res.found = store_res.found;
-  res.blob = std::move(store_res.blob);
-  res.logical_bytes = store_res.logical_bytes;
-  res.latency_s = wait + store_res.latency_s;
-  res.request_fee_usd = store_res.request_fee_usd;
+  res.request_fee_usd = pricing_->s3_usd_per_get;
   const MutexLock lock(mu_);
+  const double wait = admit_throttled(throttle_, stats_, now);
+  const auto it = objects_.find(name);
+  if (it == objects_.end()) {
+    // A miss still pays the control-plane round trip.
+    res.latency_s = wait + link_.first_byte_latency_s;
+  } else {
+    res.found = true;
+    res.blob = it->second.blob;
+    res.logical_bytes = it->second.logical_bytes;
+    res.latency_s = wait + link_.transfer_time(res.logical_bytes);
+  }
   ++stats_.gets;
   stats_.bytes_read += res.logical_bytes;
   stats_.fees_usd += res.request_fee_usd;
@@ -66,23 +79,29 @@ GetResult ObjectStoreBackend::get(const std::string& name, double now) {
 }
 
 bool ObjectStoreBackend::remove(const std::string& name, double now) {
-  (void)admit(now);
-  const bool removed = store_->remove(name);
   const MutexLock lock(mu_);
+  (void)admit_throttled(throttle_, stats_, now);
   ++stats_.removes;
-  return removed;
+  const auto it = objects_.find(name);
+  if (it == objects_.end()) return false;
+  FLSTORE_CHECK(stored_logical_ >= it->second.logical_bytes);
+  stored_logical_ -= it->second.logical_bytes;
+  objects_.erase(it);
+  return true;
 }
 
 bool ObjectStoreBackend::contains(const std::string& name) const {
-  return store_->contains(name);
+  const MutexLock lock(mu_);
+  return objects_.contains(name);
 }
 
 units::Bytes ObjectStoreBackend::stored_logical_bytes() const {
-  return store_->stored_logical_bytes();
+  const MutexLock lock(mu_);
+  return stored_logical_;
 }
 
 double ObjectStoreBackend::idle_cost(double seconds) const {
-  return store_->storage_cost(seconds);
+  return pricing_->s3_storage_cost(stored_logical_bytes(), seconds);
 }
 
 OpStats ObjectStoreBackend::stats() const {

@@ -1,16 +1,21 @@
-// ObjectStoreBackend — the cloud object store (S3/MinIO) as a StorageBackend.
+// ObjectStoreBackend — one cloud object-store bucket (S3/MinIO) that owns
+// its objects. Each carries real bytes and a *logical* size (the true
+// checkpoint size); latency and fees follow the logical size, so the
+// simulation sees 161 MB objects while tests hold KB-scale vectors.
 //
-// A thin adapter over the existing ObjectStore: identical per-op latencies
-// and request fees to the raw store, plus the interface's batched multi-put
-// (one streamed transfer instead of per-object round trips — S3 still
-// charges every PUT), optional admission throttling, and the op ledger.
-// idle_cost() is the GB-month storage fee. The owning constructor is the
-// usual cold tier for an FLStore or ShardedStore; store() exposes the raw
-// store's counters.
+// An op pays the optional throttle's wait plus one transfer over the access
+// link (a miss: the first-byte round trip). S3 bills every PUT and GET,
+// misses included; put_batch is one admission and one streamed transfer,
+// still billed per object. idle_cost() is the GB-month storage fee. One
+// mutex guards everything, so each op is linearizable.
 #pragma once
 
+#include <unordered_map>
+
 #include "backend/storage_backend.hpp"
+#include "cloud/pricing.hpp"
 #include "common/mutex.hpp"
+#include "simnet/network.hpp"
 
 namespace flstore::backend {
 
@@ -20,20 +25,9 @@ class ObjectStoreBackend final : public StorageBackend {
     Throttle::Config throttle;  ///< ops_per_s = 0: unthrottled (default)
   };
 
-  /// Non-owning: `store` is the shared persistent tier and must outlive the
-  /// backend (same lifetime contract core::FLStore already had).
-  explicit ObjectStoreBackend(ObjectStore& store, Config config = {})
-      : store_(&store), config_(config), throttle_(config.throttle) {}
-
-  /// Owning: builds a private ObjectStore over `link` — one bucket per
-  /// region is exactly what a ReplicatedColdStore needs, and nothing else
-  /// shares a region's store.
   ObjectStoreBackend(const Link& link, const PricingCatalog& pricing,
                      Config config = {})
-      : owned_store_(std::make_unique<ObjectStore>(link, pricing)),
-        store_(owned_store_.get()),
-        config_(config),
-        throttle_(config.throttle) {}
+      : link_(link), pricing_(&pricing), throttle_(config.throttle) {}
 
   PutResult put(const std::string& name, Blob blob, units::Bytes logical_bytes,
                 double now) override;
@@ -51,16 +45,22 @@ class ObjectStoreBackend final : public StorageBackend {
   [[nodiscard]] OpStats stats() const override;
   bool set_throttle(const Throttle::Config& config, double now) override;
 
-  [[nodiscard]] ObjectStore& store() noexcept { return *store_; }
-
  private:
-  double admit(double now) EXCLUDES(mu_);
+  struct Object {
+    std::shared_ptr<const Blob> blob;
+    units::Bytes logical_bytes = 0;
+  };
 
-  std::unique_ptr<ObjectStore> owned_store_;  ///< null in non-owning mode
-  ObjectStore* store_;
-  Config config_;
+  /// Store (or overwrite) one object; the caller books the ledger.
+  void store_locked(const std::string& name, Blob blob,
+                    units::Bytes logical_bytes) REQUIRES(mu_);
+
+  Link link_;
+  const PricingCatalog* pricing_;
   mutable Mutex mu_;
   Throttle throttle_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, Object> objects_ GUARDED_BY(mu_);
+  units::Bytes stored_logical_ GUARDED_BY(mu_) = 0;
   OpStats stats_ GUARDED_BY(mu_);
 };
 

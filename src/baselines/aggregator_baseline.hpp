@@ -4,8 +4,8 @@
 //
 //  * ObjStoreAggregator — data plane is the cloud object store (S3/MinIO):
 //    cheap storage, slow per-object access. Baseline of Figs 7/8/15/16.
-//    Runs on the backend::StorageBackend it is given — in the benches a
-//    backend::ObjectStoreBackend over the scenario's shared store.
+//    Runs on the backend::StorageBackend it is given — in the benches its
+//    own backend::ObjectStoreBackend bucket.
 //  * CacheAggregator — data plane adds an ElastiCache-style in-memory tier
 //    in front of the store: faster access, expensive provisioned node-hours.
 //    Baseline of Figs 9/17. The tier is a fixed-fleet

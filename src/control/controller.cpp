@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "core/capacity_planner.hpp"
 
 namespace flstore::control {
 
@@ -18,10 +19,8 @@ std::string format_double(double v) {
 
 }  // namespace
 
-Controller::Controller(ControllerConfig config, const SizingOracle& oracle,
-                       obs::MetricsRegistry* metrics)
+Controller::Controller(ControllerConfig config, obs::MetricsRegistry* metrics)
     : config_(config),
-      oracle_(&oracle),
       metrics_(metrics),
       selector_(config.selector) {
   FLSTORE_CHECK(config_.min_shards >= 1);
@@ -126,13 +125,15 @@ std::vector<Controller::Action> Controller::tick(const TelemetrySnapshot& snap,
     }
   }
 
-  // 3. Elastic shard fleet: scale out toward the oracle's target under
-  // burn, scale in one shard at a time after a sustained calm stretch —
-  // never below what the oracle says current load needs.
+  // 3. Elastic shard fleet: scale out toward the fleet the load needs
+  // under burn, scale in one shard at a time after a sustained calm
+  // stretch — never below that fleet.
   const int shards = surface.shard_count();
-  const int oracle_target = std::clamp(
-      oracle_->serving_shards(snap.offered_qps, snap.mean_service_s),
-      config_.min_shards, config_.max_shards);
+  const auto plan = core::plan_serving(
+      {.offered_qps = snap.offered_qps,
+       .per_request_service_s = snap.mean_service_s});
+  const int needed = static_cast<int>(std::clamp<std::int64_t>(
+      plan.shards, config_.min_shards, config_.max_shards));
   const bool cooled =
       last_scale_tick_ < 0 ||
       static_cast<std::int64_t>(ticks_) - last_scale_tick_ >
@@ -143,7 +144,7 @@ std::vector<Controller::Action> Controller::tick(const TelemetrySnapshot& snap,
     quiet_ticks_ = 0;
     if (cooled && shards < config_.max_shards) {
       const int target =
-          std::clamp(std::max(oracle_target, shards + 1), config_.min_shards,
+          std::clamp(std::max(needed, shards + 1), config_.min_shards,
                      config_.max_shards);
       if (target > shards) {
         surface.set_shard_count(target, snap.now_s);
@@ -156,13 +157,13 @@ std::vector<Controller::Action> Controller::tick(const TelemetrySnapshot& snap,
   } else if (calm) {
     ++quiet_ticks_;
     if (cooled && quiet_ticks_ >= config_.scale_in_quiet_ticks &&
-        shards > std::max(oracle_target, config_.min_shards)) {
+        shards > std::max(needed, config_.min_shards)) {
       const int target = shards - 1;  // one step per tick: easy to reverse
       surface.set_shard_count(target, snap.now_s);
       last_scale_tick_ = static_cast<std::int64_t>(ticks_);
       act(Action::Kind::kScaleIn, target,
-          "calm x" + std::to_string(quiet_ticks_) + ", oracle wants " +
-              std::to_string(oracle_target));
+          "calm x" + std::to_string(quiet_ticks_) + ", load needs " +
+              std::to_string(needed));
     }
   } else {
     quiet_ticks_ = 0;

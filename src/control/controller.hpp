@@ -11,10 +11,11 @@
 //                                   base policy once exposure subsides
 //   throttle wait dominates a tick  raise the cold tier's token-bucket rate
 //                                   (bounded), decay back when calm
-//   fast-window SLO burn >= high    scale out toward the sizing oracle's
-//                                   target (cooldown-gated)
-//   sustained calm + fleet > need   scale in one shard per tick toward the
-//                                   oracle target — the idle-cost win
+//   fast-window SLO burn >= high    scale out toward the fleet
+//                                   core::plan_serving sizes for the
+//                                   offered load (cooldown-gated)
+//   sustained calm + fleet > need   scale in one shard per tick toward that
+//                                   fleet — the idle-cost win
 //   burn >= critical                tighten scheduler admission (shrink
 //                                   class queues), relax when burn recovers
 //   every Nth tick                  re-split per-class cache budgets from
@@ -37,7 +38,6 @@
 #include "backend/storage_backend.hpp"
 #include "common/units.hpp"
 #include "control/control_surface.hpp"
-#include "control/sizing_oracle.hpp"
 #include "control/telemetry_snapshot.hpp"
 #include "core/adaptive_policy.hpp"
 #include "obs/metrics.hpp"
@@ -97,11 +97,10 @@ class Controller {
     std::string detail;
   };
 
-  /// `oracle` must outlive the controller; `metrics` is optional (nullptr
-  /// = no control_* series) and used only for bookkeeping — it never feeds
-  /// back into decisions.
-  Controller(ControllerConfig config, const SizingOracle& oracle,
-             obs::MetricsRegistry* metrics = nullptr);
+  /// `metrics` is optional (nullptr = no control_* series) and used only
+  /// for bookkeeping — it never feeds back into decisions.
+  explicit Controller(ControllerConfig config,
+                      obs::MetricsRegistry* metrics = nullptr);
 
   /// One control tick: read the snapshot, actuate through `surface`,
   /// return what was done (empty when the plane is where it should be).
@@ -121,7 +120,6 @@ class Controller {
   void book(const Action& action);
 
   ControllerConfig config_;
-  const SizingOracle* oracle_;
   obs::MetricsRegistry* metrics_;
   core::AdaptivePolicySelector selector_;
 

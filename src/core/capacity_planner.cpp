@@ -69,7 +69,6 @@ ServingPlan plan_serving(const ServingPlanRequest& req) {
   plan.shards = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(
              std::ceil(demand / req.target_utilization)));
-  if (req.max_shards > 0) plan.shards = std::min(plan.shards, req.max_shards);
   plan.utilization = demand / static_cast<double>(plan.shards);
   return plan;
 }

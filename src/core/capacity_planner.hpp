@@ -34,7 +34,7 @@ struct CapacityRequest {
 [[nodiscard]] CapacityPlan plan_tailored_cache(const CapacityRequest& req,
                                                int metadata_window = 10);
 
-/// Serving-capacity arithmetic for the control plane's sizing oracle: how
+/// Serving-capacity arithmetic for the control plane's controller: how
 /// many single-server cache shards an observed arrival rate needs. Pure
 /// M/M/c-style provisioning — demand is offered_qps × service time, and
 /// shards are sized so each runs at or below target_utilization (the
@@ -43,7 +43,6 @@ struct ServingPlanRequest {
   double offered_qps = 0.0;           ///< observed arrival rate
   double per_request_service_s = 0.0; ///< observed mean comm+comp per request
   double target_utilization = 0.7;    ///< per-shard busy fraction to plan for
-  std::int64_t max_shards = 0;        ///< cap (0 = uncapped)
 };
 
 struct ServingPlan {

@@ -13,12 +13,11 @@
 #include <span>
 #include <vector>
 
+#include "common/blob.hpp"
 #include "common/ids.hpp"
 #include "fed/metadata.hpp"
 
 namespace flstore::fed {
-
-using Blob = std::vector<std::uint8_t>;
 
 [[nodiscard]] Blob encode_update(const ClientUpdate& u);
 [[nodiscard]] ClientUpdate decode_update(std::span<const std::uint8_t> bytes);

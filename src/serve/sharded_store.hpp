@@ -10,7 +10,7 @@
 //  * Each tenant's shards + scheduler form one discrete-event task driven
 //    purely by simulated time (arrivals, ingests, completions). Tasks run
 //    in parallel on the pool — tenants share nothing mutable except the
-//    internally-synchronized ObjectStore. Each tenant gets its own
+//    internally-synchronized cold backend. Each tenant gets its own
 //    Coalescer (cold-store keys are tenant-namespaced, so there is nothing
 //    to share, and a shared one would let tenant A's pruning clock evict
 //    tenant B's still-in-flight windows).

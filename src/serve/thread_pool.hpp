@@ -3,7 +3,7 @@
 // The ShardedStore runs one deterministic discrete-event task per tenant;
 // the pool provides the wall-clock parallelism across tenants. Results never
 // depend on the pool size or on scheduling order — tasks share no mutable
-// state except internally synchronized components (ObjectStore, Coalescer).
+// state except internally synchronized components (cold backends, Coalescer).
 #pragma once
 
 #include <cstddef>

@@ -12,14 +12,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/blob.hpp"
 #include "common/compute_work.hpp"
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
 
 namespace flstore {
-
-using Blob = std::vector<std::uint8_t>;
 
 enum class FunctionState : std::uint8_t {
   kWarm,       ///< alive, data resident, invocable

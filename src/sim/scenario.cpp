@@ -151,10 +151,7 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   job_cfg.seed = config_.seed;
   job_ = std::make_unique<fed::FLJob>(job_cfg);
 
-  store_ = std::make_unique<ObjectStore>(objstore_link(),
-                                         PricingCatalog::aws());
   backend_ = make_cold_backend(backend::BackendKind::kObjectStore);
-  baseline_store_ = std::make_unique<backend::ObjectStoreBackend>(*store_);
 
   core::FLStoreConfig fl_cfg;
   fl_cfg.pool.replicas = config_.replicas;
@@ -164,9 +161,9 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   flstore_->set_telemetry(config_.telemetry);
 
   objstore_agg_ = std::make_unique<baselines::ObjStoreAggregator>(
-      vm_profile(), *job_, *baseline_store_);
+      vm_profile(), *job_, objstore_agg_bucket_);
   cache_agg_ = std::make_unique<baselines::CacheAggregator>(
-      vm_profile(), *job_, *baseline_store_,
+      vm_profile(), *job_, cache_agg_bucket_,
       baselines::job_metadata_footprint(*job_), cloudcache_link());
 }
 
@@ -182,25 +179,13 @@ std::vector<fed::NonTrainingRequest> Scenario::trace() const {
   return fed::generate_trace(tc, *job_);
 }
 
-std::unique_ptr<core::FLStore> Scenario::make_flstore_variant(
-    core::PolicyMode mode, units::Bytes cache_capacity, int replicas) const {
-  core::FLStoreConfig cfg;
-  cfg.policy.mode = mode;
-  cfg.cache_capacity = cache_capacity;
-  cfg.pool.replicas = replicas;
-  cfg.pool.function_memory = function_sizing_for(job_->model()).memory;
-  cfg.cold_flush = config_.cold_flush;
-  auto store = std::make_unique<core::FLStore>(cfg, *job_, *backend_);
-  store->set_telemetry(config_.telemetry);
-  return store;
-}
-
 std::unique_ptr<backend::StorageBackend> Scenario::make_cold_backend(
     backend::BackendKind kind) const {
   std::unique_ptr<backend::StorageBackend> raw;
   switch (kind) {
     case backend::BackendKind::kObjectStore:
-      raw = std::make_unique<backend::ObjectStoreBackend>(*store_);
+      raw = std::make_unique<backend::ObjectStoreBackend>(
+          objstore_link(), PricingCatalog::aws());
       break;
     case backend::BackendKind::kCloudCache: {
       backend::CloudCacheBackend::Config cfg;

@@ -1,13 +1,14 @@
-// Scenario: one §5.1 evaluation setup — a training job, a shared persistent
-// store, FLStore and both baselines over it, and the request trace.
+// Scenario: one §5.1 evaluation setup — a training job, FLStore and both
+// baselines, and the request trace.
 //
 // Benches construct a Scenario per model and hand its systems — each a
-// core::ServingSystem — to sim::run_trace. Extra FLStore variants
-// (LRU/FIFO/Random/Static/limited) can be spawned against the same job and
-// store for the policy ablations, and FLStore's cold tier is a pluggable
-// backend::StorageBackend: the scenario's own is an object-store adapter of
-// the shared store, and make_cold_backend() hands benches fresh instances
-// for head-to-head backend sweeps through the one core::FLStore code path.
+// core::ServingSystem — to sim::run_trace. Every system is its own
+// deployment with its own object-store bucket, as in the paper's
+// comparisons: nothing one system ingests is visible to another.
+// FLStore's cold tier is a pluggable backend::StorageBackend;
+// make_cold_backend() hands benches fresh, empty instances, and
+// make_flstore_over() builds the policy ablations and the head-to-head
+// backend sweeps over them through the one core::FLStore code path.
 #pragma once
 
 #include <array>
@@ -19,7 +20,6 @@
 #include "backend/object_store_backend.hpp"
 #include "backend/storage_backend.hpp"
 #include "baselines/aggregator_baseline.hpp"
-#include "cloud/object_store.hpp"
 #include "core/flstore.hpp"
 #include "fed/fl_job.hpp"
 #include "fed/trace.hpp"
@@ -120,7 +120,6 @@ class Scenario {
     return config_;
   }
   [[nodiscard]] fed::FLJob& job() noexcept { return *job_; }
-  [[nodiscard]] ObjectStore& store() noexcept { return *store_; }
   [[nodiscard]] backend::StorageBackend& cold_backend() noexcept {
     return *backend_;
   }
@@ -135,21 +134,15 @@ class Scenario {
   /// The §5.2 mixed trace for this scenario (deterministic).
   [[nodiscard]] std::vector<fed::NonTrainingRequest> trace() const;
 
-  /// Build an extra FLStore variant over the same job and cold backend
-  /// (ablations).
-  [[nodiscard]] std::unique_ptr<core::FLStore> make_flstore_variant(
-      core::PolicyMode mode, units::Bytes cache_capacity = 0,
-      int replicas = 1) const;
-
-  /// A fresh cold backend of `kind` for this scenario (kObjectStore adapts
-  /// the scenario's shared store; the others own their tier). The caller
+  /// A fresh, empty cold backend of `kind` for this scenario. The caller
   /// owns it and any FLStore built over it must not outlive it.
   [[nodiscard]] std::unique_ptr<backend::StorageBackend> make_cold_backend(
       backend::BackendKind kind) const;
 
-  /// An FLStore variant over an explicit cold backend (the benches' backend
-  /// sweeps; `cache_capacity` = 1 effectively disables the serverless cache
-  /// so every request runs against the backend).
+  /// An FLStore variant over an explicit cold backend (the policy
+  /// ablations and the benches' backend sweeps; `cache_capacity` = 1
+  /// effectively disables the serverless cache so every request runs
+  /// against the backend).
   [[nodiscard]] std::unique_ptr<core::FLStore> make_flstore_over(
       backend::StorageBackend& cold, core::PolicyMode mode,
       units::Bytes cache_capacity = 0) const;
@@ -157,11 +150,13 @@ class Scenario {
  private:
   ScenarioConfig config_;
   std::unique_ptr<fed::FLJob> job_;
-  std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<backend::StorageBackend> backend_;
-  /// The baselines' data plane: a plain adapter of the shared store. Not
-  /// instrumented — baseline operations never book into telemetry.
-  std::unique_ptr<backend::ObjectStoreBackend> baseline_store_;
+  /// Each baseline's own bucket. Not instrumented — baseline operations
+  /// never book into telemetry.
+  backend::ObjectStoreBackend objstore_agg_bucket_{objstore_link(),
+                                                   PricingCatalog::aws()};
+  backend::ObjectStoreBackend cache_agg_bucket_{objstore_link(),
+                                                PricingCatalog::aws()};
   std::unique_ptr<core::FLStore> flstore_;
   std::unique_ptr<baselines::ObjStoreAggregator> objstore_agg_;
   std::unique_ptr<baselines::CacheAggregator> cache_agg_;

@@ -9,11 +9,10 @@
 #include <span>
 #include <vector>
 
+#include "common/blob.hpp"
 #include "tensor/tensor.hpp"
 
 namespace flstore {
-
-using Blob = std::vector<std::uint8_t>;
 
 /// XXH64 (seed 0) of a byte range: the content checksum of the zstd and LZ4
 /// frame formats. It replaced FNV-1a, whose one multiply per byte is a

@@ -54,8 +54,8 @@ core::ServeResult serve_cold(backend::StorageBackend& cold,
 
 TEST(FLStoreBackends, ServesOverEveryBackendAndOrdersByHardware) {
   fed::FLJob job(small_job());
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend objstore(store);
+  backend::ObjectStoreBackend objstore(sim::objstore_link(),
+                                       PricingCatalog::aws());
   backend::CloudCacheBackend::Config cache_cfg;
   cache_cfg.link = sim::cloudcache_link();
   backend::CloudCacheBackend cloudcache(cache_cfg, PricingCatalog::aws());
@@ -83,8 +83,7 @@ TEST(FLStoreBackends, ServesOverEveryBackendAndOrdersByHardware) {
 
 TEST(FLStoreBackends, TieredStackBehindFLStoreServesFromTheFastTier) {
   fed::FLJob job(small_job());
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend deep(store);
+  backend::ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   backend::LocalSsdBackend::Config ssd_cfg;
   ssd_cfg.link = sim::local_ssd_link();
   backend::LocalSsdBackend ssd(ssd_cfg, PricingCatalog::aws());
@@ -94,8 +93,8 @@ TEST(FLStoreBackends, TieredStackBehindFLStoreServesFromTheFastTier) {
   EXPECT_EQ(res.misses, 1U);
   // Ingest wrote through both tiers; the miss fetch hit the SSD, never the
   // object store.
-  EXPECT_EQ(store.get_count(), 0U);
-  EXPECT_GT(store.put_count(), 0U);
+  EXPECT_EQ(deep.stats().gets, 0U);
+  EXPECT_GT(deep.stats().puts, 0U);
   EXPECT_LT(res.comm_s, 1.0);
 }
 
@@ -104,8 +103,7 @@ TEST(FLStoreBackends, IngestDrainsWriteBackTieredStackToDurableTier) {
   // round durable in the deepest tier (FLStore drives the backend flush),
   // so fast-tier churn can never lose a backed-up object.
   fed::FLJob job(small_job());
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend deep(store);
+  backend::ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   backend::CloudCacheBackend::Config cache_cfg;
   cache_cfg.link = sim::cloudcache_link();
   backend::CloudCacheBackend fast(cache_cfg, PricingCatalog::aws());
@@ -118,14 +116,14 @@ TEST(FLStoreBackends, IngestDrainsWriteBackTieredStackToDurableTier) {
   fl.ingest_round(job.make_round(0), 0.0);
   EXPECT_EQ(tiered.dirty_count(), 0U);  // drained at end of ingest
   for (const auto c : job.participants(0)) {
-    EXPECT_TRUE(store.contains(MetadataKey::update(c, 0).object_name()));
+    EXPECT_TRUE(deep.contains(MetadataKey::update(c, 0).object_name()));
   }
-  EXPECT_TRUE(store.contains(MetadataKey::aggregate(0).object_name()));
+  EXPECT_TRUE(deep.contains(MetadataKey::aggregate(0).object_name()));
   // The drain's deep-tier PUT fees reached FLStore's meter: one S3 PUT per
   // round object, same as the write-through/inline path would pay.
   EXPECT_DOUBLE_EQ(
       fl.infra_meter().get(CostCategory::kStorageService),
-      static_cast<double>(store.put_count()) *
+      static_cast<double>(deep.stats().puts) *
           PricingCatalog::aws().s3_usd_per_put);
 }
 
@@ -158,8 +156,9 @@ TEST(FLStoreBackends, ScenarioBuildsReplicatedColdBackend) {
   cfg.pool_size = 20;
   cfg.clients_per_round = 4;
   sim::Scenario sc(cfg);
-  // Three regions: the serving region adapts the scenario's shared store,
-  // the farther ones are private per-region buckets one WAN hop apart.
+  // Three regions, each its own bucket one WAN hop further out: the
+  // serving region is the scenario's object-store kind, the farther ones
+  // are built directly.
   std::vector<backend::ReplicatedColdStore::Region> regions;
   for (int i = 0; i < 3; ++i) {
     backend::ReplicatedColdStore::Region region;

@@ -1,4 +1,6 @@
-#include "cloud/object_store.hpp"
+// ObjectStoreBackend as a bucket: contents, logical sizes, per-op latency
+// and fees, and the GB-month idle bill.
+#include "backend/object_store_backend.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,19 +11,20 @@
 namespace flstore {
 namespace {
 
+using backend::ObjectStoreBackend;
 using units::MB;
 
-ObjectStore make_store() {
-  return ObjectStore(Link{0.08, 100.0 * 1e6}, PricingCatalog::aws());
+ObjectStoreBackend make_store() {
+  return ObjectStoreBackend(Link{0.08, 100.0 * 1e6}, PricingCatalog::aws());
 }
 
 TEST(ObjectStore, PutGetRoundTrip) {
   auto store = make_store();
   Rng rng(1);
   const auto t = ops::random_normal(64, rng);
-  store.put("a", serialize_tensor(t), 100 * MB);
+  store.put("a", serialize_tensor(t), 100 * MB, 0.0);
 
-  const auto got = store.get("a");
+  const auto got = store.get("a", 0.0);
   ASSERT_TRUE(got.found);
   EXPECT_EQ(deserialize_tensor(*got.blob), t);
   EXPECT_EQ(got.logical_bytes, 100 * MB);
@@ -31,7 +34,7 @@ TEST(ObjectStore, PutGetRoundTrip) {
 
 TEST(ObjectStore, MissPaysControlPlaneLatencyOnly) {
   auto store = make_store();
-  const auto got = store.get("nope");
+  const auto got = store.get("nope", 0.0);
   EXPECT_FALSE(got.found);
   EXPECT_EQ(got.blob, nullptr);
   EXPECT_NEAR(got.latency_s, 0.08, 1e-12);
@@ -40,61 +43,63 @@ TEST(ObjectStore, MissPaysControlPlaneLatencyOnly) {
 
 TEST(ObjectStore, LogicalBytesDefaultToBlobSize) {
   auto store = make_store();
-  store.put("k", Blob(1000, 7));
-  EXPECT_EQ(store.get("k").logical_bytes, 1000U);
+  store.put("k", Blob(1000, 7), 0, 0.0);
+  EXPECT_EQ(store.get("k", 0.0).logical_bytes, 1000U);
 }
 
 TEST(ObjectStore, OverwriteReplacesAndAdjustsStoredBytes) {
   auto store = make_store();
-  store.put("k", Blob{1}, 10 * MB);
+  store.put("k", Blob{1}, 10 * MB, 0.0);
   EXPECT_EQ(store.stored_logical_bytes(), 10 * MB);
-  store.put("k", Blob{2}, 4 * MB);
+  store.put("k", Blob{2}, 4 * MB, 0.0);
+  // One object left: its size alone is what the bucket holds.
   EXPECT_EQ(store.stored_logical_bytes(), 4 * MB);
-  EXPECT_EQ(store.object_count(), 1U);
-  EXPECT_EQ((*store.get("k").blob)[0], 2);
+  EXPECT_TRUE(store.contains("k"));
+  EXPECT_EQ((*store.get("k", 0.0).blob)[0], 2);
 }
 
 TEST(ObjectStore, RemoveFreesBytes) {
   auto store = make_store();
-  store.put("a", Blob{1}, 5 * MB);
-  store.put("b", Blob{2}, 7 * MB);
-  EXPECT_TRUE(store.remove("a"));
-  EXPECT_FALSE(store.remove("a"));
+  store.put("a", Blob{1}, 5 * MB, 0.0);
+  store.put("b", Blob{2}, 7 * MB, 0.0);
+  EXPECT_TRUE(store.remove("a", 0.0));
+  EXPECT_FALSE(store.remove("a", 0.0));
   EXPECT_EQ(store.stored_logical_bytes(), 7 * MB);
-  EXPECT_FALSE(store.get("a").found);
+  EXPECT_FALSE(store.contains("a"));
+  EXPECT_FALSE(store.get("a", 0.0).found);
 }
 
 TEST(ObjectStore, CountsOperations) {
   auto store = make_store();
-  store.put("a", Blob{1});
-  (void)store.get("a");
-  (void)store.get("missing");
-  EXPECT_EQ(store.put_count(), 1U);
-  EXPECT_EQ(store.get_count(), 2U);
+  store.put("a", Blob{1}, 0, 0.0);
+  (void)store.get("a", 0.0);
+  (void)store.get("missing", 0.0);
+  EXPECT_EQ(store.stats().puts, 1U);
+  EXPECT_EQ(store.stats().gets, 2U);
 }
 
 TEST(ObjectStore, StorageCostScalesWithContents) {
   auto store = make_store();
-  EXPECT_DOUBLE_EQ(store.storage_cost(3600.0), 0.0);
-  store.put("a", Blob{1}, units::Bytes{1000} * MB);  // 1 GB
+  EXPECT_DOUBLE_EQ(store.idle_cost(3600.0), 0.0);
+  store.put("a", Blob{1}, units::Bytes{1000} * MB, 0.0);  // 1 GB
   const double month = 30.0 * 86400.0;
-  EXPECT_NEAR(store.storage_cost(month), 0.023, 1e-9);
+  EXPECT_NEAR(store.idle_cost(month), 0.023, 1e-9);
 }
 
 TEST(ObjectStore, PutLatencyUsesLogicalSize) {
   auto store = make_store();
-  const auto res = store.put("a", Blob{1}, 200 * MB);
+  const auto res = store.put("a", Blob{1}, 200 * MB, 0.0);
   EXPECT_NEAR(res.latency_s, 0.08 + 2.0, 1e-9);
 }
 
 TEST(ObjectStore, SharedBlobSurvivesOverwrite) {
   // A reader holding the blob pointer must not be invalidated by a PUT.
   auto store = make_store();
-  store.put("k", Blob{1, 2, 3});
-  const auto first = store.get("k").blob;
-  store.put("k", Blob{9});
+  store.put("k", Blob{1, 2, 3}, 0, 0.0);
+  const auto first = store.get("k", 0.0).blob;
+  store.put("k", Blob{9}, 0, 0.0);
   EXPECT_EQ(first->size(), 3U);
-  EXPECT_EQ(store.get("k").blob->size(), 1U);
+  EXPECT_EQ(store.get("k", 0.0).blob->size(), 1U);
 }
 
 }  // namespace

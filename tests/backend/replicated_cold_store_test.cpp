@@ -337,10 +337,8 @@ TEST(ReplicatedTieredRegions, WriteBackRegionsDrainOnFlushPerRegion) {
   // Each region is itself a write-back TieredColdStore (SSD over object
   // store): a replicated put lands dirty in both regions' fast tiers, and
   // the composition's flush drains every region to durability.
-  ObjectStore store_a(sim::objstore_link(), pricing);
-  ObjectStore store_b(sim::objstore_link(), pricing);
-  ObjectStoreBackend deep_a(store_a);
-  ObjectStoreBackend deep_b(store_b);
+  ObjectStoreBackend deep_a(sim::objstore_link(), pricing);
+  ObjectStoreBackend deep_b(sim::objstore_link(), pricing);
   LocalSsdBackend::Config ssd_cfg;
   ssd_cfg.link = sim::local_ssd_link();
   LocalSsdBackend fast_a(ssd_cfg, pricing);

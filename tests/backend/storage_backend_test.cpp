@@ -33,38 +33,46 @@ TEST(Throttle, DisabledIsFree) {
 // --- ObjectStoreBackend ---------------------------------------------------
 
 struct ObjectStoreBackendTest : ::testing::Test {
-  ObjectStoreBackendTest()
-      : store(sim::objstore_link(), PricingCatalog::aws()), cold(store) {}
-  ObjectStore store;
-  ObjectStoreBackend cold;
+  ObjectStoreBackend cold{sim::objstore_link(), PricingCatalog::aws()};
 };
 
 TEST_F(ObjectStoreBackendTest, MatchesRawStoreLatenciesAndFees) {
-  ObjectStore raw(sim::objstore_link(), PricingCatalog::aws());
-  const auto raw_put = raw.put("k", Blob(64), 10 * units::MB);
+  // S3 over the access link: a transfer of the logical size per hit, the
+  // first-byte round trip per miss, and a request fee on every op.
+  const Link link = sim::objstore_link();
+  const auto& pricing = PricingCatalog::aws();
   const auto put = cold.put("k", Blob(64), 10 * units::MB, 0.0);
   EXPECT_TRUE(put.accepted);
-  EXPECT_DOUBLE_EQ(put.latency_s, raw_put.latency_s);
-  EXPECT_DOUBLE_EQ(put.request_fee_usd, raw_put.request_fee_usd);
+  EXPECT_DOUBLE_EQ(put.latency_s, link.transfer_time(10 * units::MB));
+  EXPECT_DOUBLE_EQ(put.request_fee_usd, pricing.s3_usd_per_put);
 
-  const auto raw_get = raw.get("k");
   const auto get = cold.get("k", 1.0);
   ASSERT_TRUE(get.found);
-  EXPECT_DOUBLE_EQ(get.latency_s, raw_get.latency_s);
-  EXPECT_DOUBLE_EQ(get.request_fee_usd, raw_get.request_fee_usd);
+  EXPECT_DOUBLE_EQ(get.latency_s, link.transfer_time(10 * units::MB));
+  EXPECT_DOUBLE_EQ(get.request_fee_usd, pricing.s3_usd_per_get);
   EXPECT_EQ(get.logical_bytes, 10 * units::MB);
+
+  const auto miss = cold.get("absent", 2.0);
+  EXPECT_FALSE(miss.found);
+  EXPECT_DOUBLE_EQ(miss.latency_s, link.first_byte_latency_s);
+  EXPECT_DOUBLE_EQ(miss.request_fee_usd, pricing.s3_usd_per_get);
 
   EXPECT_TRUE(cold.contains("k"));
   EXPECT_EQ(cold.stored_logical_bytes(), 10 * units::MB);
-  EXPECT_DOUBLE_EQ(cold.idle_cost(3600.0), raw.storage_cost(3600.0));
+  EXPECT_DOUBLE_EQ(cold.idle_cost(3600.0),
+                   pricing.s3_storage_cost(10 * units::MB, 3600.0));
+  const auto stats = cold.stats();
+  EXPECT_EQ(stats.gets, 2U);
+  EXPECT_EQ(stats.bytes_read, 10 * units::MB);
+  EXPECT_DOUBLE_EQ(stats.fees_usd, pricing.s3_usd_per_put +
+                                       2 * pricing.s3_usd_per_get);
 }
 
 TEST_F(ObjectStoreBackendTest, BatchedPutAmortizesFirstByteCost) {
   constexpr std::size_t kCount = 10;
   double individual = 0.0;
   {
-    ObjectStore raw(sim::objstore_link(), PricingCatalog::aws());
-    ObjectStoreBackend one_by_one(raw);
+    ObjectStoreBackend one_by_one(sim::objstore_link(), PricingCatalog::aws());
     for (std::size_t i = 0; i < kCount; ++i) {
       individual += one_by_one
                         .put(std::to_string(i), Blob(8), 1 * units::MB,
@@ -93,14 +101,14 @@ TEST_F(ObjectStoreBackendTest, BatchedPutAmortizesFirstByteCost) {
 }
 
 TEST(ObjectStoreBackendThrottled, ThrottleSurfacesAsLatency) {
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
   ObjectStoreBackend::Config cfg;
   cfg.throttle = Throttle::Config{/*ops_per_s=*/1.0, /*burst_ops=*/1.0};
-  ObjectStoreBackend cold(store, cfg);
-  store.put("k", Blob(8), 1 * units::MB);
+  ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws(), cfg);
+  // The preload spends the one token; the bucket has refilled by t = 10.
+  (void)cold.put("k", Blob(8), 1 * units::MB, 0.0);
 
-  const auto first = cold.get("k", 0.0);
-  const auto second = cold.get("k", 0.0);  // same instant: bucket is empty
+  const auto first = cold.get("k", 10.0);
+  const auto second = cold.get("k", 10.0);  // same instant: bucket is empty
   EXPECT_DOUBLE_EQ(first.latency_s, second.latency_s - 1.0);
   const auto stats = cold.stats();
   EXPECT_EQ(stats.throttled_ops, 1U);
@@ -285,8 +293,8 @@ const BatchContractCase kBatchContractCases[] = {
      sim::local_ssd_link(), true},
     {"object-store",
      +[]() -> std::unique_ptr<StorageBackend> {
-       static ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-       return std::make_unique<ObjectStoreBackend>(store);
+       return std::make_unique<ObjectStoreBackend>(sim::objstore_link(),
+                                                   PricingCatalog::aws());
      },
      sim::objstore_link(), false},
 };

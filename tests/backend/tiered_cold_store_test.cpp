@@ -14,8 +14,7 @@ namespace {
 
 struct TieredFixture : ::testing::Test {
   TieredFixture()
-      : store(sim::objstore_link(), PricingCatalog::aws()),
-        deep(store),
+      : deep(sim::objstore_link(), PricingCatalog::aws()),
         ssd(ssd_config(), PricingCatalog::aws()) {}
 
   static LocalSsdBackend::Config ssd_config() {
@@ -28,7 +27,6 @@ struct TieredFixture : ::testing::Test {
     return TieredColdStore({&ssd, &deep}, cfg);
   }
 
-  ObjectStore store;
   ObjectStoreBackend deep;
   LocalSsdBackend ssd;
 };
@@ -36,7 +34,7 @@ struct TieredFixture : ::testing::Test {
 TEST_F(TieredFixture, FallbackProbesTiersInOrder) {
   // Object only in the deep tier: the read pays the SSD's miss probe plus
   // the store's full transfer.
-  store.put("k", Blob(64), 10 * units::MB);
+  (void)deep.put("k", Blob(64), 10 * units::MB, 0.0);
   auto tiered = make();
   const auto got = tiered.get("k", 0.0);
   ASSERT_TRUE(got.found);
@@ -56,7 +54,7 @@ TEST_F(TieredFixture, FallbackProbesTiersInOrder) {
 }
 
 TEST_F(TieredFixture, PromotionCanBeDisabled) {
-  store.put("k", Blob(64), 10 * units::MB);
+  (void)deep.put("k", Blob(64), 10 * units::MB, 0.0);
   TieredColdStore::Config cfg;
   cfg.promote_on_hit = false;
   auto tiered = make(cfg);
@@ -136,9 +134,9 @@ TEST_F(TieredFixture, BatchedWriteBackDrainsThroughBatchedPuts) {
   const auto res = tiered.put_batch(std::move(batch), 0.0);
   EXPECT_EQ(res.stored, 5U);
   EXPECT_EQ(tiered.dirty_count(), 5U);
-  EXPECT_EQ(store.put_count(), 0U);
+  EXPECT_EQ(deep.stats().puts, 0U);
   EXPECT_EQ(tiered.flush(1.0).drained, 5U);
-  EXPECT_EQ(store.put_count(), 5U);
+  EXPECT_EQ(deep.stats().puts, 5U);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(deep.contains(std::to_string(i)));
   }
@@ -148,8 +146,7 @@ TEST(TieredWriteBackRejection, FastTierRefusalFallsThroughToDurableTier) {
   // Fixed 1-node cloud cache as the fast tier: objects larger than the
   // fleet are refused there — they must still land in the object store,
   // both on the single-put and the batched path.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   CloudCacheBackend::Config cache_cfg;
   cache_cfg.auto_scale = false;
   cache_cfg.nodes = 1;
@@ -186,8 +183,7 @@ TEST(TieredStaleInvalidation, RejectedOverwriteDropsTheOldFastTierCopy) {
   // v1 fits the fixed cloud cache; v2 does not and falls through to the
   // object store. The cache's v1 must be invalidated, or every read would
   // serve stale bytes (and write-back flush would drain v1 over v2).
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   CloudCacheBackend::Config cache_cfg;
   cache_cfg.auto_scale = false;
   cache_cfg.nodes = 1;
@@ -219,8 +215,7 @@ TEST(TieredWriteBackMiddleTier, MiddleTierAcceptanceIsStillDirty) {
   // Three tiers: a *full* fixed SSD, a cloud cache, the object store. A
   // write the SSD refuses lands in the middle cache — and must still be
   // owed to the object store, or the cache's next eviction loses it.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   LocalSsdBackend::Config ssd_cfg;
   ssd_cfg.auto_scale = false;
   LocalSsdBackend full_ssd(ssd_cfg, PricingCatalog::aws());
@@ -252,8 +247,7 @@ TEST(TieredWriteBackEviction, EvictedDirtyObjectIsCountedNotSilent) {
   // a dirty object before any flush. The bytes are gone (the crash
   // window); the composition must count it, not pretend the drain was
   // complete.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   CloudCacheBackend::Config cache_cfg;
   cache_cfg.auto_scale = false;
   cache_cfg.nodes = 1;
@@ -303,13 +297,12 @@ TEST(TieredPromotionOrdering, PromotionAdmitsAtReadCompletionNotIssueTime) {
   // consume a fast-tier throttle token *before* the deep-tier read that
   // produces its bytes had completed — promotions jumped the throttle
   // queue ahead of the request that caused them.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   LocalSsdBackend::Config ssd_cfg;
   ssd_cfg.link = sim::local_ssd_link();
   ssd_cfg.throttle = Throttle::Config{/*ops_per_s=*/1.0, /*burst_ops=*/2.0};
   LocalSsdBackend fast(ssd_cfg, PricingCatalog::aws());
-  store.put("k", Blob(64), 10 * units::MB);
+  (void)deep.put("k", Blob(64), 10 * units::MB, 0.0);
   TieredColdStore tiered({&fast, &deep});
 
   const auto got = tiered.get("k", 0.0);  // probe takes one of two tokens
@@ -332,8 +325,7 @@ TEST(TieredOccupancy, DirtyResidentsCountInStoredLogicalBytes) {
   // Regression: occupancy used to report only the deepest tier, so a
   // write-back store with un-flushed objects claimed zero resident bytes
   // while dirty_count() was nonzero.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   LocalSsdBackend::Config ssd_cfg;
   ssd_cfg.link = sim::local_ssd_link();
   LocalSsdBackend fast(ssd_cfg, PricingCatalog::aws());
@@ -383,8 +375,7 @@ TEST(TieredOccupancy, CapacityReflectsTheWriteMode) {
             fast.capacity_bytes() + deep.capacity_bytes());
 
   // Any auto-scaling tier makes the write-back composition unbounded.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend unbounded(store);
+  ObjectStoreBackend unbounded(sim::objstore_link(), PricingCatalog::aws());
   TieredColdStore open({&fast, &unbounded}, wb);
   EXPECT_EQ(open.capacity_bytes(), 0U);
 }
@@ -393,8 +384,7 @@ TEST(TieredLedger, InvalidationOnlyRemovesFromTiersThatHoldACopy) {
   // Regression: write-through used to call remove() on a tier for every
   // item the tier rejected — including items that tier never held,
   // inflating its OpStats::removes ledger.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   CloudCacheBackend::Config cache_cfg;
   cache_cfg.auto_scale = false;
   cache_cfg.nodes = 1;
@@ -424,8 +414,7 @@ TEST(TieredWriteBackPromotionEviction, PromotionEvictingDirtyIsCounted) {
   // A promotion into a bounded write-back fast tier can LRU-evict a
   // *dirty* object: the un-flushed bytes are gone, and the crash window
   // must be visible in dropped_dirty_count() after flush().
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  ObjectStoreBackend deep(store);
+  ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
   CloudCacheBackend::Config cache_cfg;
   cache_cfg.auto_scale = false;
   cache_cfg.nodes = 1;
@@ -441,7 +430,7 @@ TEST(TieredWriteBackPromotionEviction, PromotionEvictingDirtyIsCounted) {
 
   // An object living only in the deep tier, big enough that promoting it
   // evicts the dirty resident.
-  store.put("cold-obj", Blob{5}, (3 * node) / 4);
+  (void)deep.put("cold-obj", Blob{5}, (3 * node) / 4, 0.0);
   ASSERT_TRUE(tiered.get("cold-obj", 1.0).found);
   EXPECT_TRUE(fast.contains("cold-obj"));   // promoted
   EXPECT_FALSE(fast.contains("dirty"));     // evicted before any flush

@@ -167,8 +167,7 @@ TEST_P(TieredShadowFuzz, ContentsLedgersAndFeesMatchAFlatOracle) {
     // over an auto-scaling SSD so the only loss channel is crash() — a
     // bounded write-back fast tier can drop acked data (dropped_dirty),
     // which no flat oracle can track and the directed tests cover.
-    ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-    ObjectStoreBackend deep(store);
+    ObjectStoreBackend deep(sim::objstore_link(), PricingCatalog::aws());
     CloudCacheBackend::Config cache_cfg;
     cache_cfg.auto_scale = false;
     cache_cfg.nodes = 1;

@@ -134,8 +134,7 @@ TEST(ControlLoop, QuiescentControllerIsBitIdenticalToMonitorOnly) {
                      /*controller=*/nullptr, loop_cfg);
   const auto a = loop_a.run(trace, 600.0);
 
-  PlannerSizingOracle oracle;
-  Controller controller(quiescent_config(), oracle);
+  Controller controller(quiescent_config());
   ShardedSurface surface_b(*controlled.store, 0);
   ControlLoop loop_b(*controlled.store, controlled.telemetry, surface_b,
                      &controller, loop_cfg);
@@ -156,8 +155,7 @@ TEST(ControlLoop, ClosedLoopRunsAreDeterministic) {
     ControllerConfig cfg;
     cfg.scale_cooldown_ticks = 0;
     cfg.max_shards = 4;
-    PlannerSizingOracle oracle(PlannerSizingOracle::Config{0.7, 4});
-    Controller controller(cfg, oracle);
+    Controller controller(cfg);
     ShardedSurface surface(*plane.store, 0);
     ControlLoopConfig loop_cfg;
     loop_cfg.tick_interval_s = 60.0;
@@ -201,8 +199,7 @@ TEST(ControlLoop, FlashCrowdScalesOutThenBackIn) {
   cfg.scale_cooldown_ticks = 0;
   cfg.scale_in_quiet_ticks = 2;
   cfg.max_shards = 4;
-  PlannerSizingOracle oracle(PlannerSizingOracle::Config{0.7, 4});
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   ShardedSurface surface(*plane.store, 0);
   ControlLoopConfig loop_cfg;
   loop_cfg.tick_interval_s = 60.0;

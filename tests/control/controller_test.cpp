@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "control/sizing_oracle.hpp"
-
 namespace flstore::control {
 namespace {
 
@@ -94,8 +92,7 @@ TelemetrySnapshot snap_with_burn(double now, double burn_fast,
 }
 
 TEST(Controller, QuiescentSnapshotTouchesNothing) {
-  PlannerSizingOracle oracle;
-  Controller controller(ControllerConfig{}, oracle);
+  Controller controller(ControllerConfig{});
   FakeSurface surface;
   for (int k = 0; k < 10; ++k) {
     const auto actions =
@@ -129,9 +126,8 @@ TEST(Controller, IdenticalSnapshotsProduceIdenticalActions) {
     }
   }
 
-  PlannerSizingOracle oracle;
-  Controller a(cfg, oracle);
-  Controller b(cfg, oracle);
+  Controller a(cfg);
+  Controller b(cfg);
   FakeSurface sa;
   FakeSurface sb;
   sa.throttle_ = sb.throttle_ = Throttle::Config{100.0, 32.0};
@@ -155,12 +151,11 @@ TEST(Controller, ScalesOutUnderBurnAndBackInAfterCalm) {
   ControllerConfig cfg;
   cfg.scale_cooldown_ticks = 0;  // every tick is eligible
   cfg.scale_in_quiet_ticks = 2;
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
 
   // Overload: burn 5 (above burn_high, below admission-critical) with
-  // offered load the oracle sizes at 3 shards (2 qps x 1 s / 0.7).
+  // offered load that plans at 3 shards (2 qps x 1 s / 0.7).
   auto hot = snap_with_burn(60.0, 5.0);
   hot.offered_qps = 2.0;
   hot.mean_service_s = 1.0;
@@ -190,8 +185,7 @@ TEST(Controller, ShedsWritesOnDirtySpikeAndRestoresWithHysteresis) {
   cfg.shed_dirty_bytes = 100 * MB;
   cfg.shed_restore_fraction = 0.25;
   cfg.shed_max_dirty_age_s = 60.0;
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
   surface.flush_.flush_on_round_boundary = false;
   surface.flush_.max_dirty_age_s = 600.0;
@@ -225,8 +219,7 @@ TEST(Controller, RaisesThrottleBoundedThenDecaysToBase) {
   cfg.throttle_raise_factor = 2.0;
   cfg.throttle_max_factor = 4.0;
   cfg.throttle_calm_ticks = 2;
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
   surface.throttle_ = Throttle::Config{100.0, 10.0};
 
@@ -253,8 +246,7 @@ TEST(Controller, TightensAdmissionUnderCriticalBurnAndRelaxes) {
   cfg.admission_tighten_factor = 0.25;
   cfg.admission_floor = 16;
   cfg.max_shards = 1;  // isolate the admission branch from scaling
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
   surface.sched_.class_queue_limit = 1024;
 
@@ -278,8 +270,7 @@ TEST(Controller, AdmissionFloorHolds) {
   cfg.admission_floor = 64;
   cfg.admission_tighten_factor = 0.25;
   cfg.max_shards = 1;
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
   surface.sched_.class_queue_limit = 100;  // 25% would be 25 < floor
 
@@ -290,8 +281,7 @@ TEST(Controller, AdmissionFloorHolds) {
 TEST(Controller, RebalanceOnlyActuatesWhenTheSplitChanges) {
   ControllerConfig cfg;
   cfg.rebalance_every_ticks = 1;
-  PlannerSizingOracle oracle;
-  Controller controller(cfg, oracle);
+  Controller controller(cfg);
   FakeSurface surface;
 
   auto snap = snap_with_burn(60.0, 0.0);

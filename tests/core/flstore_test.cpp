@@ -60,13 +60,11 @@ TEST_F(FLStoreFixture, IngestBacksUpEverythingToColdStore) {
   auto store = make_store();
   store->ingest_round(job.make_round(0), 0.0);
   for (const auto c : job.participants(0)) {
-    EXPECT_TRUE(
-        cold.store().contains(MetadataKey::update(c, 0).object_name()));
-    EXPECT_TRUE(
-        cold.store().contains(MetadataKey::metrics(c, 0).object_name()));
+    EXPECT_TRUE(cold.contains(MetadataKey::update(c, 0).object_name()));
+    EXPECT_TRUE(cold.contains(MetadataKey::metrics(c, 0).object_name()));
   }
-  EXPECT_TRUE(cold.store().contains(MetadataKey::aggregate(0).object_name()));
-  EXPECT_TRUE(cold.store().contains(MetadataKey::metadata(0).object_name()));
+  EXPECT_TRUE(cold.contains(MetadataKey::aggregate(0).object_name()));
+  EXPECT_TRUE(cold.contains(MetadataKey::metadata(0).object_name()));
 }
 
 TEST_F(FLStoreFixture, LatestRoundRequestsHitEntirely) {
@@ -247,9 +245,9 @@ TEST_F(FLStoreFixture, ServeThatThrowsReleasesItsTrackerEntry) {
   ingest_upto(*store, 3);
   const auto name =
       MetadataKey::update(job.participants(3).back(), 3).object_name();
-  const auto kept = cold.store().get(name);
+  const auto kept = cold.get(name, 40.0);
   ASSERT_TRUE(kept.found);
-  ASSERT_TRUE(cold.store().remove(name));
+  ASSERT_TRUE(cold.remove(name, 40.0));
   EXPECT_THROW(
       (void)store->serve(request(5, fed::WorkloadType::kCosineSimilarity, 3),
                          40.0),
@@ -258,7 +256,7 @@ TEST_F(FLStoreFixture, ServeThatThrowsReleasesItsTrackerEntry) {
   EXPECT_FALSE(store->tracker().contains(5));
 
   // With the object back, a retry under the same id is served.
-  (void)cold.store().put(name, *kept.blob, kept.logical_bytes);
+  (void)cold.put(name, *kept.blob, kept.logical_bytes, 45.0);
   const auto res =
       store->serve(request(5, fed::WorkloadType::kCosineSimilarity, 3), 50.0);
   EXPECT_GT(res.hits + res.misses, 0U);

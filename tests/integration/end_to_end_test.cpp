@@ -107,8 +107,9 @@ TEST_F(EndToEnd, TraditionalVariantsMissAndSlow) {
     return run_trace(sc.flstore(), sc.job(), trace, config().duration_s,
                      config().round_interval_s);
   }();
-  auto lru_store = sc.make_flstore_variant(
-      core::PolicyMode::kLru, 20ULL * sc.job().model().object_bytes);
+  auto lru_cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
+  auto lru_store = sc.make_flstore_over(
+      *lru_cold, core::PolicyMode::kLru, 20ULL * sc.job().model().object_bytes);
   const auto lru_run = run_trace(*lru_store, sc.job(), trace,
                                  config().duration_s,
                                  config().round_interval_s);

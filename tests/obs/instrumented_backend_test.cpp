@@ -17,8 +17,7 @@ namespace {
 
 struct InstrumentedBackendTest : ::testing::Test {
   InstrumentedBackendTest()
-      : store(sim::objstore_link(), PricingCatalog::aws()),
-        inner(store, throttled()),
+      : inner(sim::objstore_link(), PricingCatalog::aws(), throttled()),
         wrapped(inner, options()) {}
 
   static backend::ObjectStoreBackend::Config throttled() {
@@ -37,7 +36,6 @@ struct InstrumentedBackendTest : ::testing::Test {
 
   MetricsRegistry metrics;
   Tracer tracer;
-  ObjectStore store;
   backend::ObjectStoreBackend inner;
   InstrumentedBackend wrapped;
 };
@@ -55,8 +53,8 @@ TEST_F(InstrumentedBackendTest, ForwardsIdentityAndStats) {
 TEST_F(InstrumentedBackendTest, ResultsAreBitIdenticalToRaw) {
   // A second, unwrapped backend with the same config sees the same ops at
   // the same times: every modelled quantity must match exactly.
-  ObjectStore raw_store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend raw(raw_store, throttled());
+  backend::ObjectStoreBackend raw(sim::objstore_link(), PricingCatalog::aws(),
+                                  throttled());
   const auto raw_put = raw.put("k", Blob(64), 4 * units::MB, 0.0);
   const auto put = wrapped.put("k", Blob(64), 4 * units::MB, 0.0);
   EXPECT_EQ(put.accepted, raw_put.accepted);
@@ -142,8 +140,8 @@ TEST_F(InstrumentedBackendTest, SpansCarryObjectAndRegionAnnotations) {
 
 TEST(InstrumentedBackendNoTelemetry, WorksWithNullSinks) {
   // Metrics-only, tracer-only, and fully-off configurations all forward.
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend inner(store);
+  backend::ObjectStoreBackend inner(sim::objstore_link(),
+                                    PricingCatalog::aws());
   InstrumentedBackend off(inner, InstrumentedBackend::Options{});
   EXPECT_TRUE(off.put("k", Blob(8), 1 * units::MB, 0.0).accepted);
   EXPECT_TRUE(off.get("k", 1.0).found);
@@ -152,11 +150,11 @@ TEST(InstrumentedBackendNoTelemetry, WorksWithNullSinks) {
 
 TEST(InstrumentedBackendOwning, OwnsTheInnerBackend) {
   MetricsRegistry metrics;
-  ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
   InstrumentedBackend::Options opts;
   opts.metrics = &metrics;
-  InstrumentedBackend wrapped(
-      std::make_unique<backend::ObjectStoreBackend>(store), std::move(opts));
+  InstrumentedBackend wrapped(std::make_unique<backend::ObjectStoreBackend>(
+                                  sim::objstore_link(), PricingCatalog::aws()),
+                              std::move(opts));
   EXPECT_TRUE(wrapped.put("k", Blob(8), 1 * units::MB, 0.0).accepted);
   EXPECT_DOUBLE_EQ(
       metrics

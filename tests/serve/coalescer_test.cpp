@@ -15,14 +15,14 @@
 namespace flstore::serve {
 namespace {
 
-ObjectStore make_store() {
-  return ObjectStore(sim::objstore_link(), PricingCatalog::aws());
+backend::ObjectStoreBackend make_store() {
+  return backend::ObjectStoreBackend(sim::objstore_link(),
+                                     PricingCatalog::aws());
 }
 
 TEST(Coalescer, ConcurrentMissesShareOneFetch) {
-  auto store = make_store();
-  store.put("k", Blob(64), 80 * units::MB);  // 10 s transfer at 8 MB/s
-  backend::ObjectStoreBackend cold(store);
+  auto cold = make_store();
+  (void)cold.put("k", Blob(64), 80 * units::MB, 0.0);  // 10 s at 8 MB/s
   Coalescer co;
 
   const auto lead = co.fetch("k", cold, 100.0);
@@ -41,7 +41,7 @@ TEST(Coalescer, ConcurrentMissesShareOneFetch) {
   }
 
   // Exactly one real cold-store request was issued.
-  EXPECT_EQ(store.get_count(), 1U);
+  EXPECT_EQ(cold.stats().gets, 1U);
   const auto stats = co.stats();
   EXPECT_EQ(stats.leads, 1U);
   EXPECT_EQ(stats.joins, 4U);
@@ -50,37 +50,34 @@ TEST(Coalescer, ConcurrentMissesShareOneFetch) {
 }
 
 TEST(Coalescer, ExpiredWindowLeadsAFreshFetch) {
-  auto store = make_store();
-  store.put("k", Blob(64), 80 * units::MB);
-  backend::ObjectStoreBackend cold(store);
+  auto cold = make_store();
+  (void)cold.put("k", Blob(64), 80 * units::MB, 0.0);
   Coalescer co;
   const auto first = co.fetch("k", cold, 0.0);
   // Past the window: the object aged out of every cache again; refetch.
   const auto second = co.fetch("k", cold, first.latency_s + 1.0);
   EXPECT_GT(second.request_fee_usd, 0.0);
-  EXPECT_EQ(store.get_count(), 2U);
+  EXPECT_EQ(cold.stats().gets, 2U);
   EXPECT_EQ(co.stats().leads, 2U);
   EXPECT_EQ(co.stats().joins, 0U);
 }
 
 TEST(Coalescer, MissOpensNoWindow) {
-  auto store = make_store();
-  backend::ObjectStoreBackend cold(store);
+  auto cold = make_store();
   Coalescer co;
   const auto a = co.fetch("absent", cold, 0.0);
   EXPECT_FALSE(a.found);
   EXPECT_GT(a.request_fee_usd, 0.0);  // control-plane round trip still billed
   // The object lands (ingest backup) and the next fetch must be real.
-  store.put("absent", Blob(64), 1 * units::MB);
+  (void)cold.put("absent", Blob(64), 1 * units::MB, 0.01);
   const auto b = co.fetch("absent", cold, 0.05);
   EXPECT_TRUE(b.found);
   EXPECT_GT(b.request_fee_usd, 0.0);
 }
 
 TEST(Coalescer, ThreadSafeUnderHammering) {
-  auto store = make_store();
-  store.put("k", Blob(64), 80 * units::MB);
-  backend::ObjectStoreBackend cold(store);
+  auto cold = make_store();
+  (void)cold.put("k", Blob(64), 80 * units::MB, 0.0);
   Coalescer co;
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i) {
@@ -101,7 +98,7 @@ TEST(Coalescer, ThreadSafeUnderHammering) {
   EXPECT_GE(stats.leads, 1U);
   EXPECT_LE(stats.leads, 8U);
   EXPECT_EQ(stats.leads + stats.joins, 800U);
-  EXPECT_EQ(store.get_count(), stats.leads);
+  EXPECT_EQ(cold.stats().gets, stats.leads);
 }
 
 // End-to-end: two cache shards of one tenant share the cold store and the
@@ -128,7 +125,7 @@ TEST(CoalescerFLStore, TwoShardsShareOneColdFetch) {
   shard_b.set_cold_fetch_interceptor(&co);
 
   shard_a.ingest_round(job.make_round(0), 0.0);
-  const auto puts_after_ingest = cold.store().put_count();
+  const auto puts_after_ingest = cold.stats().puts;
 
   fed::NonTrainingRequest req;
   req.type = fed::WorkloadType::kInference;  // needs exactly aggregate(0)
@@ -137,19 +134,19 @@ TEST(CoalescerFLStore, TwoShardsShareOneColdFetch) {
   req.id = 1;
   const auto a = shard_a.serve(req, 10.0);
   ASSERT_EQ(a.misses, 1U);
-  const auto gets_after_a = cold.store().get_count();
+  const auto gets_after_a = cold.stats().gets;
 
   // Shard B misses the same key while A's fetch is still streaming.
   req.id = 2;
   const auto b = shard_b.serve(req, 11.0);
   ASSERT_EQ(b.misses, 1U);
-  EXPECT_EQ(cold.store().get_count(), gets_after_a);  // no second GET
+  EXPECT_EQ(cold.stats().gets, gets_after_a);  // no second GET
   EXPECT_EQ(co.stats().joins, 1U);
   // B's bill is smaller: no request fee and less blocked function time.
   EXPECT_LT(b.cost_usd, a.cost_usd);
   EXPECT_LT(b.comm_s, a.comm_s);
   // Result write-backs aside, B triggered no extra backup puts.
-  EXPECT_EQ(cold.store().put_count(),
+  EXPECT_EQ(cold.stats().puts,
             puts_after_ingest + 2);  // two result objects
 }
 

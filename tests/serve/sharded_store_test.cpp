@@ -595,7 +595,7 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   Plane windowed(plane_config(0), /*tenants=*/2);
   const auto trace = open_loop_trace(open_loop(0.2, 400.0), whole.mix());
   (void)serve_queued(*whole.store, trace);
-  const auto whole_puts = whole.cold.store().put_count();
+  const auto whole_puts = whole.cold.stats().puts;
   ASSERT_GT(whole_puts, 0U);
 
   std::size_t served = 0;
@@ -618,8 +618,8 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   // The windowed horizon reaches 400 s while the unwindowed horizon stops
   // at the last arrival, so the windowed run may ingest at most the last
   // partial round extra — never fewer, never duplicates.
-  EXPECT_GE(windowed.cold.store().put_count(), whole_puts);
-  EXPECT_LE(windowed.cold.store().put_count(),
+  EXPECT_GE(windowed.cold.stats().puts, whole_puts);
+  EXPECT_LE(windowed.cold.stats().puts,
             whole_puts + whole_puts / 4);  // slack for the final round
 }
 
@@ -652,7 +652,7 @@ TEST(ShardedStore, WindowedServingRejectsArrivalsOutsideTheWindow) {
   EXPECT_THROW(
       (void)plane.store->serve_open_loop_window(at_end, 30.0, 0.0, 100.0),
       InvalidArgument);
-  EXPECT_EQ(plane.cold.store().put_count(), 0U);  // nothing ingested
+  EXPECT_EQ(plane.cold.stats().puts, 0U);  // nothing ingested
 
   // The in-window slice serves.
   const auto report =

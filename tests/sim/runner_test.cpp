@@ -255,11 +255,55 @@ TEST(Report, QuartileCellFormat) {
 
 TEST(Scenario, VariantFactoryProducesConfiguredStores) {
   Scenario sc(small_scenario());
-  auto lru = sc.make_flstore_variant(core::PolicyMode::kLru);
+  auto cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
+  auto lru = sc.make_flstore_over(*cold, core::PolicyMode::kLru);
   EXPECT_EQ(lru->config().policy.mode, core::PolicyMode::kLru);
-  auto limited =
-      sc.make_flstore_variant(core::PolicyMode::kTailored, 100 * units::MB);
+  auto limited = sc.make_flstore_over(*cold, core::PolicyMode::kTailored,
+                                      100 * units::MB);
   EXPECT_EQ(limited->config().cache_capacity, 100 * units::MB);
+}
+
+// Every system is its own deployment: what ObjStore-Agg ingests lands in
+// its own bucket, not in FLStore's or in a freshly built one.
+TEST(Scenario, SystemsDoNotShareBuckets) {
+  Scenario sc(small_scenario());
+  (void)run_trace(sc.objstore_agg(), sc.job(), sc.trace(), 2000.0, 50.0);
+  EXPECT_EQ(sc.cold_backend().stored_logical_bytes(), 0U);
+  EXPECT_EQ(sc.make_cold_backend(backend::BackendKind::kObjectStore)
+                ->stored_logical_bytes(),
+            0U);
+}
+
+// FLStore prefetches up to the job's round directory, guarded only by what
+// its cold tier holds; a baseline that ran first must not have filled that
+// tier with rounds not yet trained at FLStore's sim time. The paper
+// scenario at 5% scale, in fig10's order (ObjStore-Agg first).
+TEST(Scenario, FLStoreAfterBaselineMatchesFLStoreAlone) {
+  ScenarioConfig cfg;
+  cfg.model = "efficientnet_v2_s";
+  cfg.rounds = 50;
+  cfg.duration_s = kTraceDurationS * 0.05;
+  cfg.total_requests = 150;
+  Scenario after(cfg);
+  Scenario alone(cfg);
+  const auto trace = after.trace();
+  (void)run_trace(after.objstore_agg(), after.job(), trace, cfg.duration_s,
+                  cfg.round_interval_s);
+  const auto a = run_trace(after.flstore(), after.job(), trace,
+                           cfg.duration_s, cfg.round_interval_s);
+  const auto b = run_trace(alone.flstore(), alone.job(), trace,
+                           cfg.duration_s, cfg.round_interval_s);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  ASSERT_GT(a.records.size(), 100U);
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(a.records[i].request.id, b.records[i].request.id);
+    EXPECT_EQ(a.records[i].comm_s, b.records[i].comm_s);
+    EXPECT_EQ(a.records[i].comp_s, b.records[i].comp_s);
+    EXPECT_EQ(a.records[i].cost_usd, b.records[i].cost_usd);
+    EXPECT_EQ(a.records[i].hits, b.records[i].hits);
+    EXPECT_EQ(a.records[i].misses, b.records[i].misses);
+  }
 }
 
 }  // namespace
