@@ -12,7 +12,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.hpp"
 
@@ -46,63 +45,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// std::shared_mutex with capability annotations: one writer or many
-/// readers. The serving plane's real-thread hot path reads shards under the
-/// shared side (ReaderMutexLock) and mutates under the exclusive side
-/// (WriterMutexLock); the analysis distinguishes the two, so a write through
-/// a GUARDED_BY member under a merely-shared hold is a compile error.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
-/// RAII exclusive critical section over SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (read-side) critical section over SharedMutex. The
-/// destructor's generic RELEASE() matches how the analysis models scoped
-/// shared capabilities (it tracks which flavor the constructor acquired).
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable for Mutex waiters. wait() requires the mutex held —

@@ -40,25 +40,17 @@
 
 /// Function requires the listed mutexes held on entry (and does not release).
 #define REQUIRES(...) FLSTORE_TS_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  FLSTORE_TS_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the mutex (held on return, not on entry).
 #define ACQUIRE(...) FLSTORE_TS_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  FLSTORE_TS_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the mutex (held on entry, not on return).
 #define RELEASE(...) FLSTORE_TS_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  FLSTORE_TS_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 
 /// Function attempts the lock; holds it iff the return value equals the
 /// first argument.
 #define TRY_ACQUIRE(...) \
   FLSTORE_TS_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  FLSTORE_TS_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the mutex (the function acquires it itself); turns
 /// self-deadlock into a compile error.

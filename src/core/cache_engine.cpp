@@ -85,7 +85,7 @@ CacheEngine::ReadView CacheEngine::read_only_lookup(const MetadataKey& key,
   }
   auto access = pool_->get(it->second.group, key.object_name());
   if (!access.ok) {
-    return view;  // stale entry; apply_deferred erases it under the writer
+    return view;  // stale entry
   }
   view.hit = true;
   view.blob = std::move(access.blob);
@@ -96,20 +96,15 @@ CacheEngine::ReadView CacheEngine::read_only_lookup(const MetadataKey& key,
 void CacheEngine::apply_deferred(const std::vector<DeferredAccess>& batch) {
   for (const auto& a : batch) {
     clock_ += a.count;
-    const auto it = index_.find(a.key);
     if (!a.hit) {
+      // The key was not in the index when read; a put that raced in after
+      // the read leaves its entry resident.
       misses_ += a.count;
       class_stats_[kSharedPartition].misses += a.count;
-      // The reader saw a miss. If the index still holds the key, either the
-      // group lost the object (stale — erase, as lookup() would) or a put
-      // raced in after the read (resident — leave it alone).
-      if (it != index_.end() &&
-          !pool_->get(it->second.group, a.key.object_name()).ok) {
-        erase_entry(it);
-      }
       continue;
     }
     hits_ += a.count;
+    const auto it = index_.find(a.key);
     if (it == index_.end()) {
       // Evicted between the read and this drain; the bytes were served, so
       // the hit books (under the shared partition — the entry that could
@@ -189,6 +184,7 @@ bool CacheEngine::cache_object(const MetadataKey& key,
     return true;
   }
 
+  FLSTORE_CHECK(ResidencyTable::packable(key));
   const auto partition =
       cls.has_value() ? fed::class_index(*cls) : kSharedPartition;
   const auto class_budget = partition < fed::kPolicyClassCount
@@ -237,6 +233,7 @@ bool CacheEngine::cache_object(const MetadataKey& key,
   e.partition = static_cast<std::uint8_t>(partition);
   order_[partition].insert(victim_key(key, e));
   index_.emplace(key, e);
+  residency_.insert(key);
   bytes_ += logical_bytes;
   class_stats_[partition].bytes += logical_bytes;
   ++class_stats_[partition].objects;
@@ -261,6 +258,7 @@ void CacheEngine::erase_entry(Index::iterator it) {
   stats.bytes -= e.logical_bytes;
   --stats.objects;
   order_[e.partition].erase(victim_key(it->first, e));
+  residency_.erase(it->first);
   index_.erase(it);
 }
 

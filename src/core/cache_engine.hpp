@@ -31,6 +31,7 @@
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "core/policy.hpp"
+#include "core/residency_table.hpp"
 #include "core/serverless_cache.hpp"
 
 namespace flstore::core {
@@ -83,17 +84,32 @@ class CacheEngine {
       const MetadataKey& key, double now,
       std::optional<fed::PolicyClass> cls = std::nullopt);
 
-  // --- Lock-minimal read path (the serving plane's real-thread hot get) ---
+  // --- Lock-free read path (the serving plane's real-thread hot get) ---
   // lookup() mutates on every access (clock tick, recency reorder, hit/miss
-  // ledgers), which forces an exclusive lock around the read path and
-  // serializes concurrent readers of one shard. The hot path splits the two
-  // halves: read_only_lookup is const — safe under a shared lock alongside
-  // other readers — and the bookkeeping it skipped is applied later in
-  // batches through apply_deferred under the exclusive lock. Hit/miss
-  // *counts* come out exactly as if lookup() had run per access; recency /
-  // frequency ordering becomes batch-granular (every access in one drained
-  // batch lands in the same clock window), which only coarsens victim
-  // tie-breaking, not the ledgers.
+  // ledgers), which forces a lock around the read path and serializes
+  // concurrent readers of one shard. The hot path splits the two halves:
+  // residency() answers membership with no lock (the table is written only
+  // beside the index's own insert and erase, so capacity evictions,
+  // drop_group and stale-entry erasure keep it exact), and the bookkeeping
+  // the read skipped is applied later in batches through apply_deferred
+  // under the owner's lock. Hit/miss *counts* come out exactly as if
+  // lookup() had run per access; recency / frequency ordering becomes
+  // batch-granular (every access in one drained batch lands in the same
+  // clock window), which only coarsens victim tie-breaking, not the
+  // ledgers.
+  //
+  // Membership is the index's, not the pool's. A group that dies with the
+  // engine told (drop_group — FLStore::inject_fault always calls it) leaves
+  // no trace in either. A group death the engine is never told about can
+  // only be made by driving the pool directly; such an entry reads as
+  // resident here until the engine erases it (lookup(), evict(), a
+  // capacity eviction or drop_group).
+
+  /// Lock-free membership: the index's key set, readable concurrently with
+  /// the one thread that mutates the engine (see ResidencyTable).
+  [[nodiscard]] const ResidencyTable& residency() const noexcept {
+    return residency_;
+  }
 
   struct ReadView {
     bool hit = false;
@@ -103,13 +119,13 @@ class CacheEngine {
   /// Side-effect-free demand access: hash-index probe plus the pool read,
   /// no counters, no reorder, no clock tick. A resident index entry whose
   /// group lost the object reads as a miss (lookup() would erase it; here
-  /// the erase waits for the next apply_deferred on that key).
+  /// it stays). Needs the owner's lock, unlike residency().
   [[nodiscard]] ReadView read_only_lookup(const MetadataKey& key,
                                           double now) const;
 
   /// One deferred bookkeeping record: `count` consecutive same-key accesses
   /// collapsed by the caller (hot Zipf keys repeat back-to-back), `hit` is
-  /// what the reader observed under its shared lock.
+  /// what the reader observed in residency().
   struct DeferredAccess {
     MetadataKey key;
     std::uint32_t count = 1;
@@ -117,10 +133,10 @@ class CacheEngine {
   };
   /// Apply a batch of deferred accesses: advance the clock, book hits and
   /// misses (classless: hits under the resident entry's partition, misses
-  /// under the shared partition — matching lookup() with no `cls`), bump
-  /// recency/frequency, and erase entries the readers saw as stale. Entries
-  /// evicted between the read and the drain still book the hit the reader
-  /// served; their recency update is simply moot.
+  /// under the shared partition — matching lookup() with no `cls`) and bump
+  /// recency/frequency. Entries evicted between the read and the drain
+  /// still book the hit the reader served; their recency update is simply
+  /// moot.
   void apply_deferred(const std::vector<DeferredAccess>& batch);
 
   /// Insert an object (write-allocate, prefetch or demand fill). Evicts
@@ -139,7 +155,9 @@ class CacheEngine {
   /// into the refreshing class's partition (pinned P3 tracks must live —
   /// and be protected — under the P3 budget even when ingest cached the
   /// bytes for P2 first).
-  /// Returns false if the object could not be placed.
+  /// Returns false if the object could not be placed. A new key's ids must
+  /// fit the residency table's packed word (ResidencyTable::packable;
+  /// FLSTORE_CHECKed before anything changes).
   bool cache_object(const MetadataKey& key, std::shared_ptr<const Blob> blob,
                     units::Bytes logical_bytes, double now,
                     double available_at = 0.0, bool pinned = false,
@@ -274,6 +292,8 @@ class CacheEngine {
   Config config_;
   ServerlessCachePool* pool_;
   Index index_;
+  /// index_'s key set, written only beside index_.emplace / index_.erase.
+  ResidencyTable residency_;
   /// One ordered victim set per partition; begin() is the next victim.
   std::array<std::set<VictimKey>, kPartitions> order_;
   std::array<ClassStats, kPartitions> class_stats_{};

@@ -18,7 +18,7 @@ namespace {
 // stripes round-robin, so with at least as many stripes as worker threads a
 // stripe append never contends with another worker), and the pending
 // accesses that trigger a stripe's batched drain into the engine (one
-// writer acquisition per batch; larger batches amortize the writer lock
+// shard-mutex acquisition per batch; larger batches amortize the lock
 // further but coarsen recency updates).
 constexpr std::size_t kHotStripes = 16;
 constexpr std::size_t kHotDrainBatch = 256;
@@ -108,6 +108,7 @@ std::unique_ptr<ShardedStore::Shard> ShardedStore::make_shard(
   }
   auto shard = std::make_unique<Shard>();
   shard->tenant = tenant.id;
+  shard->residency = &store->engine().residency();
   shard->store = std::move(store);
   shard->stripes.reserve(kHotStripes);
   for (std::size_t s = 0; s < kHotStripes; ++s) {
@@ -148,14 +149,14 @@ void ShardedStore::ingest_round(JobId tenant_id, const fed::RoundRecord& record,
                                 double now) {
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->ingest_round(record, now);
   }
 }
 
 core::ServeResult ShardedStore::serve(const ServiceRequest& req, double now) {
   auto& shard = *shards_[static_cast<std::size_t>(shard_for(req))];
-  const WriterMutexLock lock(shard.mu);
+  const MutexLock lock(shard.mu);
   return shard.store->serve(req.request, now);
 }
 
@@ -251,7 +252,7 @@ void ShardedStore::run_tenant(
     }
     core::ServeResult res;
     {
-      const WriterMutexLock lock(shard.mu);
+      const MutexLock lock(shard.mu);
       res = shard.store->serve(req, start);
     }
     ServiceRecord rec;
@@ -543,42 +544,30 @@ int ShardedStore::hot_shard_for(JobId tenant_id, const MetadataKey& key) const {
   return t.shards[MetadataKeyHash{}(key) % t.shards.size()];
 }
 
-bool ShardedStore::hot_get(JobId tenant_id, const MetadataKey& key, double now,
-                           int worker) {
+bool ShardedStore::hot_get(JobId tenant_id, const MetadataKey& key,
+                           double /*now*/, int worker) {
   auto& shard =
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
-  obs::HotCounters* const counters = config_.hot_path.counters;
-  bool hit = false;
-  if (config_.hot_path.mode == HotPathMode::kExclusive) {
-    const WriterMutexLock lock(shard.mu);
-    hit = shard.store->engine().lookup(key, now).hit;
-  } else {
-    core::CacheEngine::ReadView view;
-    {
-      const ReaderMutexLock lock(shard.mu);
-      view = std::as_const(*shard.store).engine().read_only_lookup(key, now);
+  const bool hit = shard.residency->contains(key);
+  // Bookkeeping goes to this worker's stripe; a full stripe swaps its batch
+  // out under the tiny stripe mutex and applies it to the engine under one
+  // shard-mutex acquisition (the batched cross-shard handoff).
+  std::vector<core::CacheEngine::DeferredAccess> batch;
+  auto& stripe = *shard.stripes[static_cast<std::size_t>(worker) %
+                                shard.stripes.size()];
+  {
+    const MutexLock lock(stripe.mu);
+    auto& pending = stripe.pending;
+    if (!pending.empty() && pending.back().hit == hit &&
+        pending.back().key == key) {
+      ++pending.back().count;  // hot Zipf keys repeat back-to-back
+    } else {
+      pending.push_back({key, 1, hit});
     }
-    hit = view.hit;
-    // Bookkeeping goes to this worker's stripe; a full stripe swaps its
-    // batch out under the tiny stripe mutex and applies it to the engine
-    // under one writer acquisition (the batched cross-shard handoff).
-    std::vector<core::CacheEngine::DeferredAccess> batch;
-    auto& stripe = *shard.stripes[static_cast<std::size_t>(worker) %
-                                  shard.stripes.size()];
-    {
-      const MutexLock lock(stripe.mu);
-      auto& pending = stripe.pending;
-      if (!pending.empty() && pending.back().hit == hit &&
-          pending.back().key == key) {
-        ++pending.back().count;  // hot Zipf keys repeat back-to-back
-      } else {
-        pending.push_back({key, 1, hit});
-      }
-      if (pending.size() >= kHotDrainBatch) batch.swap(pending);
-    }
-    if (!batch.empty()) drain_stripe_batch(shard, batch, worker);
+    if (pending.size() >= kHotDrainBatch) batch.swap(pending);
   }
-  if (counters != nullptr) {
+  if (!batch.empty()) drain_stripe_batch(shard, batch, worker);
+  if (auto* const counters = config_.hot_counters; counters != nullptr) {
     counters->add(obs::HotCounters::kGets, worker);
     counters->add(hit ? obs::HotCounters::kHits : obs::HotCounters::kMisses,
                   worker);
@@ -592,11 +581,11 @@ bool ShardedStore::hot_put(JobId tenant_id, const MetadataKey& key,
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
   bool ok = false;
   {
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     ok = shard.store->engine().cache_object(key, std::make_shared<const Blob>(),
                                             bytes, now);
   }
-  if (auto* const counters = config_.hot_path.counters; counters != nullptr) {
+  if (auto* const counters = config_.hot_counters; counters != nullptr) {
     counters->add(ok ? obs::HotCounters::kPuts : obs::HotCounters::kPutRejects,
                   worker);
   }
@@ -609,10 +598,10 @@ bool ShardedStore::hot_evict(JobId tenant_id, const MetadataKey& key,
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
   bool evicted = false;
   {
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     evicted = shard.store->engine().evict(key);
   }
-  if (auto* const counters = config_.hot_path.counters;
+  if (auto* const counters = config_.hot_counters;
       counters != nullptr && evicted) {
     counters->add(obs::HotCounters::kEvicts, worker);
   }
@@ -641,10 +630,10 @@ void ShardedStore::drain_stripe_batch(
     Shard& shard, std::vector<core::CacheEngine::DeferredAccess>& batch,
     int worker) {
   {
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->engine().apply_deferred(batch);
   }
-  if (auto* const counters = config_.hot_path.counters; counters != nullptr) {
+  if (auto* const counters = config_.hot_counters; counters != nullptr) {
     std::uint64_t accesses = 0;
     for (const auto& a : batch) accesses += a.count;
     counters->add(obs::HotCounters::kDrains, worker);
@@ -659,7 +648,7 @@ ShardedStore::tenant_class_stats(JobId tenant_id) const {
       total{};
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     for (std::size_t p = 0; p < core::CacheEngine::kPartitions; ++p) {
       const auto& s = shard.store->engine().class_stats(p);
       total[p].hits += s.hits;
@@ -679,7 +668,7 @@ backend::DirtyWindowStats ShardedStore::dirty_window_stats(double now) const {
     // The primary shard may be mid-ingest on its tenant's timeline when a
     // telemetry publish samples the window: take the shard lock like every
     // other store access (this was a racy read before the annotation pass).
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto s = shard.store->flush_scheduler().dirty_window_stats(now);
     // Redundant samples of the one shared backend's window: max.
     agg.dirty_bytes = std::max(agg.dirty_bytes, s.dirty_bytes);
@@ -724,7 +713,7 @@ double ShardedStore::infrastructure_cost(double seconds) const {
   double usd = 0.0;
   for (const auto& shard : shards_) {
     if (!shard->active) continue;  // retired slots bill nothing
-    const WriterMutexLock lock(shard->mu);
+    const MutexLock lock(shard->mu);
     usd += shard->store->infrastructure_cost(seconds);
   }
   return usd;
@@ -736,7 +725,7 @@ backend::StorageBackend::FlushResult ShardedStore::set_flush_policy(
   backend::StorageBackend::FlushResult total;
   for (const auto& t : tenants_) {
     auto& shard = *shards_[static_cast<std::size_t>(t.shards.front())];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto r = shard.store->flush_scheduler().set_policy(now, policy);
     total.drained += r.drained;
     total.drained_bytes += r.drained_bytes;
@@ -752,7 +741,7 @@ void ShardedStore::set_tenant_class_budgets(
     const std::array<units::Bytes, fed::kPolicyClassCount>& budgets) {
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->set_class_capacity(budgets);
   }
 }
@@ -768,8 +757,8 @@ int ShardedStore::active_shard_count() const noexcept {
 namespace {
 
 /// One entry captured from a source shard for re-insert elsewhere: the
-/// ResidentEntry plus the blob snapshot (taken under the source's reader
-/// lock so no two shard locks are ever held together).
+/// ResidentEntry plus the blob snapshot (taken under the source's lock
+/// alone, so no two shard locks are ever held together).
 struct Rehome {
   core::CacheEngine::ResidentEntry entry;
   std::shared_ptr<const Blob> blob;
@@ -790,13 +779,13 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
   const int before = static_cast<int>(t.shards.size());
   if (target == before) return before;
 
-  // Phase-1 capture under the source's reader lock only; phase-2 applies
-  // under the destination's writer lock only. No call path ever holds two
-  // shard locks, so actuation cannot deadlock against anything.
+  // Phase-1 captures under the source's lock only; phase-2 applies under
+  // the destination's lock only. No call path ever holds two shard locks,
+  // so actuation cannot deadlock against anything.
   const auto capture = [&](int global) {
     std::vector<Rehome> moves;
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const ReaderMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto& engine = std::as_const(*shard.store).engine();
     for (auto& entry : engine.resident_entries()) {
       auto view = engine.read_only_lookup(entry.key, now);
@@ -807,7 +796,7 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
   };
   const auto place = [&](int global, const Rehome& m, bool opportunistic) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     auto& engine = shard.store->engine();
     if (engine.contains(m.entry.key)) return;
     (void)engine.cache_object(m.entry.key, m.blob, m.entry.logical_bytes, now,
@@ -852,7 +841,7 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
       }
       auto& shard = *shards_[static_cast<std::size_t>(victim)];
       {
-        const WriterMutexLock lock(shard.mu);
+        const MutexLock lock(shard.mu);
         auto& engine = shard.store->engine();
         for (const auto& m : moves) (void)engine.evict(m.entry.key);
         for (const auto& entry : engine.resident_entries()) {

@@ -19,6 +19,12 @@
 //    are bit-identical for any worker_threads value (regression-tested).
 //  * FLStore itself stays single-threaded per shard; each shard is guarded
 //    by its own mutex for the direct serve()/ingest_round() entry points.
+//  * The real-thread hot path (hot_get/hot_put/hot_evict) is the one place
+//    OS threads share a shard. Writers — puts, evicts and stripe drains —
+//    take the shard mutex; readers take no shard lock and probe the
+//    engine's residency table with acquire loads (no fences; see
+//    core/residency_table.hpp), deferring their bookkeeping to per-worker
+//    stripes that drain under the mutex.
 #pragma once
 
 #include <memory>
@@ -55,35 +61,6 @@ enum class Routing : std::uint8_t {
   return "?";
 }
 
-/// Lock discipline of the real-thread hot path (hot_get/hot_put/hot_evict).
-enum class HotPathMode : std::uint8_t {
-  /// Pre-refactor baseline: every access takes the shard lock exclusively
-  /// and runs the full mutating CacheEngine::lookup inline. Kept as the
-  /// measured comparison point for bench/bench_hotpath.
-  kExclusive,
-  /// Lock-minimal: reads hold the shard lock *shared* around the const
-  /// CacheEngine::read_only_lookup and record their bookkeeping in a
-  /// per-worker stripe; full stripes hand their batch to the engine under
-  /// one writer acquisition (CacheEngine::apply_deferred).
-  kStriped,
-};
-
-[[nodiscard]] constexpr const char* to_string(HotPathMode m) noexcept {
-  switch (m) {
-    case HotPathMode::kExclusive: return "exclusive";
-    case HotPathMode::kStriped: return "striped";
-  }
-  return "?";
-}
-
-struct HotPathConfig {
-  HotPathMode mode = HotPathMode::kStriped;
-  /// Optional padded-relaxed-atomic op counters (obs/hot_counters.hpp) —
-  /// the only telemetry allowed on the hot data path. Non-owning;
-  /// nullptr = off.
-  obs::HotCounters* counters = nullptr;
-};
-
 struct ShardedStoreConfig {
   int worker_threads = 4;  ///< 0 = run tenant tasks inline
   Routing routing = Routing::kClassAffinity;
@@ -108,9 +85,10 @@ struct ShardedStoreConfig {
   /// Pure bookkeeping: per-request results are bit-identical either way
   /// (regression-tested).
   obs::Telemetry* telemetry = nullptr;
-  /// Real-thread hot path tuning (see HotPathConfig; only hot_get/hot_put/
-  /// hot_evict consult it — the sim-time planes are unaffected).
-  HotPathConfig hot_path;
+  /// Optional padded-relaxed-atomic op counters for the real-thread hot
+  /// path (obs/hot_counters.hpp) — the only telemetry allowed on its data
+  /// path. Non-owning; nullptr = off.
+  obs::HotCounters* hot_counters = nullptr;
 };
 
 class ShardedStore {
@@ -262,16 +240,16 @@ class ShardedStore {
   // callers should pass distinct values. `now` is still simulated time; the
   // hot path never reads the wall clock.
 
-  /// Demand read on the routed shard. Under HotPathMode::kStriped this is
-  /// the lock-minimal fast path: shared lock + const lookup + stripe
-  /// append; bookkeeping reaches the engine in batches (hit/miss totals
-  /// exact, recency batch-granular — see CacheEngine::apply_deferred).
-  /// Returns whether the key was served from cache.
+  /// Demand read on the routed shard: a lock-free probe of the engine's
+  /// residency table plus a stripe append; bookkeeping reaches the engine
+  /// in batches (hit/miss totals exact, recency batch-granular — see
+  /// CacheEngine::apply_deferred). `now` is unused: membership carries no
+  /// timing. Returns whether the key was served from cache.
   bool hot_get(JobId tenant, const MetadataKey& key, double now, int worker);
 
-  /// Demand insert of `bytes` logical bytes on the routed shard (writer
-  /// lock in both modes — writes are the rare path in the workloads this
-  /// serves). Returns false when the engine rejected the placement.
+  /// Demand insert of `bytes` logical bytes on the routed shard, under the
+  /// shard mutex (writes are the rare path in the workloads this serves).
+  /// Returns false when the engine rejected the placement.
   bool hot_put(JobId tenant, const MetadataKey& key, units::Bytes bytes,
                double now, int worker);
 
@@ -306,7 +284,7 @@ class ShardedStore {
   [[nodiscard]] double infrastructure_cost(double seconds) const;
 
  private:
-  /// One deferred-access buffer of the striped hot path. Each worker
+  /// One deferred-access buffer of the hot read path. Each worker
   /// appends to its own stripe (round-robin by worker index), so the tiny
   /// stripe mutex is effectively uncontended; alignas keeps neighbouring
   /// stripes off one cache line.
@@ -316,14 +294,16 @@ class ShardedStore {
   };
   struct Shard {
     JobId tenant = 0;
-    /// The pointer is set once in add_tenant (before the shard is shared)
+    /// The pointer is set once in make_shard (before the shard is shared)
     /// and never reseated; the FLStore behind it is what `mu` guards.
-    /// Sim-time entry points and hot-path mutations hold `mu` exclusively;
-    /// the striped hot read path holds it shared around the engine's const
-    /// read_only_lookup.
+    /// Sim-time entry points, hot-path writes and stripe drains hold `mu`.
     std::unique_ptr<core::FLStore> store PT_GUARDED_BY(mu);
-    SharedMutex mu;
-    /// Deferred-access stripes (set up in add_tenant, structurally
+    Mutex mu;
+    /// The store's engine's residency table, set in make_shard before the
+    /// shard is shared: the hot read path probes it with no lock (its
+    /// writers are the engine mutations under `mu`).
+    const core::ResidencyTable* residency = nullptr;
+    /// Deferred-access stripes (set up in make_shard, structurally
     /// immutable afterwards; each stripe's contents are guarded by its own
     /// mutex).
     std::vector<std::unique_ptr<Stripe>> stripes;
@@ -382,7 +362,7 @@ class ShardedStore {
   void book_telemetry(const ServiceReport& report);
 
   /// Apply one swapped-out stripe batch to `shard`'s engine under the
-  /// writer lock and clear it for reuse.
+  /// shard mutex and clear it for reuse.
   void drain_stripe_batch(Shard& shard,
                           std::vector<core::CacheEngine::DeferredAccess>& batch,
                           int worker);

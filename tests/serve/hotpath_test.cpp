@@ -1,9 +1,10 @@
-// Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): striped
-// vs exclusive equivalence, partitioned-keyspace determinism against a
-// single-threaded replay, ledger invariants under concurrent mixed traffic,
-// and a stats-polling TSan regression for the shared-lock fast path. Every
-// striped test issues enough reads to fill a stripe (256 pending accesses)
-// several times, and checks that stripes drained mid-run before hot_sync.
+// Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): op-for-op
+// equivalence with a single-threaded CacheEngine::lookup reference,
+// partitioned-keyspace determinism against a single-threaded replay, ledger
+// invariants under concurrent mixed traffic, misses after a group death, and
+// a stats-polling TSan regression for the lock-free read path. Every test
+// issues enough reads to fill a stripe (256 pending accesses) several times,
+// and checks that stripes drained mid-run before hot_sync.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 
 #include "backend/object_store_backend.hpp"
 #include "common/rng.hpp"
+#include "core/flstore.hpp"
 #include "obs/hot_counters.hpp"
 #include "serve/sharded_store.hpp"
 #include "serve/thread_pool.hpp"
@@ -61,12 +63,13 @@ std::vector<Op> mixed_stream(int ops, int n_keys, std::uint64_t seed) {
 }
 
 struct HotPlane {
-  explicit HotPlane(HotPathConfig hot, int tenants = 1, int shards_each = 2)
+  explicit HotPlane(obs::HotCounters* counters = nullptr, int tenants = 1,
+                    int shards_each = 2)
       : cold(sim::objstore_link(), PricingCatalog::aws()),
         job(std::make_unique<fed::FLJob>(small_job())) {
     ShardedStoreConfig cfg;
     cfg.worker_threads = 0;
-    cfg.hot_path = hot;
+    cfg.hot_counters = counters;
     store = std::make_unique<ShardedStore>(cold, cfg);
     for (int t = 0; t < tenants; ++t) {
       (void)store->add_tenant(*job, {}, shards_each);
@@ -120,39 +123,103 @@ struct HotPlane {
   std::unique_ptr<ShardedStore> store;
 };
 
-HotPathConfig hot_config(HotPathMode mode,
-                         obs::HotCounters* counters = nullptr) {
-  HotPathConfig cfg;
-  cfg.mode = mode;
-  cfg.counters = counters;
-  return cfg;
-}
+/// The single-threaded reference: one FLStore per plane shard (same tenant
+/// config, same key routing), driven through the engine's full mutating
+/// CacheEngine::lookup / cache_object / evict on every op.
+struct LookupReference {
+  explicit LookupReference(const HotPlane& plane)
+      : cold(sim::objstore_link(), PricingCatalog::aws()), routing(&plane) {
+    for (int s = 0; s < plane.store->shard_count(); ++s) {
+      stores.push_back(std::make_unique<core::FLStore>(
+          plane.store->shard(s).config(), *plane.job, cold));
+    }
+  }
 
-// Single-threaded, the lock-minimal mode must agree with the exclusive
-// baseline op for op: same per-op hit observations, and (after hot_sync)
-// the same hit/miss ledgers, object counts, and resident bytes.
+  core::CacheEngine& engine(const MetadataKey& key) {
+    return stores[static_cast<std::size_t>(
+                      routing->store->hot_shard_for(0, key))]
+        ->engine();
+  }
+
+  [[nodiscard]] HotPlane::EngineTotals totals() const {
+    HotPlane::EngineTotals t;
+    for (const auto& store : stores) {
+      const auto& engine = store->engine();
+      t.hits += engine.hits();
+      t.misses += engine.misses();
+      t.objects += engine.object_count();
+      t.bytes += engine.cached_bytes();
+    }
+    return t;
+  }
+
+  backend::ObjectStoreBackend cold;
+  const HotPlane* routing;
+  std::vector<std::unique_ptr<core::FLStore>> stores;
+};
+
+// Single-threaded, the plane must agree with the reference op for op: same
+// per-op hit observations, and (after hot_sync drains the stripes) the same
+// hit/miss ledgers, object counts, and resident bytes.
 TEST(HotPath, StripedMatchesExclusiveSingleThreaded) {
   const auto stream = mixed_stream(4000, 48, 11);
   obs::HotCounters counters;
-  HotPlane exclusive(hot_config(HotPathMode::kExclusive));
-  HotPlane striped(hot_config(HotPathMode::kStriped, &counters));
-  exclusive.prefill(0, 48);
-  striped.prefill(0, 48);
+  HotPlane plane(&counters);
+  LookupReference reference(plane);
+  plane.prefill(0, 48);
+  for (int k = 0; k < 48; ++k) {
+    ASSERT_TRUE(reference.engine(nth_key(k)).cache_object(
+        nth_key(k), std::make_shared<const Blob>(), MB, 0.0));
+  }
   for (const auto& op : stream) {
+    auto& engine = reference.engine(op.key);
     if (op.kind == OpKind::kGet) {
-      EXPECT_EQ(exclusive.store->hot_get(0, op.key, 0.0, 0),
-                striped.store->hot_get(0, op.key, 0.0, 0));
+      EXPECT_EQ(plane.store->hot_get(0, op.key, 0.0, 0),
+                engine.lookup(op.key, 0.0).hit);
     } else if (op.kind == OpKind::kPut) {
-      EXPECT_EQ(exclusive.store->hot_put(0, op.key, MB, 0.0, 0),
-                striped.store->hot_put(0, op.key, MB, 0.0, 0));
+      EXPECT_EQ(plane.store->hot_put(0, op.key, MB, 0.0, 0),
+                engine.cache_object(op.key, std::make_shared<const Blob>(),
+                                    MB, 0.0));
     } else {
-      EXPECT_EQ(exclusive.store->hot_evict(0, op.key, 0),
-                striped.store->hot_evict(0, op.key, 0));
+      EXPECT_EQ(plane.store->hot_evict(0, op.key, 0), engine.evict(op.key));
     }
   }
   EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
-  striped.store->hot_sync();
-  EXPECT_EQ(exclusive.totals(), striped.totals());
+  plane.store->hot_sync();
+  EXPECT_EQ(plane.totals(), reference.totals());
+}
+
+// A group death the engine is told about (FLStore::inject_fault calls
+// CacheEngine::drop_group) must read as a miss on the lock-free path for
+// every key the group held, and every other key must still hit.
+TEST(HotPath, GetMissesEveryKeyOfADroppedGroup) {
+  constexpr int kKeys = 64;
+  obs::HotCounters counters;
+  HotPlane plane(&counters, 1, 1);
+  // Objects of a quarter of a function's memory: four per pool group.
+  const auto object_bytes =
+      plane.store->shard(0).config().pool.function_memory / 4;
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(plane.store->hot_put(0, nth_key(k), object_bytes, 0.0, 0));
+  }
+  // The plane is quiescent; the test plays the fault injector.
+  auto& store = const_cast<core::FLStore&>(plane.store->shard(0));
+  ASSERT_TRUE(store.inject_fault(0));
+
+  int dropped = 0;
+  for (int round = 0; round < 8; ++round) {  // fills the stripe repeatedly
+    for (int k = 0; k < kKeys; ++k) {
+      const bool resident = store.engine().contains(nth_key(k));
+      dropped += round == 0 && !resident;
+      EXPECT_EQ(plane.store->hot_get(0, nth_key(k), 0.0, 0), resident)
+          << "key " << k;
+    }
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(dropped, kKeys);
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
+  plane.store->hot_sync();
+  EXPECT_EQ(plane.totals().misses, 8U * static_cast<unsigned>(dropped));
 }
 
 // Partitioned keyspaces (tenant per worker) share no state, so a concurrent
@@ -167,9 +234,8 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
   }
 
   obs::HotCounters counters;
-  HotPlane concurrent(hot_config(HotPathMode::kStriped, &counters), kWorkers,
-                      1);
-  HotPlane reference(hot_config(HotPathMode::kStriped), kWorkers, 1);
+  HotPlane concurrent(&counters, kWorkers, 1);
+  HotPlane reference(nullptr, kWorkers, 1);
   for (int t = 0; t < kWorkers; ++t) {
     concurrent.prefill(t, kKeys);
     reference.prefill(t, kKeys);
@@ -196,7 +262,7 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
   }
 }
 
-// Contended striped traffic: after the workers join and the stripes drain,
+// Contended traffic: after the workers join and the stripes drain,
 // (a) every issued get is booked as exactly one hit or miss, (b) per-class
 // occupancy sums to the engine totals, (c) the hot counters agree with the
 // number of ops issued.
@@ -205,7 +271,7 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   constexpr int kKeys = 64;
   constexpr int kOps = 5000;
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 2);
+  HotPlane plane(&counters, 1, 2);
   plane.prefill(0, kKeys);
   counters.reset();
 
@@ -251,13 +317,13 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
 }
 
 // TSan regression: polling the plane's aggregate statistics while hot
-// traffic runs must be race-free (the pollers take the shard writer lock;
-// the readers hold it shared).
+// traffic runs must be race-free (the pollers take the shard mutex; the
+// readers take no lock).
 TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   constexpr int kWorkers = 2;
   constexpr int kKeys = 32;
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 2);
+  HotPlane plane(&counters, 1, 2);
   plane.prefill(0, kKeys);
 
   std::atomic<bool> done{false};
@@ -289,7 +355,7 @@ TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
 // pending (drained == issued).
 TEST(HotPath, HotSyncDrainsExactly) {
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters), 1, 1);
+  HotPlane plane(&counters, 1, 1);
   plane.prefill(0, 16);
   counters.reset();
   const auto stream = mixed_stream(4000, 16, 42);

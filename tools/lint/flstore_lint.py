@@ -16,12 +16,13 @@ clang-tidy can express:
                       so CI can harvest BENCH_*.json artifacts uniformly.
   mutex-annotation    src/ outside src/common/ must not declare raw
                       std::mutex / std::shared_mutex members (use the
-                      annotated flstore::Mutex / flstore::SharedMutex
-                      shims), and every (Shared)Mutex member
-                      must appear in at least one thread-safety annotation
-                      (GUARDED_BY / PT_GUARDED_BY / REQUIRES / EXCLUDES /
-                      ACQUIRE / RELEASE) in the same file — an unannotated
-                      mutex is invisible to -Wthread-safety.
+                      annotated flstore::Mutex shim; a read-mostly
+                      structure takes its readers off the lock instead —
+                      the recipe is in CONTRIBUTING.md), and every Mutex
+                      member must appear in at least one thread-safety
+                      annotation (GUARDED_BY / PT_GUARDED_BY / REQUIRES /
+                      EXCLUDES / ACQUIRE / RELEASE) in the same file — an
+                      unannotated mutex is invisible to -Wthread-safety.
   test-registration   every *_test.cpp must live under tests/ (that is the
                       tree tests/CMakeLists.txt glob-registers with ctest);
                       a test file anywhere else would build nowhere and
@@ -70,12 +71,11 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 RAW_MUTEX_RE = re.compile(r"\bstd::(shared_mutex|recursive_mutex|mutex)\b")
 
 MUTEX_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:flstore::)?(?:Shared)?Mutex\s+(\w+)\s*;")
+    r"^\s*(?:mutable\s+)?(?:flstore::)?Mutex\s+(\w+)\s*;")
 
 ANNOTATION_MACROS = (
-    "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "REQUIRES_SHARED",
-    "ACQUIRE", "ACQUIRE_SHARED", "RELEASE", "RELEASE_SHARED",
-    "TRY_ACQUIRE", "TRY_ACQUIRE_SHARED", "EXCLUDES", "RETURN_CAPABILITY",
+    "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "ACQUIRE", "RELEASE",
+    "TRY_ACQUIRE", "EXCLUDES", "RETURN_CAPABILITY",
 )
 
 # The annotation layer itself declares the primitives it annotates.
