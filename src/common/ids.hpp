@@ -6,9 +6,11 @@
 // lists of them (Table 1 of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace flstore {
 
@@ -41,6 +43,40 @@ enum class ObjectKind : std::uint8_t {
   return "?";
 }
 
+namespace detail {
+
+/// |v| as unsigned (INT32_MIN included).
+[[nodiscard]] constexpr std::uint32_t magnitude(std::int32_t v) noexcept {
+  return v < 0 ? 0U - static_cast<std::uint32_t>(v)
+               : static_cast<std::uint32_t>(v);
+}
+
+/// Characters printf's "%0<width>d" prints for `v`: the sign and the
+/// digits, zero-padded to at least `width`.
+[[nodiscard]] constexpr std::size_t padded_length(std::int32_t v,
+                                                  std::size_t width) noexcept {
+  std::size_t len = v < 0 ? 2 : 1;
+  for (auto m = magnitude(v); m >= 10; m /= 10) ++len;
+  return std::max(len, width);
+}
+
+/// Write `v` as printf's "%0<width>d" into the `len` = padded_length(v,
+/// width) characters at `out`; returns the end of what it wrote.
+inline char* write_padded(char* out, std::int32_t v, std::size_t len) noexcept {
+  char* p = out + len;
+  auto m = magnitude(v);
+  do {
+    *--p = static_cast<char>('0' + m % 10);
+    m /= 10;
+  } while (m != 0);
+  char* const digits_start = v < 0 ? out + 1 : out;
+  while (p > digits_start) *--p = '0';
+  if (v < 0) *out = '-';
+  return out + len;
+}
+
+}  // namespace detail
+
 /// Addressable unit of FL metadata. Client is kNoClient for round-level
 /// objects (aggregated model, round metadata).
 struct MetadataKey {
@@ -64,12 +100,24 @@ struct MetadataKey {
     return {ObjectKind::ClientMetrics, c, r};
   }
 
-  /// Stable object-store name, e.g. "r000042/client_update/c017".
+  /// Stable object-store name, e.g. "r000042/client_update/c0017": byte
+  /// for byte what printf's "r%06d/%s/c%04d" of (round, kind, client)
+  /// gives, formatted by hand into one allocation (the pool keys every
+  /// cached object by this name, so it sits on every put and evict).
   [[nodiscard]] std::string object_name() const {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "r%06d/%s/c%04d", round, to_string(kind),
-                  client);
-    return buf;
+    const std::string_view kind_name = to_string(kind);
+    const auto round_len = detail::padded_length(round, 6);
+    const auto client_len = detail::padded_length(client, 4);
+    std::string name(round_len + kind_name.size() + client_len + 4, '\0');
+    char* p = name.data();
+    *p++ = 'r';
+    p = detail::write_padded(p, round, round_len);
+    *p++ = '/';
+    p = std::copy(kind_name.begin(), kind_name.end(), p);
+    *p++ = '/';
+    *p++ = 'c';
+    (void)detail::write_padded(p, client, client_len);
+    return name;
   }
 };
 

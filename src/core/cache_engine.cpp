@@ -152,7 +152,8 @@ bool CacheEngine::cache_object(const MetadataKey& key,
       // home (mirrors the insert path's too-big rejection).
       target = e.partition;
     }
-    order_[e.partition].erase(victim_key(key, e));
+    auto node = order_[e.partition].extract(victim_key(key, e));
+    FLSTORE_CHECK(!node.empty());
     if (target != e.partition) {
       auto& from = class_stats_[e.partition];
       FLSTORE_CHECK(from.bytes >= e.logical_bytes && from.objects > 0);
@@ -166,7 +167,8 @@ bool CacheEngine::cache_object(const MetadataKey& key,
     ++e.accesses;
     e.available_at = std::min(e.available_at, std::max(now, available_at));
     e.pinned = e.pinned || pinned;
-    order_[target].insert(victim_key(key, e));
+    node.value() = victim_key(key, e);
+    order_[target].insert(std::move(node));
     // The adopted bytes may push the new partition over budget: evict its
     // victims, but never the entry that was just refreshed. The guard also
     // stops when the adoptee is the cheapest remaining victim (an unpinned

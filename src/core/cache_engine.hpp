@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "core/policy.hpp"
@@ -280,13 +281,15 @@ class CacheEngine {
   /// Evict the cheapest victim of `partition` (kPartitions = any).
   void evict_victim(std::size_t partition);
   /// Mutate `e`'s ordering fields through `fn`, keeping its victim set
-  /// position consistent.
+  /// position consistent. The set node is moved, not freed and reallocated.
   template <typename Fn>
   void reorder(const MetadataKey& key, Entry& e, Fn&& fn) {
     auto& order = order_[e.partition];
-    order.erase(victim_key(key, e));
+    auto node = order.extract(victim_key(key, e));
+    FLSTORE_CHECK(!node.empty());
     fn(e);
-    order.insert(victim_key(key, e));
+    node.value() = victim_key(key, e);
+    order.insert(std::move(node));
   }
 
   Config config_;

@@ -20,11 +20,19 @@
 //  * FLStore itself stays single-threaded per shard; each shard is guarded
 //    by its own mutex for the direct serve()/ingest_round() entry points.
 //  * The real-thread hot path (hot_get/hot_put/hot_evict) is the one place
-//    OS threads share a shard. Writers — puts, evicts and stripe drains —
-//    take the shard mutex; readers take no shard lock and probe the
-//    engine's residency table with acquire loads (no fences; see
-//    core/residency_table.hpp), deferring their bookkeeping to per-worker
-//    stripes that drain under the mutex.
+//    OS threads share a shard. Puts, evicts of resident keys and stripe
+//    drains take the shard mutex (a Mutex spins briefly before it sleeps,
+//    see common/mutex.hpp). Gets and evicts of absent keys take no shard
+//    lock: they probe the engine's residency table with acquire loads (no
+//    fences; see core/residency_table.hpp). Gets defer their bookkeeping
+//    to per-worker stripes. A full stripe drains in place, under its own
+//    stripe lock, only when try_lock() on the shard mutex succeeds; the
+//    reader blocks on the shard mutex only once the stripe's backlog hits
+//    a fixed cap.
+//  * Lock order: stripe, then shard. hot_get is the only path that holds
+//    both. hot_sync and scale-in swap a stripe out under its lock, release
+//    it, and only then take the shard lock; nothing takes a stripe lock
+//    while holding a shard lock.
 #pragma once
 
 #include <memory>
@@ -243,17 +251,19 @@ class ShardedStore {
   /// Demand read on the routed shard: a lock-free probe of the engine's
   /// residency table plus a stripe append; bookkeeping reaches the engine
   /// in batches (hit/miss totals exact, recency batch-granular — see
-  /// CacheEngine::apply_deferred). `now` is unused: membership carries no
-  /// timing. Returns whether the key was served from cache.
+  /// CacheEngine::apply_deferred), drained when the shard mutex is free.
+  /// `now` is unused: membership carries no timing. Returns whether the
+  /// key was served from cache.
   bool hot_get(JobId tenant, const MetadataKey& key, double now, int worker);
 
   /// Demand insert of `bytes` logical bytes on the routed shard, under the
-  /// shard mutex (writes are the rare path in the workloads this serves).
-  /// Returns false when the engine rejected the placement.
+  /// shard mutex; the blob is allocated before the lock is taken. Returns
+  /// false when the engine rejected the placement.
   bool hot_put(JobId tenant, const MetadataKey& key, units::Bytes bytes,
                double now, int worker);
 
-  /// Drop a key on the routed shard. Returns true when it was resident.
+  /// Drop a key on the routed shard. Returns true when it was resident. A
+  /// key the residency table does not hold returns false with no lock.
   bool hot_evict(JobId tenant, const MetadataKey& key, int worker);
 
   /// Drain every stripe's pending deferred accesses into its shard's
@@ -286,8 +296,9 @@ class ShardedStore {
  private:
   /// One deferred-access buffer of the hot read path. Each worker
   /// appends to its own stripe (round-robin by worker index), so the tiny
-  /// stripe mutex is effectively uncontended; alignas keeps neighbouring
-  /// stripes off one cache line.
+  /// stripe mutex is effectively uncontended, even while its owner drains
+  /// the stripe in place under it; alignas keeps neighbouring stripes off
+  /// one cache line.
   struct alignas(64) Stripe {
     Mutex mu;
     std::vector<core::CacheEngine::DeferredAccess> pending GUARDED_BY(mu);
@@ -361,11 +372,15 @@ class ShardedStore {
   /// the parallel data path — see run_all_tenants).
   void book_telemetry(const ServiceReport& report);
 
-  /// Apply one swapped-out stripe batch to `shard`'s engine under the
-  /// shard mutex and clear it for reuse.
-  void drain_stripe_batch(Shard& shard,
-                          std::vector<core::CacheEngine::DeferredAccess>& batch,
-                          int worker);
+  /// Apply `pending` deferred accesses to `shard`'s engine and clear the
+  /// vector for reuse (a stripe's own buffer, or one swapped out of it).
+  void drain_stripe(Shard& shard,
+                    std::vector<core::CacheEngine::DeferredAccess>& pending,
+                    int worker) REQUIRES(shard.mu);
+
+  /// Drain every stripe of `shard` into its engine, one stripe at a time:
+  /// swap under the stripe lock, apply under the shard lock.
+  void drain_stripes(Shard& shard) EXCLUDES(shard.mu);
 
   ShardedStoreConfig config_;
   backend::StorageBackend* cold_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <unordered_set>
 
 namespace flstore {
@@ -46,6 +48,37 @@ TEST(MetadataKey, ObjectNamesUnique) {
 TEST(MetadataKey, ObjectNameStable) {
   EXPECT_EQ(MetadataKey::update(17, 42).object_name(),
             "r000042/client_update/c0017");
+}
+
+// object_name() is formatted by hand; pool names, cold-store names and
+// everything built from them depend on it printing exactly what
+// "r%06d/%s/c%04d" prints, signs, padding and over-wide ids included.
+TEST(MetadataKey, ObjectNameMatchesPrintfFormat) {
+  constexpr std::int32_t kIds[] = {std::numeric_limits<std::int32_t>::min(),
+                                   -1000000,
+                                   -10000,
+                                   -1,
+                                   0,
+                                   9,
+                                   9999,
+                                   10000,
+                                   999999,
+                                   1000000,
+                                   std::numeric_limits<std::int32_t>::max()};
+  constexpr ObjectKind kKinds[] = {
+      ObjectKind::ClientUpdate, ObjectKind::AggregatedModel,
+      ObjectKind::RoundMetadata, ObjectKind::ClientMetrics};
+  for (const auto kind : kKinds) {
+    for (const auto round : kIds) {
+      for (const auto client : kIds) {
+        char expected[64];
+        std::snprintf(expected, sizeof expected, "r%06d/%s/c%04d", round,
+                      to_string(kind), client);
+        EXPECT_EQ((MetadataKey{kind, client, round}.object_name()),
+                  expected);
+      }
+    }
+  }
 }
 
 TEST(MetadataKeyHash, FewCollisionsOnDenseGrid) {

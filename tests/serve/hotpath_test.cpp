@@ -1,10 +1,12 @@
 // Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): op-for-op
 // equivalence with a single-threaded CacheEngine::lookup reference,
 // partitioned-keyspace determinism against a single-threaded replay, ledger
-// invariants under concurrent mixed traffic, misses after a group death, and
-// a stats-polling TSan regression for the lock-free read path. Every test
-// issues enough reads to fill a stripe (256 pending accesses) several times,
-// and checks that stripes drained mid-run before hot_sync.
+// and engine invariants under concurrent mixed traffic (unbounded shards,
+// and shards at capacity where puts evict), misses after a group death, an
+// exact ledger across scale-in, and a stats-polling TSan regression for the
+// lock-free read path. The concurrent tests issue enough reads to fill a
+// stripe (256 pending accesses) several times, and check that stripes
+// drained mid-run before hot_sync.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,7 +48,9 @@ MetadataKey nth_key(int rank) {
   return MetadataKey::update(rank % 16, rank / 16);
 }
 
-std::vector<Op> mixed_stream(int ops, int n_keys, std::uint64_t seed) {
+std::vector<Op> mixed_stream(int ops, int n_keys, std::uint64_t seed,
+                             double put_share = 0.15,
+                             double evict_share = 0.05) {
   Rng rng(seed);
   std::vector<Op> stream;
   stream.reserve(static_cast<std::size_t>(ops));
@@ -55,24 +59,28 @@ std::vector<Op> mixed_stream(int ops, int n_keys, std::uint64_t seed) {
     op.key = nth_key(
         static_cast<int>(rng.uniform_int(0, n_keys - 1)));
     const double r = rng.uniform();
-    op.kind =
-        r < 0.15 ? OpKind::kPut : r < 0.20 ? OpKind::kEvict : OpKind::kGet;
+    op.kind = r < put_share                 ? OpKind::kPut
+              : r < put_share + evict_share ? OpKind::kEvict
+                                            : OpKind::kGet;
     stream.push_back(op);
   }
   return stream;
 }
 
 struct HotPlane {
+  /// `shard_capacity` bounds every shard's cache (0 = unbounded).
   explicit HotPlane(obs::HotCounters* counters = nullptr, int tenants = 1,
-                    int shards_each = 2)
+                    int shards_each = 2, units::Bytes shard_capacity = 0)
       : cold(sim::objstore_link(), PricingCatalog::aws()),
         job(std::make_unique<fed::FLJob>(small_job())) {
     ShardedStoreConfig cfg;
     cfg.worker_threads = 0;
     cfg.hot_counters = counters;
     store = std::make_unique<ShardedStore>(cold, cfg);
+    core::FLStoreConfig store_config;
+    store_config.cache_capacity = shard_capacity;
     for (int t = 0; t < tenants; ++t) {
-      (void)store->add_tenant(*job, {}, shards_each);
+      (void)store->add_tenant(*job, store_config, shards_each);
     }
   }
 
@@ -314,6 +322,99 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
 
   // Every drained batch was counted, and nothing is left pending.
   EXPECT_EQ(counters.total(obs::HotCounters::kDrainedAccesses), issued_gets);
+}
+
+// hot_write's setup in miniature: shards sized for half the keys, so puts
+// evict under contention while gets and evicts of absent keys probe the
+// residency table with no lock and full stripes drain only when the shard
+// mutex is free. After the workers join and hot_sync runs, the ledger is
+// exact and every shard's engine is self-consistent: within capacity,
+// per-class occupancy summing to the totals, and the residency table
+// holding exactly the index's keys.
+TEST(HotPath, BoundedShardConcurrentWritersKeepEngineInvariants) {
+  constexpr int kWorkers = 4;
+  constexpr int kKeys = 64;
+  constexpr int kShards = 2;
+  constexpr units::Bytes kCapacity = units::Bytes{kKeys / 2 / kShards} * MB;
+  obs::HotCounters counters;
+  HotPlane plane(&counters, 1, kShards, kCapacity);
+  plane.prefill(0, kKeys);
+  counters.reset();
+
+  std::vector<std::vector<Op>> streams;
+  for (int w = 0; w < kWorkers; ++w) {
+    streams.push_back(mixed_stream(6000, kKeys, 700 + std::uint64_t(w),
+                                   /*put_share=*/0.4, /*evict_share=*/0.1));
+  }
+  ThreadPool::run_replicated(kWorkers, [&](int worker) {
+    plane.replay(0, streams[static_cast<std::size_t>(worker)], worker);
+  });
+  EXPECT_GT(counters.total(obs::HotCounters::kDrains), 0U);
+  plane.store->hot_sync();
+
+  std::uint64_t issued_gets = 0;
+  for (const auto& stream : streams) {
+    for (const auto& op : stream) issued_gets += op.kind == OpKind::kGet;
+  }
+  const auto totals = plane.totals();
+  EXPECT_EQ(totals.hits + totals.misses, issued_gets);
+  EXPECT_EQ(totals.hits, counters.total(obs::HotCounters::kHits));
+  EXPECT_EQ(totals.misses, counters.total(obs::HotCounters::kMisses));
+  EXPECT_EQ(counters.total(obs::HotCounters::kDrainedAccesses), issued_gets);
+
+  std::uint64_t forced_evictions = 0;
+  for (int s = 0; s < plane.store->shard_count(); ++s) {
+    const auto& engine = plane.store->shard(s).engine();
+    forced_evictions += engine.forced_evictions();
+    EXPECT_LE(engine.cached_bytes(), kCapacity) << "shard " << s;
+    units::Bytes class_bytes = 0;
+    std::size_t class_objects = 0;
+    for (std::size_t p = 0; p < core::CacheEngine::kPartitions; ++p) {
+      class_bytes += engine.class_stats(p).bytes;
+      class_objects += engine.class_stats(p).objects;
+    }
+    EXPECT_EQ(class_bytes, engine.cached_bytes()) << "shard " << s;
+    EXPECT_EQ(class_objects, engine.object_count()) << "shard " << s;
+    for (int k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(engine.residency().contains(nth_key(k)),
+                engine.contains(nth_key(k)))
+          << "shard " << s << " key " << k;
+    }
+  }
+  // Capacity, not only explicit evicts, removed entries.
+  EXPECT_GT(forced_evictions, 0U);
+}
+
+// Scale-in retires a shard whose stripes may still hold deferred gets, and
+// hot_sync skips retired slots. Those gets must still reach a ledger, once:
+// engine hits + misses over every slot equal the gets issued, after the
+// scale-in and again after the slot comes back.
+TEST(HotPath, ScaleInKeepsTheLedgerExact) {
+  constexpr int kKeys = 32;
+  constexpr int kGets = 100;  // under a stripe's batch: nothing drains early
+  obs::HotCounters counters;
+  HotPlane plane(&counters, 1, 2);
+  plane.prefill(0, kKeys / 2);
+  counters.reset();
+  int victim_gets = 0;
+  for (int i = 0; i < kGets; ++i) {
+    const auto key = nth_key(i % kKeys);
+    victim_gets += plane.store->hot_shard_for(0, key) == 1;
+    (void)plane.store->hot_get(0, key, 0.0, 0);
+  }
+  ASSERT_EQ(counters.total(obs::HotCounters::kDrains), 0U);
+  ASSERT_GT(victim_gets, 0);
+
+  ASSERT_EQ(plane.store->set_tenant_shards(0, 1, 0.0), 1);
+  plane.store->hot_sync();
+  auto totals = plane.totals();
+  EXPECT_EQ(totals.hits + totals.misses, std::uint64_t{kGets});
+  EXPECT_EQ(totals.hits, counters.total(obs::HotCounters::kHits));
+
+  ASSERT_EQ(plane.store->set_tenant_shards(0, 2, 0.0), 2);
+  plane.store->hot_sync();
+  totals = plane.totals();
+  EXPECT_EQ(totals.hits + totals.misses, std::uint64_t{kGets});
 }
 
 // TSan regression: polling the plane's aggregate statistics while hot
