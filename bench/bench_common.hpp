@@ -1,15 +1,15 @@
 // Shared scaffolding for the benchmark binaries: every bench prints a banner
 // naming the paper artifact it regenerates, runs the simulation, and closes
-// with paper-vs-measured headlines.
+// with paper-vs-measured headlines (one such section per artifact).
 //
 // Common CLI (parse_args):
-//   --scale X      shrink rounds/request counts proportionally (CI smoke
-//                  runs; per-request quantities are unchanged)
-//   --json[=path]  also write the headline metrics as BENCH_<name>.json —
-//                  the perf-trajectory artifact CI uploads per commit
-//   --trace[=path] export the run's sampled spans as Chrome trace-event
-//                  JSON (TRACE_<name>.json by default) — load in Perfetto
-//                  or chrome://tracing; timestamps are simulated time
+//   --scale X  shrink rounds/request counts proportionally (CI smoke
+//              runs; per-request quantities are unchanged)
+//   --json     also write each artifact's headline metrics as
+//              BENCH_<name>.json — the perf-trajectory artifact CI uploads
+//   --trace    export the run's sampled spans as Chrome trace-event JSON
+//              (TRACE_<name>.json) — load in Perfetto or chrome://tracing;
+//              timestamps are simulated time
 #pragma once
 
 #include <algorithm>
@@ -47,9 +47,7 @@ inline void note(const char* text) { std::printf("%s\n", text); }
 struct Args {
   double scale = 1.0;
   bool json = false;
-  std::string json_path;  ///< empty = BENCH_<name>.json
   bool trace = false;
-  std::string trace_path;  ///< empty = TRACE_<name>.json
 };
 
 inline Args parse_args(int argc, char** argv) {
@@ -75,14 +73,8 @@ inline Args parse_args(int argc, char** argv) {
         std::exit(2);
       }
       set_scale(argv[++i]);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json = true;
-      args.json_path = arg.substr(7);
     } else if (arg == "--json") {
       args.json = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      args.trace = true;
-      args.trace_path = arg.substr(8);
     } else if (arg == "--trace") {
       args.trace = true;
     } else {
@@ -119,12 +111,11 @@ class JsonReport {
     add(what, measured_value, unit);
   }
 
-  /// Write the artifact when --json was given; returns the path ("" if
-  /// disabled). Non-finite values serialize as null (JSON has no NaN).
-  std::string write(const Args& args) const {
-    if (!args.json) return "";
-    const std::string path =
-        args.json_path.empty() ? "BENCH_" + bench_ + ".json" : args.json_path;
+  /// Write the artifact when --json was given. Non-finite values serialize
+  /// as null (JSON has no NaN).
+  void write(const Args& args) const {
+    if (!args.json) return;
+    const std::string path = "BENCH_" + bench_ + ".json";
     std::ofstream out(path);
     out << "{\n  \"bench\": \"" << escaped(bench_) << "\",\n"
         << "  \"scale\": " << args.scale << ",\n  \"metrics\": [\n";
@@ -145,7 +136,6 @@ class JsonReport {
     }
     out << "\n}\n";
     std::printf("\nwrote %s (%zu metrics)\n", path.c_str(), metrics_.size());
-    return path;
   }
 
  private:
@@ -170,22 +160,20 @@ class JsonReport {
   std::string telemetry_json_;
 };
 
-/// Export the tracer's sampled spans when --trace was given; returns the
-/// path ("" if disabled). The file is Chrome trace-event JSON — open it in
-/// Perfetto (ui.perfetto.dev) or chrome://tracing.
-inline std::string write_trace(const Args& args, const obs::Tracer& tracer,
-                               const std::string& bench) {
-  if (!args.trace) return "";
-  const std::string path =
-      args.trace_path.empty() ? "TRACE_" + bench + ".json" : args.trace_path;
+/// Export the tracer's sampled spans when --trace was given. The file is
+/// Chrome trace-event JSON — open it in Perfetto (ui.perfetto.dev) or
+/// chrome://tracing.
+inline void write_trace(const Args& args, const obs::Tracer& tracer,
+                        const std::string& bench) {
+  if (!args.trace) return;
+  const std::string path = "TRACE_" + bench + ".json";
   if (!tracer.write_chrome_trace(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return "";
+    return;
   }
   std::printf("wrote %s (%zu spans, %llu dropped)\n", path.c_str(),
               tracer.span_count(),
               static_cast<unsigned long long>(tracer.dropped()));
-  return path;
 }
 
 /// The observability overhead guard: with telemetry being pure bookkeeping
@@ -229,6 +217,34 @@ inline std::string panel_label(const std::string& model) {
   if (model == "efficientnet_v2_s") return "EfficientNet";
   if (model == "swin_v2_t") return "SwinTransformer";
   return model;
+}
+
+/// A headline's percent reduction, or NaN (null in BENCH_*.json) when a
+/// tiny --scale trace leaves its baseline at zero.
+inline double headline_reduction(double baseline, double ours) {
+  return baseline != 0.0 ? percent_reduction(baseline, ours) : std::nan("");
+}
+
+/// One workload's stats in a baseline's run and in FLStore's run.
+struct WorkloadPair {
+  fed::WorkloadType type;
+  sim::WorkloadStats base, fl;
+};
+
+/// Both runs' stats for each workload in `types`, skipping one that either
+/// run lacks (a tiny --scale trace can carry no request of it).
+inline std::vector<WorkloadPair> paired_workloads(
+    const sim::RunResult& base_run, const sim::RunResult& fl_run,
+    const std::vector<fed::WorkloadType>& types) {
+  auto base_by = sim::by_workload(base_run);
+  auto fl_by = sim::by_workload(fl_run);
+  std::vector<WorkloadPair> pairs;
+  for (const auto type : types) {
+    if (base_by.contains(type) && fl_by.contains(type)) {
+      pairs.push_back({type, std::move(base_by[type]), std::move(fl_by[type])});
+    }
+  }
+  return pairs;
 }
 
 // --- backend sweep (Figs 7/8/10/17) ---------------------------------------
@@ -295,16 +311,14 @@ inline double sweep_mean_cost(const BackendSweepRow& row) {
          static_cast<double>(std::max<std::size_t>(1, row.run.records.size()));
 }
 
-/// Shared sweep table + JSON metrics; benches call this after their own
-/// figure-specific output. Returns the rows for headline checks.
-inline std::vector<BackendSweepRow> print_backend_sweep(
-    sim::Scenario& sc, const std::vector<fed::NonTrainingRequest>& trace,
-    JsonReport& report) {
+/// Shared sweep table + JSON metrics over the rows run_backend_sweep
+/// returned; benches call this after their own figure-specific output.
+inline void print_backend_sweep(const std::vector<BackendSweepRow>& rows,
+                                JsonReport& report) {
   note("\nCold-backend sweep — every row is core::FLStore::serve over a\n"
        "backend::StorageBackend; the direct rows disable the serverless\n"
        "cache, so they measure the raw data plane (the paper's baselines,\n"
        "one code path):");
-  auto rows = run_backend_sweep(sc, trace);
   Table table({"serving path", "mean lat (s)", "mean $/req", "hits", "misses",
                "idle $/h"});
   for (const auto& row : rows) {
@@ -320,7 +334,6 @@ inline std::vector<BackendSweepRow> print_backend_sweep(
     report.add(prefix + "/idle_usd_per_hour", row.idle_usd_per_hour, "$/h");
   }
   std::printf("%s", table.to_string().c_str());
-  return rows;
 }
 
 // --- multi-region cold tier (Figs 13/14 backend-replication sections) -----
