@@ -198,14 +198,16 @@ inline bool check_observability_overhead(JsonReport& report, double off_qps,
 /// The §5.1 evaluation scenario for one model. `scale` < 1 shrinks rounds
 /// and request counts proportionally (all benches default to full scale; a
 /// smaller scale keeps CI runs quick without changing any per-request
-/// quantity — only sample counts shrink).
+/// quantity — only sample counts shrink). Both counts floor at one, so a
+/// tiny scale still yields a job with a round and a one-request trace.
 inline sim::ScenarioConfig paper_scenario(const std::string& model,
                                           double scale = 1.0) {
   sim::ScenarioConfig cfg;
   cfg.model = model;
-  cfg.rounds = static_cast<RoundId>(1000 * scale);
+  cfg.rounds = std::max<RoundId>(1, static_cast<RoundId>(1000 * scale));
   cfg.duration_s = sim::kTraceDurationS * scale;
-  cfg.total_requests = static_cast<std::size_t>(3000 * scale);
+  cfg.total_requests =
+      std::max<std::size_t>(1, static_cast<std::size_t>(3000 * scale));
   cfg.round_interval_s = sim::kRoundIntervalS;
   return cfg;
 }

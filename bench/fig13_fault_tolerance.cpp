@@ -58,10 +58,12 @@ int main(int argc, char** argv) {
     double total = 0.0;
     std::size_t n = 0;
     for (const auto type : workloads) {
-      lat_cells[type].push_back(by.at(type).latency.mean());
-      cost_cells[type].push_back(by.at(type).cost.mean());
-      total += by.at(type).latency.sum();
-      n += by.at(type).latency.size();
+      const auto it = by.find(type);
+      if (it == by.end()) continue;  // a tiny --scale trace can lack it
+      lat_cells[type].push_back(it->second.latency.mean());
+      cost_cells[type].push_back(it->second.cost.mean());
+      total += it->second.latency.sum();
+      n += it->second.latency.size();
     }
     const auto denom = static_cast<double>(std::max<std::size_t>(1, n));
     if (fi == 1) fi1_mean = total / denom;
@@ -69,6 +71,8 @@ int main(int argc, char** argv) {
   }
 
   for (const auto type : workloads) {
+    // Tabulate only a workload every FI run served.
+    if (lat_cells[type].size() != 5) continue;
     std::vector<std::string> lrow{fed::paper_label(type)};
     std::vector<std::string> crow{fed::paper_label(type)};
     for (int fi = 0; fi < 5; ++fi) {

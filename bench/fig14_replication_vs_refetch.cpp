@@ -54,17 +54,15 @@ int main(int argc, char** argv) {
 
   const auto [refetch_run, refetch_keepalive] = run_with_replicas(1);
   const auto [replica_run, replica_keepalive] = run_with_replicas(5);
-  const auto refetch_by = sim::by_workload(refetch_run);
-  const auto replica_by = sim::by_workload(replica_run);
 
   Table table({"application", "re-fetch lat (s)", "replicated lat (s)",
                "re-fetch $/req", "replicated $/req"});
-  for (const auto type : workloads) {
-    table.add_row({fed::paper_label(type),
-                   fmt(refetch_by.at(type).latency.mean(), 2),
-                   fmt(replica_by.at(type).latency.mean(), 2),
-                   fmt_usd(refetch_by.at(type).cost.mean()),
-                   fmt_usd(replica_by.at(type).cost.mean())});
+  for (const auto& [type, refetch, replica] :
+       bench::paired_workloads(refetch_run, replica_run, workloads)) {
+    table.add_row({fed::paper_label(type), fmt(refetch.latency.mean(), 2),
+                   fmt(replica.latency.mean(), 2),
+                   fmt_usd(refetch.cost.mean()),
+                   fmt_usd(replica.cost.mean())});
   }
   std::printf("%s", table.to_string().c_str());
 

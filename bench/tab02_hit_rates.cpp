@@ -63,7 +63,7 @@ Row run_policy(const std::string& family, core::PolicyMode mode,
 
 // ---------------------------------------------------------------------------
 // Eviction-cost microbench: victims/sec of the O(log n) eviction index vs
-// the pre-refactor O(n) full-index scan, at 10^5 and 10^6 resident entries.
+// the pre-refactor O(n) full-index scan, LRU at 10^5 resident entries.
 
 struct EvictionCostRow {
   double engine_vps = 0.0;  ///< victims/sec through CacheEngine
@@ -71,13 +71,11 @@ struct EvictionCostRow {
 };
 
 MetadataKey bench_key(std::size_t i) {
-  // Spread entries over rounds so round-aware mode exercises its ordering.
   return MetadataKey::metrics(static_cast<ClientId>(i % 100000),
                               static_cast<RoundId>(i / 100000));
 }
 
-EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
-                              std::size_t n, std::size_t victims) {
+EvictionCostRow eviction_cost(std::size_t n, std::size_t victims) {
   // flstore-lint: allow(wall-clock) -- real CPU microbenchmark: victims/sec of actual eviction work, not simulated time
   using clock = std::chrono::steady_clock;
   EvictionCostRow row;
@@ -89,7 +87,9 @@ EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
     core::ServerlessCachePool pool(
         core::ServerlessCachePool::Config{4 * units::GB, 1, 0}, runtime);
     core::CacheEngine engine(
-        core::CacheEngine::Config{n * units::KB, order, round_aware}, pool);
+        core::CacheEngine::Config{n * units::KB, core::PolicyMode::kLru,
+                                  false},
+        pool);
     const auto blob = std::make_shared<const Blob>(Blob{1});
     for (std::size_t i = 0; i < n; ++i) {
       (void)engine.cache_object(bench_key(i), blob, units::KB, 0.0);
@@ -103,8 +103,10 @@ EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
         static_cast<double>(engine.forced_evictions()) / elapsed.count();
   }
 
-  // Reference path: the old evict_victim — a full scan of a flat index per
-  // victim (no pool traffic at all, so this under-counts the old cost).
+  // Reference path: the old evict_victim under LRU — a full scan of a flat
+  // index per victim (no pool traffic at all, so this under-counts the old
+  // cost). Entries keep the old index's layout, so the scan walks the same
+  // footprint.
   {
     struct Meta {
       std::uint64_t last_access = 0, inserted = 0, accesses = 0;
@@ -120,24 +122,9 @@ EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
     for (std::size_t i = 0; i < victims; ++i) {
       auto victim = index.begin();
       auto best = std::numeric_limits<std::uint64_t>::max();
-      auto best_round = std::numeric_limits<RoundId>::max();
       for (auto it = index.begin(); it != index.end(); ++it) {
-        if (round_aware) {
-          if (it->second.round < best_round ||
-              (it->second.round == best_round &&
-               it->second.last_access < best)) {
-            best_round = it->second.round;
-            best = it->second.last_access;
-            victim = it;
-          }
-          continue;
-        }
-        const auto s = order == core::PolicyMode::kLfu ? it->second.accesses
-                       : order == core::PolicyMode::kFifo
-                           ? it->second.inserted
-                           : it->second.last_access;
-        if (s < best) {
-          best = s;
+        if (it->second.last_access < best) {
+          best = it->second.last_access;
           victim = it;
         }
       }
@@ -154,7 +141,15 @@ EvictionCostRow eviction_cost(core::PolicyMode order, bool round_aware,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto args = bench::parse_args(argc, argv);
+  if (args.scale != 1.0) {
+    // Table 2's counts are the paper's full-size traces; a smaller run
+    // would print counts no headline can be compared against.
+    std::fprintf(stderr, "tab02 runs at full scale only; drop --scale\n");
+    return 2;
+  }
+  bench::JsonReport report("tab02");
   bench::banner("Table 2", "Cache policy hits/misses across workload families");
 
   fed::FLJobConfig job_cfg;
@@ -221,18 +216,17 @@ int main() {
   std::printf("%s", table.to_string().c_str());
 
   std::printf("\nHeadlines (paper vs measured):\n");
-  sim::print_headline("P2 FLStore hits", 19999,
-                      static_cast<double>(fl_p2.hits), "");
-  sim::print_headline("P2 FLStore misses", 1,
-                      static_cast<double>(fl_p2.misses), "");
-  sim::print_headline("P3 FLStore hits", 63, static_cast<double>(fl_p3.hits),
-                      "");
-  sim::print_headline("P3 FLStore misses", 1,
-                      static_cast<double>(fl_p3.misses), "");
-  sim::print_headline("P4 FLStore hits", 20000,
-                      static_cast<double>(fl_p4.hits), "");
-  sim::print_headline("P4 FLStore misses", 0,
-                      static_cast<double>(fl_p4.misses), "");
+  report.headline("P2 FLStore hits", 19999, static_cast<double>(fl_p2.hits),
+                  "");
+  report.headline("P2 FLStore misses", 1, static_cast<double>(fl_p2.misses),
+                  "");
+  report.headline("P3 FLStore hits", 63, static_cast<double>(fl_p3.hits), "");
+  report.headline("P3 FLStore misses", 1, static_cast<double>(fl_p3.misses),
+                  "");
+  report.headline("P4 FLStore hits", 20000, static_cast<double>(fl_p4.hits),
+                  "");
+  report.headline("P4 FLStore misses", 0, static_cast<double>(fl_p4.misses),
+                  "");
 
   // ---- eviction-cost column ----------------------------------------------
   bench::note(
@@ -241,38 +235,15 @@ int main() {
       "pool traffic, so the speedup is a lower bound).");
   Table evc({"entries", "mode", "victims/s (engine)", "victims/s (O(n) scan)",
              "speedup"});
-  struct ModeRow {
-    const char* name;
-    core::PolicyMode order;
-    bool round_aware;
-  };
-  const ModeRow evc_modes[] = {
-      {"LRU", core::PolicyMode::kLru, false},
-      {"LFU", core::PolicyMode::kLfu, false},
-      {"FIFO", core::PolicyMode::kFifo, false},
-      {"round-aware", core::PolicyMode::kLru, true},
-  };
-  double speedup_1e5 = 0.0;
-  for (const std::size_t n : {std::size_t{100000}, std::size_t{1000000}}) {
-    for (const auto& m : evc_modes) {
-      // At 10^6 entries the O(n) scan is ~100 us/victim; two modes keep the
-      // bench under a minute while still showing the scaling cliff.
-      if (n == 1000000 && m.order == core::PolicyMode::kLfu) continue;
-      if (n == 1000000 && m.order == core::PolicyMode::kFifo) continue;
-      const auto victims = n == 1000000 ? std::size_t{100} : std::size_t{400};
-      const auto row = eviction_cost(m.order, m.round_aware, n, victims);
-      const auto speedup = row.engine_vps / row.oracle_vps;
-      if (n == 100000 && m.order == core::PolicyMode::kLru &&
-          !m.round_aware) {
-        speedup_1e5 = speedup;
-      }
-      evc.add_row({std::to_string(n), m.name, fmt(row.engine_vps, 0),
-                   fmt(row.oracle_vps, 0), fmt(speedup, 1) + "x"});
-    }
-  }
+  constexpr std::size_t kEvictionEntries = 100000;
+  const auto evc_row = eviction_cost(kEvictionEntries, 400);
+  const auto speedup_1e5 = evc_row.engine_vps / evc_row.oracle_vps;
+  evc.add_row({std::to_string(kEvictionEntries), "LRU",
+               fmt(evc_row.engine_vps, 0), fmt(evc_row.oracle_vps, 0),
+               fmt(speedup_1e5, 1) + "x"});
   std::printf("%s", evc.to_string().c_str());
-  sim::print_headline("eviction speedup at 1e5 entries (>= 10x)", 10.0,
-                      speedup_1e5, "x");
+  report.headline("eviction speedup at 1e5 entries (>= 10x)", 10.0,
+                  speedup_1e5, "x");
 
   // ---- partitioned vs unpartitioned --------------------------------------
   bench::note(
@@ -345,5 +316,6 @@ int main() {
       "   set exceeds any budget, so the rebalancer keeps it at the floor)\n",
       hit_rate_plain, hit_rate_part, class_rate[0][0], class_rate[1][0],
       class_rate[0][2], class_rate[1][2], class_rate[0][3], class_rate[1][3]);
+  report.write(args);
   return 0;
 }

@@ -48,25 +48,6 @@ bool CloudCacheBackend::store_locked(const std::string& name,
   return true;
 }
 
-PutResult CloudCacheBackend::put(const std::string& name, Blob blob,
-                                 units::Bytes logical_bytes, double now) {
-  const units::Bytes logical = effective_logical(blob, logical_bytes);
-  PutResult res;
-  res.latency_s = config_.link.transfer_time(logical);
-  const MutexLock lock(mu_);
-  res.latency_s += admit_throttled(throttle_, stats_, now);
-  res.accepted =
-      store_locked(name, std::make_shared<const Blob>(std::move(blob)),
-                   logical);
-  ++stats_.puts;
-  if (res.accepted) {
-    stats_.bytes_written += logical;
-  } else {
-    ++stats_.rejected_puts;
-  }
-  return res;
-}
-
 BatchPutResult CloudCacheBackend::put_batch(std::vector<PutRequest> batch,
                                             double now) {
   BatchPutResult res;
@@ -91,9 +72,9 @@ BatchPutResult CloudCacheBackend::put_batch(std::vector<PutRequest> batch,
     ++res.stored;
     stored += logical;
   }
-  // Same contract as put(): a refused write still pays its transfer — the
-  // bytes travelled before the rejection, so the stream time covers every
-  // *attempted* byte, not just the accepted ones.
+  // A refused write still pays its transfer — the bytes travelled before
+  // the rejection, so the stream time covers every *attempted* byte, not
+  // just the accepted ones.
   res.latency_s += config_.link.transfer_time(attempted);
   ++stats_.batches;
   stats_.bytes_written += stored;

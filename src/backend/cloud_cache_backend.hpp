@@ -38,8 +38,6 @@ class CloudCacheBackend final : public StorageBackend {
 
   CloudCacheBackend(Config config, const PricingCatalog& pricing);
 
-  PutResult put(const std::string& name, Blob blob, units::Bytes logical_bytes,
-                double now) override;
   BatchPutResult put_batch(std::vector<PutRequest> batch, double now) override;
   GetResult get(const std::string& name, double now) override;
   bool remove(const std::string& name, double now) override;

@@ -33,23 +33,12 @@ bool LocalSsdBackend::store_locked(const std::string& name, Blob blob,
   return true;
 }
 
-PutResult LocalSsdBackend::put(const std::string& name, Blob blob,
-                               units::Bytes logical_bytes, double now) {
-  const units::Bytes logical = effective_logical(blob, logical_bytes);
-  PutResult res;
-  res.latency_s = config_.link.transfer_time(logical);
-  const MutexLock lock(mu_);
-  res.latency_s += admit_throttled(throttle_, stats_, now);
-  res.accepted = store_locked(name, std::move(blob), logical);
-  return res;
-}
-
 BatchPutResult LocalSsdBackend::put_batch(std::vector<PutRequest> batch,
                                           double now) {
   // NVMe queues keep a batch streaming at device bandwidth: one admission,
   // one setup cost, then sequential writes. Rejected items (fixed fleet,
   // full device) still consume stream time — the bytes travelled over the
-  // link before the device refused them, the same contract as put().
+  // link before the device refused them.
   BatchPutResult res;
   res.accepted.reserve(batch.size());
   units::Bytes attempted = 0;

@@ -16,21 +16,6 @@ void ObjectStoreBackend::store_locked(const std::string& name, Blob blob,
   stored_logical_ += logical_bytes;
 }
 
-PutResult ObjectStoreBackend::put(const std::string& name, Blob blob,
-                                  units::Bytes logical_bytes, double now) {
-  const units::Bytes logical = effective_logical(blob, logical_bytes);
-  PutResult res;
-  res.request_fee_usd = pricing_->s3_usd_per_put;
-  const MutexLock lock(mu_);
-  res.latency_s = admit_throttled(throttle_, stats_, now) +
-                  link_.transfer_time(logical);
-  store_locked(name, std::move(blob), logical);
-  ++stats_.puts;
-  stats_.bytes_written += logical;
-  stats_.fees_usd += res.request_fee_usd;
-  return res;
-}
-
 BatchPutResult ObjectStoreBackend::put_batch(std::vector<PutRequest> batch,
                                              double now) {
   // One admission and one streamed transfer for the whole batch: the

@@ -29,8 +29,6 @@ class ObjectStoreBackend final : public StorageBackend {
                      Config config = {})
       : link_(link), pricing_(&pricing), throttle_(config.throttle) {}
 
-  PutResult put(const std::string& name, Blob blob, units::Bytes logical_bytes,
-                double now) override;
   BatchPutResult put_batch(std::vector<PutRequest> batch, double now) override;
   GetResult get(const std::string& name, double now) override;
   bool remove(const std::string& name, double now) override;

@@ -1,7 +1,6 @@
 #include "backend/replicated_cold_store.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -88,74 +87,6 @@ bool ReplicatedColdStore::in_outage(std::size_t region, double now) const {
   return false;
 }
 
-PutResult ReplicatedColdStore::put(const std::string& name, Blob blob,
-                                   units::Bytes logical_bytes, double now) {
-  const units::Bytes logical = effective_logical(blob, logical_bytes);
-  std::uint64_t version = 0;
-  {
-    const MutexLock lock(mu_);
-    version = ++latest_[name];
-  }
-  PutResult res;
-  res.accepted = false;
-  std::vector<double> acks;
-  std::vector<std::size_t> accepted_regions;
-  acks.reserve(regions_.size());
-  double slowest_attempt = 0.0;
-  double fees = 0.0;
-  double egress = 0.0;
-  std::uint64_t skips = 0;
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    if (in_outage(i, now)) {
-      // The region never receives the write: its replica goes stale and
-      // later reads skip it (the failover/re-fetch penalty) until
-      // read-repair heals it.
-      ++skips;
-      continue;
-    }
-    auto ack = regions_[i].resolved->put(name, Blob(blob), logical, now);
-    const double latency =
-        ack.latency_s + regions_[i].wan.transfer_time(logical);
-    fees += ack.request_fee_usd;
-    egress += egress_fee(i, logical);
-    slowest_attempt = std::max(slowest_attempt, latency);
-    if (ack.accepted) {
-      acks.push_back(latency);
-      accepted_regions.push_back(i);
-    }
-  }
-  std::sort(acks.begin(), acks.end());
-  if (static_cast<int>(acks.size()) >= quorum_) {
-    // Parallel fan-out: the caller waits for the W-th acknowledgement.
-    res.accepted = true;
-    res.latency_s = acks[static_cast<std::size_t>(quorum_ - 1)];
-  } else {
-    // Quorum failed — the bytes still travelled to every reachable region.
-    res.latency_s = slowest_attempt;
-  }
-  res.request_fee_usd = fees + egress;
-  const MutexLock lock(mu_);
-  // A quorum-failed write that reached *some* region is not rolled back —
-  // those replicas hold (and serve) the newest version. A write *no*
-  // region took must not advance the version, though, or every replica
-  // would read as permanently stale.
-  for (const auto i : accepted_regions) {
-    auto& seen = regions_[i].versions[name];
-    seen = std::max(seen, version);
-  }
-  if (accepted_regions.empty()) rollback_version_locked(name, version);
-  ++stats_.puts;
-  if (!res.accepted) {
-    ++stats_.rejected_puts;
-    ++quorum_failures_;
-  }
-  stats_.bytes_written += res.accepted ? logical : 0;
-  stats_.fees_usd += res.request_fee_usd;
-  egress_fees_usd_ += egress;
-  outage_skips_ += skips;
-  return res;
-}
-
 BatchPutResult ReplicatedColdStore::put_batch(std::vector<PutRequest> batch,
                                               double now) {
   for (auto& item : batch) {
@@ -196,9 +127,8 @@ BatchPutResult ReplicatedColdStore::put_batch(std::vector<PutRequest> batch,
     res.request_fee_usd += region_res.request_fee_usd;
     egress += egress_fee(i, attempted);
     slowest_attempt = std::max(slowest_attempt, latency);
-    // Like put(): only a region that accepted something acknowledges; a
-    // full region that refused the whole batch must not speed up the
-    // quorum wait.
+    // Only a region that accepted something acknowledges; a full region
+    // that refused the whole batch must not speed up the quorum wait.
     if (region_res.stored > 0) acks.push_back(latency);
     for (std::size_t k = 0; k < batch.size(); ++k) {
       if (k < region_res.accepted.size() && region_res.accepted[k]) {
@@ -229,7 +159,10 @@ BatchPutResult ReplicatedColdStore::put_batch(std::vector<PutRequest> batch,
       seen = std::max(seen, versions[k]);
     }
   }
-  // Items no region took must not advance their version (see put()).
+  // A quorum-failed item that reached *some* region is not rolled back —
+  // those replicas hold (and serve) the newest version. An item *no*
+  // region took must not advance its version, though, or every replica
+  // would read as permanently stale.
   for (std::size_t k = 0; k < batch.size(); ++k) {
     if (accept_count[k] == 0) {
       rollback_version_locked(batch[k].name, versions[k]);
@@ -428,10 +361,6 @@ double ReplicatedColdStore::idle_cost(double seconds) const {
     total += region.resolved->idle_cost(seconds);
   }
   return total;
-}
-
-StorageBackend::FlushResult ReplicatedColdStore::flush(double now) {
-  return flush_window(now, std::numeric_limits<double>::infinity(), 0);
 }
 
 StorageBackend::FlushResult ReplicatedColdStore::flush_window(

@@ -95,8 +95,6 @@ class ReplicatedColdStore final : public StorageBackend {
   ReplicatedColdStore(std::vector<Region> regions, Config config,
                       const PricingCatalog& pricing);
 
-  PutResult put(const std::string& name, Blob blob, units::Bytes logical_bytes,
-                double now) override;
   BatchPutResult put_batch(std::vector<PutRequest> batch, double now) override;
   GetResult get(const std::string& name, double now) override;
   bool remove(const std::string& name, double now) override;
@@ -109,7 +107,6 @@ class ReplicatedColdStore final : public StorageBackend {
   [[nodiscard]] units::Bytes capacity_bytes() const override;
   /// Sum over regions — every replica is provisioned and billed.
   [[nodiscard]] double idle_cost(double seconds) const override;
-  FlushResult flush(double now) override;
   FlushResult flush_window(double now, double dirty_before,
                            std::size_t max_objects) override;
   /// The most-indebted region's window (regions replicate the same logical

@@ -1,6 +1,7 @@
 #include "backend/storage_backend.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace flstore::backend {
 
@@ -45,19 +46,16 @@ void Throttle::set_config(Config config, double now) {
   tokens_ = std::min(tokens_, config_.burst_ops);
 }
 
-BatchPutResult StorageBackend::put_batch(std::vector<PutRequest> batch,
-                                         double now) {
-  BatchPutResult res;
-  res.accepted.reserve(batch.size());
-  for (auto& item : batch) {
-    const auto put_res =
-        put(item.name, std::move(item.blob), item.logical_bytes, now);
-    res.accepted.push_back(put_res.accepted);
-    if (put_res.accepted) ++res.stored;
-    res.latency_s += put_res.latency_s;
-    res.request_fee_usd += put_res.request_fee_usd;
-  }
-  return res;
+PutResult StorageBackend::put(const std::string& name, Blob blob,
+                              units::Bytes logical_bytes, double now) {
+  std::vector<PutRequest> batch;
+  batch.push_back(PutRequest{name, std::move(blob), logical_bytes});
+  const auto res = put_batch(std::move(batch), now);
+  return PutResult{res.stored > 0, res.latency_s, res.request_fee_usd};
+}
+
+StorageBackend::FlushResult StorageBackend::flush(double now) {
+  return flush_window(now, std::numeric_limits<double>::infinity(), 0);
 }
 
 }  // namespace flstore::backend

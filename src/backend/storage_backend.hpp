@@ -13,12 +13,17 @@
 //   LocalSsdBackend     — NVMe-class device tier (microsecond first byte,
 //                         provisioned-capacity billing)
 //   TieredColdStore     — composes backends with fallback + write modes
+//   ReplicatedColdStore — composes per-region backends with W-of-N quorum
+//                         writes and failover reads
 //
 // Every operation takes the *simulated* time `now` and returns the modelled
 // latency and request fee; always-on fees (storage GB-month, node-hours)
 // come from idle_cost(). Capacity and throttling are part of the contract:
 // a backend may reject a put (accepted=false) when full, and a configured
 // ops/s throttle surfaces as extra per-op latency, never as an error.
+//
+// One write path: a backend implements put_batch and flush_window only. A
+// put is a one-object put_batch and a flush an uncapped flush_window.
 //
 // Implementations must be internally synchronized: the serving plane drives
 // one shared backend from many tenant timelines at once.
@@ -61,6 +66,7 @@ struct GetResult {
   double request_fee_usd = 0.0;
 };
 
+/// A put's outcome: its one-object batch's acceptance, latency and fee.
 struct PutResult {
   /// false when a capacity-bounded backend refused the object. The write
   /// still pays its latency (the bytes travelled before the rejection).
@@ -96,7 +102,7 @@ struct OpStats {
   /// subtract rejected_puts for successful writes.
   std::uint64_t puts = 0;
   std::uint64_t removes = 0;
-  std::uint64_t batches = 0;         ///< put_batch calls
+  std::uint64_t batches = 0;         ///< write calls; a put is a batch of one
   std::uint64_t rejected_puts = 0;   ///< capacity refusals
   std::uint64_t throttled_ops = 0;   ///< ops that waited on the throttle
   units::Bytes bytes_read = 0;
@@ -169,16 +175,18 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Store (or overwrite) an object at simulated time `now`.
+  /// Store (or overwrite) an object at simulated time `now`: a one-object
+  /// put_batch, with the same admission, stream, fees and ledger.
   /// `logical_bytes` defaults to the blob size (see effective_logical).
+  /// Virtual only for decorators that count calls per entry point.
   virtual PutResult put(const std::string& name, Blob blob,
-                        units::Bytes logical_bytes, double now) = 0;
+                        units::Bytes logical_bytes, double now);
 
-  /// Batched multi-put: one admission, one streamed transfer. The default
-  /// implementation loops over put() and sums latencies; backends override
-  /// it to amortize the per-object first-byte cost (FLStore backs every
-  /// ingested round up through it).
-  virtual BatchPutResult put_batch(std::vector<PutRequest> batch, double now);
+  /// Batched multi-put, the one write a backend implements: one admission,
+  /// one streamed transfer, so the per-object first-byte cost is paid once
+  /// (FLStore backs every ingested round up through it).
+  virtual BatchPutResult put_batch(std::vector<PutRequest> batch,
+                                   double now) = 0;
 
   virtual GetResult get(const std::string& name, double now) = 0;
 
@@ -196,28 +204,28 @@ class StorageBackend {
     double request_fee_usd = 0.0;  ///< drain-read GETs + deep-tier PUTs
   };
 
-  /// Drain writes the backend deferred (a write-back TieredColdStore parks
-  /// puts in its fast tier until drained). Callers that require durability
-  /// at a point in time — FLStore does, after every round's backup — call
-  /// this and charge the returned fees; simple backends have nothing
-  /// deferred and return {}.
-  virtual FlushResult flush(double now) {
-    (void)now;
-    return {};
-  }
+  /// Drain every write the backend deferred (a write-back TieredColdStore
+  /// parks puts in its fast tier until drained): an uncapped flush_window.
+  /// Callers that require durability at a point in time — FLStore does,
+  /// after every round's backup — call this and charge the returned fees.
+  /// Virtual only because flbench's TimedBackend still overrides it; that
+  /// override books the same ledger as its flush_window, so the two can go
+  /// together and leave flush_window the only virtual drain.
+  virtual FlushResult flush(double now);
 
-  /// Bounded drain for flush *schedulers*: make durable only objects that
-  /// were dirtied at or before `dirty_before` (simulated time), at most
-  /// `max_objects` of them (0 = no cap), oldest-first. This is how an
-  /// age-threshold daemon fires retroactively at the deadline without
-  /// acausally draining writes that happened after it, and how a byte
-  /// threshold drains in throttle-sized slices that cannot starve reads.
-  /// Backends with nothing deferred fall back to flush().
+  /// Bounded drain, the one drain a backend implements: make durable only
+  /// objects that were dirtied at or before `dirty_before` (simulated
+  /// time), at most `max_objects` of them (0 = no cap), oldest-first. This
+  /// is how an age-threshold daemon fires retroactively at the deadline
+  /// without acausally draining writes that happened after it, and how a
+  /// byte threshold drains in throttle-sized slices that cannot starve
+  /// reads. Backends with nothing deferred return {}.
   virtual FlushResult flush_window(double now, double dirty_before,
                                    std::size_t max_objects) {
+    (void)now;
     (void)dirty_before;
     (void)max_objects;
-    return flush(now);
+    return {};
   }
 
   /// Crash-consistency introspection: the write-back dirty window — objects

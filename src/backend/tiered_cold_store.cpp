@@ -1,7 +1,6 @@
 #include "backend/tiered_cold_store.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -14,87 +13,16 @@ TieredColdStore::TieredColdStore(std::vector<StorageBackend*> tiers,
   for (const auto* tier : tiers_) FLSTORE_CHECK(tier != nullptr);
 }
 
-PutResult TieredColdStore::put(const std::string& name, Blob blob,
-                               units::Bytes logical_bytes, double now) {
-  const units::Bytes logical = effective_logical(blob, logical_bytes);
-  PutResult res;
+BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
+                                          double now) {
+  BatchPutResult res;
   if (config_.write_mode == WriteMode::kWriteBack) {
-    // The fastest tier with room absorbs the write. Unless that was the
+    // The fastest tier with room absorbs each write. Unless that was the
     // deepest (durable) tier itself, the object is dirty: flush() owes it
     // to the deepest tier — a fast-tier *refusal* never loses an object a
     // durable tier below had room for. (A bounded fast tier *evicting* a
     // dirty object before flush is the write-back crash window; see
     // dropped_dirty_count().)
-    for (std::size_t i = 0; i < tiers_.size(); ++i) {
-      res = tiers_[i]->put(name, i + 1 == tiers_.size() ? std::move(blob)
-                                                        : Blob(blob),
-                           logical, now);
-      if (!res.accepted) continue;
-      // Tiers that refused this overwrite may still hold the previous
-      // version; drop those copies or reads would serve stale bytes (and
-      // flush would drain them over the newer one). Only tiers that hold a
-      // copy get a remove — the op ledger must not book deletes a tier
-      // never saw.
-      for (std::size_t k = 0; k < i; ++k) {
-        if (tiers_[k]->contains(name)) (void)tiers_[k]->remove(name, now);
-      }
-      const MutexLock lock(mu_);
-      if (i + 1 < tiers_.size()) {
-        mark_dirty_locked(name, logical, now);
-      } else {
-        // Landed durable directly; an earlier fast-tier version may have
-        // left a dirty marker — clear it or flush() reports a false drop.
-        clear_dirty_locked(name);
-      }
-      break;
-    }
-    const MutexLock lock(mu_);
-    ++stats_.puts;
-    if (!res.accepted) ++stats_.rejected_puts;
-    stats_.bytes_written += res.accepted ? logical : 0;
-    stats_.fees_usd += res.request_fee_usd;
-    return res;
-  }
-  // Write-through: every tier gets a copy. The caller waits only for the
-  // fastest accepting stream; the rest complete asynchronously but their
-  // fees are real. Authoritative durability comes from the deepest tier,
-  // so the overall write is accepted iff the last tier accepted. A tier
-  // that refuses an overwrite drops its old copy — a tier either holds
-  // the current version or nothing.
-  double fastest = 0.0;
-  double last = 0.0;
-  bool any = false;
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    auto tier_res = tiers_[i]->put(name, i + 1 == tiers_.size()
-                                             ? std::move(blob)
-                                             : Blob(blob),
-                                   logical, now);
-    res.request_fee_usd += tier_res.request_fee_usd;
-    last = tier_res.latency_s;
-    if (i + 1 == tiers_.size()) res.accepted = tier_res.accepted;
-    if (tier_res.accepted) {
-      if (!any || tier_res.latency_s < fastest) {
-        fastest = tier_res.latency_s;
-        any = true;
-      }
-    } else if (tiers_[i]->contains(name)) {
-      (void)tiers_[i]->remove(name, now);
-    }
-  }
-  // All tiers full and fixed: the bytes still travelled to the deepest one.
-  res.latency_s = any ? fastest : last;
-  const MutexLock lock(mu_);
-  ++stats_.puts;
-  if (!res.accepted) ++stats_.rejected_puts;
-  stats_.bytes_written += any ? logical : 0;
-  stats_.fees_usd += res.request_fee_usd;
-  return res;
-}
-
-BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
-                                          double now) {
-  BatchPutResult res;
-  if (config_.write_mode == WriteMode::kWriteBack) {
     std::vector<PutRequest> copy;
     copy.reserve(batch.size());
     for (const auto& item : batch) {
@@ -116,9 +44,10 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
         }
         continue;
       }
-      // Fast tier refused: fall through tier by tier exactly like the
-      // single-put path — first accepting tier holds it, dirty unless that
-      // tier was the deepest, stale copies above it dropped.
+      // Fast tier refused: fall through tier by tier — the first accepting
+      // tier holds it, dirty unless that tier was the deepest. Every
+      // attempted stream is part of this batch's write time, refused ones
+      // included: the bytes travelled before the refusal.
       for (std::size_t j = 1; j < tiers_.size(); ++j) {
         const auto deep =
             tiers_[j]->put(item.name,
@@ -126,7 +55,13 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
                                                   : Blob(item.blob),
                            logical, now);
         res.request_fee_usd += deep.request_fee_usd;
+        res.latency_s = std::max(res.latency_s, deep.latency_s);
         if (!deep.accepted) continue;
+        // Tiers that refused this overwrite may still hold the previous
+        // version; drop those copies or reads would serve stale bytes (and
+        // flush would drain them over the newer one). Only tiers that hold
+        // a copy get a remove — the op ledger must not book deletes a tier
+        // never saw.
         for (std::size_t k = 0; k < j; ++k) {
           if (tiers_[k]->contains(item.name)) {
             (void)tiers_[k]->remove(item.name, now);
@@ -135,14 +70,15 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
         res.accepted[i] = true;
         ++res.stored;
         written += logical;
-        // The fall-through stream is part of this batch's write time.
-        res.latency_s = std::max(res.latency_s, deep.latency_s);
         {
           const MutexLock lock(mu_);
           if (j + 1 < tiers_.size()) {
             mark_dirty_locked(item.name, logical, now);
           } else {
-            clear_dirty_locked(item.name);  // durable now; see put()
+            // Landed durable directly; an earlier fast-tier version may
+            // have left a dirty marker — clear it or flush() reports a
+            // false drop.
+            clear_dirty_locked(item.name);
           }
         }
         break;
@@ -150,13 +86,18 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
     }
     const MutexLock lock(mu_);
     ++stats_.batches;
-    // `puts` counts attempts, like the single-put path and every backend.
+    // `puts` counts attempts, like every backend.
     stats_.puts += batch.size();
     stats_.rejected_puts += batch.size() - res.stored;
     stats_.bytes_written += written;
     stats_.fees_usd += res.request_fee_usd;
     return res;
   }
+  // Write-through: every tier gets a copy. The caller waits only for the
+  // fastest accepting stream; the rest complete asynchronously but their
+  // fees are real. Authoritative durability comes from the deepest tier,
+  // so an object is accepted (and its bytes booked) iff the last tier
+  // accepted it, whatever a faster tier did.
   for (auto& item : batch) {
     item.logical_bytes = effective_logical(item.blob, item.logical_bytes);
   }
@@ -185,10 +126,11 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
     auto tier_res = tiers_[i]->put_batch(std::move(copy), now);
     res.request_fee_usd += tier_res.request_fee_usd;
     last = tier_res.latency_s;
-    // A tier that refused an overwrite drops its old copy (see put()) —
-    // but only if it actually holds one: a remove for an object the tier
-    // never stored would inflate its OpStats::removes ledger and wreck
-    // op-count comparisons across backends.
+    // A tier that refused an overwrite drops its old copy — a tier either
+    // holds the current version or nothing — but only if it actually holds
+    // one: a remove for an object the tier never stored would inflate its
+    // OpStats::removes ledger and wreck op-count comparisons across
+    // backends.
     if (tier_res.stored < names.size()) {
       for (std::size_t k = 0; k < names.size(); ++k) {
         if ((k >= tier_res.accepted.size() || !tier_res.accepted[k]) &&
@@ -207,6 +149,7 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
       res.accepted = std::move(tier_res.accepted);
     }
   }
+  // All tiers full and fixed: the bytes still travelled to the deepest one.
   res.latency_s = any ? fastest : last;
   units::Bytes written = 0;
   for (std::size_t k = 0; k < names.size(); ++k) {
@@ -324,10 +267,6 @@ bool TieredColdStore::set_throttle(const Throttle::Config& config,
   bool any = false;
   for (auto* const tier : tiers_) any = tier->set_throttle(config, now) || any;
   return any;
-}
-
-StorageBackend::FlushResult TieredColdStore::flush(double now) {
-  return flush_window(now, std::numeric_limits<double>::infinity(), 0);
 }
 
 StorageBackend::FlushResult TieredColdStore::flush_window(

@@ -47,8 +47,6 @@ class TieredColdStore final : public StorageBackend {
   explicit TieredColdStore(std::vector<StorageBackend*> tiers)
       : TieredColdStore(std::move(tiers), Config{}) {}
 
-  PutResult put(const std::string& name, Blob blob, units::Bytes logical_bytes,
-                double now) override;
   BatchPutResult put_batch(std::vector<PutRequest> batch, double now) override;
   GetResult get(const std::string& name, double now) override;
   bool remove(const std::string& name, double now) override;
@@ -78,20 +76,17 @@ class TieredColdStore final : public StorageBackend {
   bool set_throttle(const Throttle::Config& config, double now) override;
 
   /// Write-back only: make dirty objects durable in the deepest tier (one
-  /// batched multi-put; middle tiers refill via promotion). Objects the
-  /// deepest tier refuses stay dirty for the next flush. Returns the
+  /// batched multi-put; middle tiers refill via promotion) — only objects
+  /// dirtied at or before `dirty_before`, at most `max_objects` (0 = all),
+  /// oldest-first with a deterministic name tie-break; flush() drains
+  /// them all. Objects the deepest tier refuses stay dirty for the next
+  /// flush *with their original dirty-since stamp* — the durability debt
+  /// is as old as the un-flushed ack, not the failed retry. Returns the
   /// drained / refused object+byte counts plus the fees the drain paid
   /// (read-back GETs + deep-tier PUTs) for the caller's meter — refusals
   /// are reported, never silent, so schedulers can assert forward progress
   /// instead of polling stored_logical_bytes(). No-op in write-through
   /// mode or with nothing dirty.
-  FlushResult flush(double now) override;
-
-  /// Bounded drain (see StorageBackend): only objects dirtied at or before
-  /// `dirty_before`, at most `max_objects` (0 = all), oldest-first with a
-  /// deterministic name tie-break. Objects the deepest tier refuses stay
-  /// dirty *with their original dirty-since stamp* — the durability debt
-  /// is as old as the un-flushed ack, not the failed retry.
   FlushResult flush_window(double now, double dirty_before,
                            std::size_t max_objects) override;
 

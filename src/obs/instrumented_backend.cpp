@@ -136,15 +136,6 @@ bool InstrumentedBackend::remove(const std::string& name, double now) {
   return removed;
 }
 
-backend::StorageBackend::FlushResult InstrumentedBackend::flush(double now) {
-  const MutexLock lock(mu_);
-  const double wait_before = inner_->stats().throttle_wait_s;
-  const auto result = inner_->flush(now);
-  record_op(flush_series_, now, 0.0, result.request_fee_usd, wait_before,
-            "backend.flush", std::to_string(result.drained) + " drained");
-  return result;
-}
-
 backend::StorageBackend::FlushResult InstrumentedBackend::flush_window(
     double now, double dirty_before, std::size_t max_objects) {
   const MutexLock lock(mu_);

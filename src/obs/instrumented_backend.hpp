@@ -52,7 +52,8 @@ class InstrumentedBackend final : public backend::StorageBackend {
   backend::GetResult get(const std::string& name, double now) override
       EXCLUDES(mu_);
   bool remove(const std::string& name, double now) override EXCLUDES(mu_);
-  FlushResult flush(double now) override EXCLUDES(mu_);
+  /// Books the "flush" series and span; flush() lands here too, as the
+  /// uncapped flush_window it is.
   FlushResult flush_window(double now, double dirty_before,
                            std::size_t max_objects) override EXCLUDES(mu_);
   [[nodiscard]] DirtyWindow dirty_window() const override;

@@ -442,5 +442,116 @@ TEST(TieredWriteBackPromotionEviction, PromotionEvictingDirtyIsCounted) {
   EXPECT_EQ(tiered.dirty_count(), 0U);
 }
 
+// A put is a one-object put_batch, so each case below must come out the
+// same through put and through a one-item put_batch.
+TEST(TieredOneWritePath, WriteThroughDeepRefusalBooksNoBytes) {
+  // The auto-scaling cache accepts; the deepest tier, a full fixed SSD,
+  // refuses. Durability is the deepest tier's, so the write is refused
+  // overall and books no written bytes, as a leaf backend books none for a
+  // refused write.
+  CloudCacheBackend::Config cache_cfg;
+  cache_cfg.link = sim::cloudcache_link();
+  CloudCacheBackend fast(cache_cfg, PricingCatalog::aws());
+  LocalSsdBackend::Config ssd_cfg;
+  ssd_cfg.auto_scale = false;
+  ssd_cfg.link = sim::local_ssd_link();
+  LocalSsdBackend deep(ssd_cfg, PricingCatalog::aws());
+  ASSERT_TRUE(deep.put("filler", Blob(8),
+                       PricingCatalog::aws().ssd_device_capacity, 0.0)
+                  .accepted);
+  TieredColdStore tiered({&fast, &deep});  // write-through
+
+  const auto put = tiered.put("a", Blob{1}, 1 * units::MB, 1.0);
+  EXPECT_FALSE(put.accepted);
+  EXPECT_EQ(tiered.stats().bytes_written, 0U);
+
+  std::vector<PutRequest> batch;
+  batch.push_back(PutRequest{"b", Blob{2}, 1 * units::MB});
+  const auto res = tiered.put_batch(std::move(batch), 2.0);
+  EXPECT_EQ(res.stored, 0U);
+  ASSERT_EQ(res.accepted.size(), 1U);
+  EXPECT_FALSE(res.accepted[0]);
+  EXPECT_EQ(tiered.stats().bytes_written, 0U);
+  EXPECT_EQ(tiered.stats().rejected_puts, 2U);
+}
+
+TEST(TieredOneWritePath, WriteBackWithNoRoomPaysTheSlowestAttempt) {
+  // A full fixed SSD over a one-node fixed cache, and an object four cache
+  // nodes large: every tier refuses. The bytes still travelled to each
+  // tier tried, so the write pays the slowest attempted stream — the
+  // cache's, not the fast SSD's.
+  LocalSsdBackend::Config ssd_cfg;
+  ssd_cfg.auto_scale = false;
+  ssd_cfg.link = sim::local_ssd_link();
+  LocalSsdBackend fast(ssd_cfg, PricingCatalog::aws());
+  ASSERT_TRUE(fast.put("filler", Blob(8),
+                       PricingCatalog::aws().ssd_device_capacity, 0.0)
+                  .accepted);
+  CloudCacheBackend::Config cache_cfg;
+  cache_cfg.auto_scale = false;
+  cache_cfg.nodes = 1;
+  cache_cfg.link = sim::cloudcache_link();
+  CloudCacheBackend deep(cache_cfg, PricingCatalog::aws());
+  TieredColdStore::Config cfg;
+  cfg.write_mode = TieredColdStore::WriteMode::kWriteBack;
+  TieredColdStore tiered({&fast, &deep}, cfg);
+
+  const auto huge = 4 * PricingCatalog::aws().cache_node_capacity;
+  const double slowest = cache_cfg.link.transfer_time(huge);
+  ASSERT_GT(slowest, ssd_cfg.link.transfer_time(huge));
+
+  const auto put = tiered.put("a", Blob{1}, huge, 1.0);
+  EXPECT_FALSE(put.accepted);
+  EXPECT_DOUBLE_EQ(put.latency_s, slowest);
+
+  std::vector<PutRequest> batch;
+  batch.push_back(PutRequest{"b", Blob{2}, huge});
+  const auto res = tiered.put_batch(std::move(batch), 2.0);
+  EXPECT_EQ(res.stored, 0U);
+  EXPECT_DOUBLE_EQ(res.latency_s, slowest);
+  EXPECT_EQ(tiered.stats().bytes_written, 0U);
+}
+
+TEST(TieredOneWritePath, WriteBackFallThroughPaysTheRefusedFastStream) {
+  // A one-node fixed cache over an auto-scaling SSD, and an object two
+  // cache nodes large: the cache refuses after the bytes crossed its
+  // (slower) link, and the SSD accepts. The write pays the refused cache
+  // stream, not only the accepting SSD's.
+  CloudCacheBackend::Config cache_cfg;
+  cache_cfg.auto_scale = false;
+  cache_cfg.nodes = 1;
+  cache_cfg.link = sim::cloudcache_link();
+  CloudCacheBackend fast(cache_cfg, PricingCatalog::aws());
+  LocalSsdBackend::Config ssd_cfg;
+  ssd_cfg.link = sim::local_ssd_link();
+  LocalSsdBackend deep(ssd_cfg, PricingCatalog::aws());
+  TieredColdStore::Config cfg;
+  cfg.write_mode = TieredColdStore::WriteMode::kWriteBack;
+  TieredColdStore tiered({&fast, &deep}, cfg);
+
+  const auto big = 2 * PricingCatalog::aws().cache_node_capacity;
+  const double refused_stream = cache_cfg.link.transfer_time(big);
+  ASSERT_GT(refused_stream, ssd_cfg.link.transfer_time(big));
+
+  const auto put = tiered.put("a", Blob{1}, big, 1.0);
+  EXPECT_TRUE(put.accepted);
+  EXPECT_DOUBLE_EQ(put.latency_s, refused_stream);
+
+  std::vector<PutRequest> batch;
+  batch.push_back(PutRequest{"b", Blob{2}, big});
+  const auto res = tiered.put_batch(std::move(batch), 2.0);
+  EXPECT_EQ(res.stored, 1U);
+  EXPECT_DOUBLE_EQ(res.latency_s, refused_stream);
+
+  // Both landed in the deepest tier, so neither is owed to a flush.
+  EXPECT_FALSE(fast.contains("a"));
+  EXPECT_FALSE(fast.contains("b"));
+  EXPECT_TRUE(deep.contains("a"));
+  EXPECT_TRUE(deep.contains("b"));
+  EXPECT_EQ(tiered.dirty_count(), 0U);
+  EXPECT_EQ(tiered.stats().bytes_written, 2 * big);
+  EXPECT_EQ(tiered.stats().rejected_puts, 0U);
+}
+
 }  // namespace
 }  // namespace flstore::backend
