@@ -7,7 +7,7 @@
 //
 // Also times the serving plane's per-request compute: each paper workload's
 // kernel, the update-blob decode that feeds it, the frame checksum and
-// k-means.
+// k-means; and the random draws every simulation makes.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -15,10 +15,12 @@
 #include "cloud/pricing.hpp"
 #include "common/rng.hpp"
 #include "core/cache_engine.hpp"
+#include "core/policy.hpp"
 #include "core/request_tracker.hpp"
 #include "fed/codec.hpp"
 #include "fed/fl_job.hpp"
 #include "tensor/kmeans.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/serialize.hpp"
 #include "workloads/workload.hpp"
 
@@ -246,6 +248,44 @@ void BM_KMeans(benchmark::State& state, const char* model) {
   }
   state.counters["dim"] = static_cast<double>(job.model().materialized_dim());
 }
+
+// --- Random draws ------------------------------------------------------------
+// Every simulation draws through Rng: uniforms for arrivals and sampling,
+// N(0, 1) tensors at a model's materialized dimension for every client
+// update and probe, and FLStore::serve builds one PolicyEngine, with its
+// own Rng, per request.
+
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(0xD1CEULL);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.uniform());
+  }
+}
+BENCHMARK(BM_RngUniform);
+
+void BM_RandomNormal(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  Rng rng(0x5EEDULL);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::random_normal(dim, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_RandomNormal)->Arg(256)->Arg(1024);
+
+// Construction only, with a fresh seed per request as FLStore::serve derives
+// it; outside kTailoredRandom the engine never draws.
+void BM_PolicyEngineConstruct(benchmark::State& state) {
+  PolicyConfig config;
+  std::uint64_t request = 0;
+  for (auto _ : state) {
+    config.random_seed = 7 ^ (++request * 0x9E3779B97F4A7C15ULL);
+    PolicyEngine policy(config);
+    benchmark::DoNotOptimize(policy);
+  }
+}
+BENCHMARK(BM_PolicyEngineConstruct);
 
 [[maybe_unused]] const bool kWorkloadBenchesRegistered = [] {
   for (const auto* model : kTenantModels) {

@@ -111,7 +111,7 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
     logicals.push_back(item.logical_bytes);
   }
   double fastest = 0.0;
-  double last = 0.0;
+  double slowest = 0.0;
   bool any = false;
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     std::vector<PutRequest> copy;
@@ -125,7 +125,7 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
     }
     auto tier_res = tiers_[i]->put_batch(std::move(copy), now);
     res.request_fee_usd += tier_res.request_fee_usd;
-    last = tier_res.latency_s;
+    slowest = std::max(slowest, tier_res.latency_s);
     // A tier that refused an overwrite drops its old copy — a tier either
     // holds the current version or nothing — but only if it actually holds
     // one: a remove for an object the tier never stored would inflate its
@@ -149,8 +149,9 @@ BatchPutResult TieredColdStore::put_batch(std::vector<PutRequest> batch,
       res.accepted = std::move(tier_res.accepted);
     }
   }
-  // All tiers full and fixed: the bytes still travelled to the deepest one.
-  res.latency_s = any ? fastest : last;
+  // No tier accepted: the caller learns the write failed only once every
+  // tier's stream has refused it, as in write-back.
+  res.latency_s = any ? fastest : slowest;
   units::Bytes written = 0;
   for (std::size_t k = 0; k < names.size(); ++k) {
     if (k < res.accepted.size() && res.accepted[k]) written += logicals[k];

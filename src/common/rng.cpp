@@ -3,10 +3,38 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "common/error.hpp"
 
 namespace flstore {
+
+void Mt19937_64::refill() noexcept {
+  constexpr std::size_t kShift = 156;  // the standard's m
+  constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
+  constexpr result_type kUpperMask = ~result_type{0} << 31;
+  constexpr result_type kLowerMask = ~kUpperMask;
+  if (pos_ == kUnseeded) {
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+      const result_type prev = state_[i - 1];
+      state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+  }
+  // Word k mixes words k and k + 1 with word k + m, all indices mod n. The
+  // mask applies the twist matrix when y is odd without a branch.
+  const auto twist = [this](std::size_t k, std::size_t next,
+                            std::size_t far) {
+    const result_type y =
+        (state_[k] & kUpperMask) | (state_[next] & kLowerMask);
+    state_[k] =
+        state_[far] ^ (y >> 1) ^ ((result_type{0} - (y & 1U)) & kMatrixA);
+  };
+  std::size_t k = 0;
+  for (; k < kStateWords - kShift; ++k) twist(k, k + 1, k + kShift);
+  for (; k < kStateWords - 1; ++k) twist(k, k + 1, k + kShift - kStateWords);
+  twist(kStateWords - 1, 0, kShift - 1);
+  pos_ = 0;
+}
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   FLSTORE_CHECK(lo <= hi);
@@ -15,14 +43,23 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  // libstdc++'s std::normal_distribution<double>::operator() on a fresh
+  // distribution, expression for expression.
+  double x = 0.0;
+  double y = 0.0;
+  double r2 = 0.0;
+  do {
+    x = 2.0 * canonical() - 1.0;
+    y = 2.0 * canonical() - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2 * std::log(r2) / r2);
+  return y * mult * stddev + mean;
 }
 
 double Rng::exponential(double rate) {
   FLSTORE_CHECK(rate > 0.0);
-  std::exponential_distribution<double> d(rate);
-  return d(engine_);
+  return -std::log(1.0 - canonical()) / rate;
 }
 
 std::vector<std::int32_t> Rng::sample_without_replacement(std::int32_t n,

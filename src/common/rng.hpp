@@ -5,11 +5,57 @@
 // re-seeded independently (e.g. the fault injector vs. the trace generator).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace flstore {
+
+/// MT19937-64: a UniformRandomBitGenerator whose output sequence equals
+/// std::mt19937_64's for every seed (the standard fixes all of its
+/// parameters). Two differences from libstdc++'s engine, neither visible in
+/// the outputs:
+/// - the refill picks the twist matrix with a mask, where libstdc++'s
+///   `(y & 1) ? a : 0` compiles to a branch that mispredicts on random bits
+///   half the time;
+/// - seeding is lazy: the constructor stores the seed in an otherwise zeroed
+///   state, and the first output fills the rest. An engine that never draws
+///   (a PolicyEngine's, outside kTailoredRandom) costs no seeding, and a
+///   copy taken before the first draw copies no indeterminate values.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  [[nodiscard]] static constexpr result_type max() noexcept {
+    return ~result_type{0};
+  }
+
+  explicit Mt19937_64(result_type seed) noexcept : state_{seed} {}
+
+  result_type operator()() noexcept {
+    if (pos_ >= kStateWords) [[unlikely]] refill();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kStateWords = 312;
+  /// pos_ until the first output: refill() seeds the state before twisting.
+  static constexpr std::size_t kUnseeded = kStateWords + 1;
+
+  /// Seeds the state if it is not yet, then regenerates all 312 words.
+  void refill() noexcept;
+
+  std::array<result_type, kStateWords> state_;
+  std::size_t pos_ = kUnseeded;
+};
 
 class Rng {
  public:
@@ -21,18 +67,20 @@ class Rng {
     return Rng(engine_() ^ (salt * 0x9E3779B97F4A7C15ULL));
   }
 
-  [[nodiscard]] double uniform() { return unit_(engine_); }
+  [[nodiscard]] double uniform() { return canonical(); }
   [[nodiscard]] double uniform(double lo, double hi) {
     return lo + (hi - lo) * uniform();
   }
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// One N(mean, stddev) draw. A fresh std::normal_distribution per call
-  /// discards the second variate of the polar method, so every draw costs a
-  /// full rejection loop (two or more engine outputs plus a log and a sqrt).
-  /// Keeping the spare variate would be faster but would change every
-  /// seeded tensor, figure and digest in the repo; hot paths that redraw the
-  /// same seeded values memoize them instead (workloads::probe_batch).
+  /// One N(mean, stddev) draw: the polar method as a fresh
+  /// std::normal_distribution<double> runs it, bit for bit. It discards the
+  /// second variate, so every draw costs a full rejection loop (two or more
+  /// engine outputs plus a log and a sqrt). Keeping the spare variate would
+  /// change every seeded tensor, figure and digest in the repo, so hot paths
+  /// that redraw the same seeded values memoize them instead
+  /// (workloads::probe_batch). Bit-identity fixes the arithmetic, not what
+  /// the engine and the conversion to double cost: both are branch-free.
   [[nodiscard]] double normal(double mean, double stddev);
   /// Exponential inter-arrival time with the given rate (events/sec).
   [[nodiscard]] double exponential(double rate);
@@ -52,11 +100,26 @@ class Rng {
   [[nodiscard]] std::vector<std::int32_t> sample_without_replacement(
       std::int32_t n, std::int32_t k);
 
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
+  /// std::generate_canonical<double, 53> over the one engine output `bits`,
+  /// as libstdc++ computes it: the correctly rounded double(bits) * 2^-64,
+  /// clamped to the largest double below 1 (bits >= 2^64 - 1024 round up to
+  /// 2^64). The conversion adds two exactly converted 32-bit halves, so it
+  /// rounds once and never branches on the random sign bit, as GCC's
+  /// uint64_t conversion does. The product by 2^32 is exact, so a fused
+  /// multiply-add gives the same bits.
+  [[nodiscard]] static double canonical(std::uint64_t bits) noexcept {
+    const auto hi = static_cast<double>(static_cast<std::uint32_t>(bits >> 32));
+    const auto lo = static_cast<double>(static_cast<std::uint32_t>(bits));
+    constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+    return std::min((hi * 0x1p32 + lo) * 0x1p-64, kBelowOne);
+  }
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  /// The one uniform [0, 1) draw that uniform(), normal() and exponential()
+  /// take, equal to std::generate_canonical<double, 53>(std::mt19937_64&).
+  [[nodiscard]] double canonical() { return canonical(engine_()); }
+
+  Mt19937_64 engine_;
 };
 
 /// Zipfian sampler over ranks {0, ..., n-1}: P(rank i) ∝ 1/(i+1)^s.

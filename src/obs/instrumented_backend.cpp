@@ -1,6 +1,7 @@
 #include "obs/instrumented_backend.hpp"
 
 #include <utility>
+#include <vector>
 
 namespace flstore::obs {
 
@@ -88,17 +89,23 @@ backend::PutResult InstrumentedBackend::put(const std::string& name,
   record_op(put_series_, now, result.latency_s, result.request_fee_usd,
             wait_before, "backend.put", name);
   if (metrics_ != nullptr) {
-    bytes_written_->add(static_cast<double>(logical));
-    if (!result.accepted) rejected_puts_->add(1.0);
+    // Like every backend's OpStats::bytes_written: accepted writes only.
+    if (result.accepted) {
+      bytes_written_->add(static_cast<double>(logical));
+    } else {
+      rejected_puts_->add(1.0);
+    }
   }
   return result;
 }
 
 backend::BatchPutResult InstrumentedBackend::put_batch(
     std::vector<backend::PutRequest> batch, double now) {
-  units::Bytes logical = 0;
+  std::vector<units::Bytes> logical;
+  logical.reserve(batch.size());
   for (const auto& item : batch) {
-    logical += backend::effective_logical(item.blob, item.logical_bytes);
+    logical.push_back(
+        backend::effective_logical(item.blob, item.logical_bytes));
   }
   const auto attempted = batch.size();
   const MutexLock lock(mu_);
@@ -108,7 +115,11 @@ backend::BatchPutResult InstrumentedBackend::put_batch(
             wait_before, "backend.put_batch",
             std::to_string(attempted) + " objects");
   if (metrics_ != nullptr) {
-    bytes_written_->add(static_cast<double>(logical));
+    units::Bytes written = 0;
+    for (std::size_t i = 0; i < attempted && i < result.accepted.size(); ++i) {
+      if (result.accepted[i]) written += logical[i];
+    }
+    bytes_written_->add(static_cast<double>(written));
     rejected_puts_->add(static_cast<double>(attempted - result.stored));
   }
   return result;

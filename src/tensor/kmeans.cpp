@@ -70,6 +70,13 @@ KMeansResult kmeans(const std::vector<Tensor>& points, std::int32_t k,
   // dist[c][i] = l2_distance(points[i], centroid c): one pass per centroid.
   std::vector<std::vector<double>> dist(static_cast<std::size_t>(k),
                                         std::vector<double>(points.size()));
+  // Whether the tolerance check stops the loop after a step whose inertia
+  // went from `prev` to `cur`.
+  const auto stops = [&opts](double prev, double cur) {
+    if (!(prev < std::numeric_limits<double>::max())) return false;
+    const double rel = prev > 0.0 ? (prev - cur) / prev : 0.0;
+    return rel >= 0.0 && rel < opts.tolerance;
+  };
   double prev_inertia = std::numeric_limits<double>::max();
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     res.iterations = iter + 1;
@@ -77,6 +84,8 @@ KMeansResult kmeans(const std::vector<Tensor>& points, std::int32_t k,
     for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c) {
       ops::l2_distance_many(res.centroids[c], view, dist[c]);
     }
+    // From the second step on, whether every point kept its cluster.
+    bool repeated = iter > 0;
     double inertia = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
       double best = std::numeric_limits<double>::max();
@@ -88,37 +97,47 @@ KMeansResult kmeans(const std::vector<Tensor>& points, std::int32_t k,
           best_c = c;
         }
       }
+      repeated = repeated && res.assignment[i] == best_c;
       res.assignment[i] = best_c;
       inertia += best;
     }
     res.inertia = inertia;
 
-    // Update step.
-    std::vector<std::vector<double>> acc(
-        static_cast<std::size_t>(k), std::vector<double>(dim, 0.0));
-    std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto c = static_cast<std::size_t>(res.assignment[i]);
-      ++counts[c];
-      for (std::size_t d = 0; d < dim; ++d) {
-        acc[c][d] += static_cast<double>(points[i][d]);
+    // Update step. A repeated assignment would rebuild every centroid bit
+    // for bit (same members in the same order; an empty cluster keeps its
+    // centroid either way), so it is skipped.
+    if (!repeated) {
+      std::vector<std::vector<double>> acc(
+          static_cast<std::size_t>(k), std::vector<double>(dim, 0.0));
+      std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto c = static_cast<std::size_t>(res.assignment[i]);
+        ++counts[c];
+        for (std::size_t d = 0; d < dim; ++d) {
+          acc[c][d] += static_cast<double>(points[i][d]);
+        }
       }
-    }
-    for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c) {
-      if (counts[c] == 0) continue;  // keep previous centroid for empty cluster
-      for (std::size_t d = 0; d < dim; ++d) {
-        res.centroids[c][d] =
-            static_cast<float>(acc[c][d] / static_cast<double>(counts[c]));
+      for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c) {
+        if (counts[c] == 0) continue;  // keep previous centroid
+        for (std::size_t d = 0; d < dim; ++d) {
+          res.centroids[c][d] =
+              static_cast<float>(acc[c][d] / static_cast<double>(counts[c]));
+        }
       }
     }
 
-    if (prev_inertia < std::numeric_limits<double>::max()) {
-      const double rel =
-          prev_inertia > 0.0 ? (prev_inertia - inertia) / prev_inertia : 0.0;
-      if (rel >= 0.0 && rel < opts.tolerance) {
-        res.converged = true;
-        break;
-      }
+    if (stops(prev_inertia, inertia)) {
+      res.converged = true;
+      break;
+    }
+    // With the centroids unchanged, the next step would find the same
+    // distances, assignment and inertia, and its check would see the
+    // inertia repeat. Return what it would, without running it.
+    if (repeated && iter + 1 < opts.max_iterations &&
+        stops(inertia, inertia)) {
+      res.iterations = iter + 2;
+      res.converged = true;
+      break;
     }
     prev_inertia = inertia;
   }

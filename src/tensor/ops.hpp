@@ -57,9 +57,9 @@ void scale(Tensor& t, double alpha);
 [[nodiscard]] Tensor weighted_mean_borrowed(
     std::span<const Tensor* const> ts, std::span<const double> weights);
 
-/// i.i.d. N(mean, stddev) tensor. Costs one Rng::normal per element, which
-/// is not cheap (see Rng::normal); hot paths that redraw the same seeded
-/// tensors memoize them (workloads::probe_batch) rather than change this.
+/// i.i.d. N(mean, stddev) tensor: one Rng::normal per element, each a full
+/// polar rejection loop with a log and a sqrt (see Rng::normal). Hot paths
+/// that redraw the same seeded tensors memoize them (workloads::probe_batch).
 [[nodiscard]] Tensor random_normal(std::size_t dim, Rng& rng,
                                    double mean = 0.0, double stddev = 1.0);
 

@@ -86,10 +86,12 @@ class Workload {
 
 /// `count` probe tensors of `dim` i.i.d. N(0, 1) values drawn in order from
 /// Rng(seed): bit-identical to calling ops::random_normal(dim, rng) `count`
-/// times. The batch is a pure function of its arguments, and P1/P2 requests
-/// keep asking for the newest round's batch, so it is memoized in two
-/// thread_local most-recently-used slots: no lock, and at most two batches
-/// per thread (128 KB for 16 probes at the largest materialized dim, 1024).
+/// times. Drawing a batch costs count * dim polar rejection loops, and a memo
+/// hit saves all of it. The batch is a pure function of its arguments, and
+/// P1/P2 requests keep asking for the newest round's batch, so it is
+/// memoized in two thread_local most-recently-used slots: no lock, and at
+/// most two batches per thread (128 KB for 16 probes at the largest
+/// materialized dim, 1024).
 /// Two slots suffice because ShardedStore runs each tenant's timeline as one
 /// pool task, so a thread serves one tenant at a time, and that tenant's live
 /// keys are its inference and debugging batches for the newest round.

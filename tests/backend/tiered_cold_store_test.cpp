@@ -475,6 +475,42 @@ TEST(TieredOneWritePath, WriteThroughDeepRefusalBooksNoBytes) {
   EXPECT_EQ(tiered.stats().rejected_puts, 2U);
 }
 
+TEST(TieredOneWritePath, WriteThroughWithNoRoomPaysTheSlowestStream) {
+  // A one-node fixed cache over a full fixed SSD, and an object four cache
+  // nodes large: both tiers refuse. The caller learns that only once every
+  // stream has refused, so the write pays the slowest, the cache's, as
+  // write-back does; not only the deepest tier's.
+  CloudCacheBackend::Config cache_cfg;
+  cache_cfg.auto_scale = false;
+  cache_cfg.nodes = 1;
+  cache_cfg.link = sim::cloudcache_link();
+  CloudCacheBackend fast(cache_cfg, PricingCatalog::aws());
+  LocalSsdBackend::Config ssd_cfg;
+  ssd_cfg.auto_scale = false;
+  ssd_cfg.link = sim::local_ssd_link();
+  LocalSsdBackend deep(ssd_cfg, PricingCatalog::aws());
+  ASSERT_TRUE(deep.put("filler", Blob(8),
+                       PricingCatalog::aws().ssd_device_capacity, 0.0)
+                  .accepted);
+  TieredColdStore tiered({&fast, &deep});  // write-through
+
+  const auto huge = 4 * PricingCatalog::aws().cache_node_capacity;
+  const double slowest = cache_cfg.link.transfer_time(huge);
+  ASSERT_GT(slowest, ssd_cfg.link.transfer_time(huge));
+
+  const auto put = tiered.put("a", Blob{1}, huge, 1.0);
+  EXPECT_FALSE(put.accepted);
+  EXPECT_DOUBLE_EQ(put.latency_s, slowest);
+
+  std::vector<PutRequest> batch;
+  batch.push_back(PutRequest{"b", Blob{2}, huge});
+  const auto res = tiered.put_batch(std::move(batch), 2.0);
+  EXPECT_EQ(res.stored, 0U);
+  EXPECT_DOUBLE_EQ(res.latency_s, slowest);
+  EXPECT_EQ(tiered.stats().bytes_written, 0U);
+  EXPECT_EQ(tiered.stats().rejected_puts, 2U);
+}
+
 TEST(TieredOneWritePath, WriteBackWithNoRoomPaysTheSlowestAttempt) {
   // A full fixed SSD over a one-node fixed cache, and an object four cache
   // nodes large: every tier refuses. The bytes still travelled to each

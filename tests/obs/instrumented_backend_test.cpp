@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "backend/local_ssd_backend.hpp"
 #include "backend/object_store_backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -136,6 +137,60 @@ TEST_F(InstrumentedBackendTest, SpansCarryObjectAndRegionAnnotations) {
     EXPECT_TRUE(has_region);
   }
   EXPECT_TRUE(found);
+}
+
+TEST(InstrumentedBackendBytesWritten, BooksOnlyAcceptedWrites) {
+  // A fixed one-device SSD filled to the last byte refuses every new
+  // object; an overwrite fits only into the bytes its old version frees.
+  // The series must book what the SSD's own ledger books.
+  backend::LocalSsdBackend::Config cfg;
+  cfg.auto_scale = false;
+  cfg.link = sim::local_ssd_link();
+  backend::LocalSsdBackend ssd(cfg, PricingCatalog::aws());
+  MetricsRegistry metrics;
+  InstrumentedBackend::Options opts;
+  opts.metrics = &metrics;
+  InstrumentedBackend wrapped(ssd, std::move(opts));
+  const auto written = [&] {
+    return metrics
+        .counter("backend_bytes_written_total",
+                 Labels{{kLabelBackend, "local-ssd"}})
+        .value();
+  };
+  const auto capacity = PricingCatalog::aws().ssd_device_capacity;
+  ASSERT_TRUE(
+      wrapped.put("filler", Blob(8), capacity - 2 * units::MB, 0.0).accepted);
+  ASSERT_TRUE(wrapped.put("old", Blob(8), 2 * units::MB, 0.0).accepted);
+  ASSERT_EQ(ssd.stored_logical_bytes(), capacity);
+  const double full = written();
+  EXPECT_DOUBLE_EQ(full, static_cast<double>(capacity));
+
+  // A refused 1 MB put adds nothing.
+  EXPECT_FALSE(wrapped.put("new", Blob(8), 1 * units::MB, 1.0).accepted);
+  EXPECT_DOUBLE_EQ(written(), full);
+
+  // "old" shrinks to 1 MB and "a" takes the freed MB; "b" finds no room.
+  std::vector<backend::PutRequest> batch;
+  batch.push_back(backend::PutRequest{"old", Blob(8), 1 * units::MB});
+  batch.push_back(backend::PutRequest{"a", Blob(8), 1 * units::MB});
+  batch.push_back(backend::PutRequest{"b", Blob(8), 1 * units::MB});
+  const auto res = wrapped.put_batch(std::move(batch), 2.0);
+  ASSERT_EQ(res.stored, 2U);
+  EXPECT_DOUBLE_EQ(written(), full + static_cast<double>(2 * units::MB));
+
+  // A mixed sequence: an accepted overwrite, a refusal, a remove that
+  // frees room, then a put into it.
+  EXPECT_TRUE(wrapped.put("a", Blob(8), 1 * units::MB, 3.0).accepted);
+  EXPECT_FALSE(wrapped.put("c", Blob(8), 1 * units::MB, 4.0).accepted);
+  EXPECT_TRUE(wrapped.remove("a", 5.0));
+  EXPECT_TRUE(wrapped.put("c", Blob(8), 1 * units::MB, 6.0).accepted);
+  EXPECT_DOUBLE_EQ(written(), static_cast<double>(ssd.stats().bytes_written));
+  EXPECT_DOUBLE_EQ(
+      metrics
+          .counter("backend_rejected_puts_total",
+                   Labels{{kLabelBackend, "local-ssd"}})
+          .value(),
+      static_cast<double>(ssd.stats().rejected_puts));
 }
 
 TEST(InstrumentedBackendNoTelemetry, WorksWithNullSinks) {

@@ -1,13 +1,13 @@
 // Seed-count control for the property-test harnesses.
 //
-// ctest stays deterministic: with PROPERTY_TEST_SEEDS unset (the CI
-// default), every property suite instantiates a fixed seed range and
-// gtest_discover_tests registers exactly those names. Setting
-// PROPERTY_TEST_SEEDS=N and running the test binary directly widens the
-// sweep locally:
+// ctest stays deterministic: with PROPERTY_TEST_SEEDS unset, every
+// property suite instantiates a fixed seed range and gtest_discover_tests
+// registers exactly those names. Setting PROPERTY_TEST_SEEDS=N and running
+// the test binary directly widens the sweep, as CI's Release legs do after
+// ctest:
 //
-//   PROPERTY_TEST_SEEDS=200 ./build/tests/flstore_tests ...
-//       (with --gtest_filter='*Fuzz*' to run just the property suites)
+//   PROPERTY_TEST_SEEDS=200 ./build/tests/flstore_tests
+//       --gtest_filter='Seeds/*'
 #pragma once
 
 #include <cstdlib>

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "kmeans_reference.hpp"
+#include "../property_seeds.hpp"
 #include "tensor/ops.hpp"
 
 namespace flstore {
@@ -145,16 +146,37 @@ void expect_same_result(const KMeansResult& got, const KMeansResult& want) {
   EXPECT_EQ(got.converged, want.converged);
 }
 
+/// Every max_iterations in {1, 2, 3, 4, 50} with every tolerance in
+/// {0, 1e-6, 0.5}. The caps cut the loop before, at and after the step that
+/// repeats an assignment. Tolerance 0 never stops the loop, 1e-6 stops it
+/// near the repeat, and 0.5 stops it early. The defaults (50, 1e-6) are
+/// among them.
+std::vector<KMeansOptions> option_cases() {
+  std::vector<KMeansOptions> cases;
+  for (const int max_iterations : {1, 2, 3, 4, 50}) {
+    for (const double tolerance : {0.0, 1e-6, 0.5}) {
+      cases.push_back(KMeansOptions{max_iterations, tolerance});
+    }
+  }
+  return cases;
+}
+
 /// Runs kmeans and the one-distance-per-pair reference from the same seed
-/// for every k in 1..n, and checks both leave the Rng in the same state.
+/// for every k in 1..n and every option case, and checks both leave the Rng
+/// in the same state.
 void expect_matches_reference(const std::vector<Tensor>& pts,
                               std::uint64_t seed) {
   for (std::int32_t k = 1; k <= static_cast<std::int32_t>(pts.size()); ++k) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    Rng rng(seed);
-    Rng ref_rng(seed);
-    expect_same_result(kmeans(pts, k, rng), reference_kmeans(pts, k, ref_rng));
-    EXPECT_EQ(rng.uniform(), ref_rng.uniform());
+    for (const auto& opts : option_cases()) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " max_iterations=" + std::to_string(opts.max_iterations) +
+                   " tolerance=" + std::to_string(opts.tolerance));
+      Rng rng(seed);
+      Rng ref_rng(seed);
+      expect_same_result(kmeans(pts, k, rng, opts),
+                         reference_kmeans(pts, k, ref_rng, opts));
+      EXPECT_EQ(rng.uniform(), ref_rng.uniform());
+    }
   }
 }
 
@@ -179,7 +201,9 @@ TEST_P(KMeansReference, BitIdenticalForEveryK) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KMeansReference, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, KMeansReference,
+    ::testing::Range(0, flstore::testing::property_test_seeds(12)));
 
 TEST(KMeansReference, BitIdenticalWhenPointsCoincide) {
   // All points equal: every draw after the first takes the total <= 0
@@ -196,6 +220,33 @@ TEST(KMeansReference, BitIdenticalWhenPointsCoincide) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_matches_reference(same, seed);
     expect_matches_reference(repeated, seed);
+  }
+}
+
+TEST(KMeansReference, BitIdenticalWhenTheRepeatIsTheLastAllowedStep) {
+  // Three tight, far-apart pairs: the second Lloyd step repeats the first
+  // step's assignment while the inertia still falls by far more than the
+  // tolerance. With max_iterations = 2 that repeat is the last step the
+  // loop may run, so kmeans must not stop early and report a third.
+  std::vector<Tensor> pts;
+  for (const float x : {0.0F, 0.5F, 10.0F, 10.5F, 20.0F, 20.5F}) {
+    pts.push_back(Tensor(2, x));
+  }
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const auto after = [&](int max_iterations) {
+      Rng rng(seed);
+      return reference_kmeans(pts, 3, rng, KMeansOptions{max_iterations, 1e-6});
+    };
+    const auto one = after(1);
+    const auto two = after(2);
+    ASSERT_EQ(one.assignment, two.assignment);
+    ASSERT_FALSE(two.converged);
+    ASSERT_EQ(two.iterations, 2);
+    ASSERT_TRUE(after(3).converged);
+
+    Rng rng(seed);
+    expect_same_result(kmeans(pts, 3, rng, KMeansOptions{2, 1e-6}), two);
   }
 }
 
