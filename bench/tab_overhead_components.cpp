@@ -7,9 +7,11 @@
 //
 // Also times the serving plane's per-request compute: each paper workload's
 // kernel, the update-blob decode that feeds it, the frame checksum and
-// k-means; and the random draws every simulation makes.
+// k-means; the random draws every simulation makes, and the training round
+// every system regenerates.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "cloud/pricing.hpp"
@@ -180,7 +182,7 @@ constexpr const char* kTenantModels[] = {"efficientnet_v2_s", "resnet18",
                                          "mobilenet_v3_small"};
 constexpr RoundId kBenchRound = 15;
 
-fed::FLJob tenant_job(const char* model) {
+fed::FLJobConfig tenant_config(const char* model) {
   fed::FLJobConfig cfg;
   cfg.model = model;
   cfg.pool_size = 100;
@@ -188,7 +190,11 @@ fed::FLJob tenant_job(const char* model) {
   cfg.rounds = 40;
   cfg.malicious_fraction = 0.1;
   cfg.seed = 24;
-  return fed::FLJob(cfg);
+  return cfg;
+}
+
+fed::FLJob tenant_job(const char* model) {
+  return fed::FLJob(tenant_config(model));
 }
 
 void BM_WorkloadExecute(benchmark::State& state, fed::WorkloadType type,
@@ -218,6 +224,25 @@ void BM_DecodeUpdate(benchmark::State& state, const char* model) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(blob.size()));
+}
+
+// One training round as every serving system regenerates it: participants,
+// each client's local update, FedAvg. A fresh job per pass of the rounds, so
+// a block's first round pays for its descent direction as serving does.
+void BM_MakeRound(benchmark::State& state, const char* model) {
+  const auto config = tenant_config(model);
+  auto job = std::make_unique<fed::FLJob>(config);
+  RoundId r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(job->make_round(r));
+    if (++r == config.rounds) {
+      state.PauseTiming();
+      job = std::make_unique<fed::FLJob>(config);
+      r = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.counters["dim"] = static_cast<double>(job->model().materialized_dim());
 }
 
 // A frame's checksum, at the sizes serving decodes: a metrics frame (77 B)
@@ -301,6 +326,8 @@ BENCHMARK(BM_PolicyEngineConstruct);
         model);
     benchmark::RegisterBenchmark(("BM_KMeans/" + std::string(model)).c_str(),
                                  BM_KMeans, model);
+    benchmark::RegisterBenchmark(
+        ("BM_MakeRound/" + std::string(model)).c_str(), BM_MakeRound, model);
   }
   return true;
 }();

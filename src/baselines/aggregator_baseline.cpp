@@ -31,9 +31,9 @@ AggregatorBaseline::AggregatorBaseline(ComputeProfile vm,
 
 void AggregatorBaseline::ingest_round(const fed::RoundRecord& record,
                                       double now) {
-  for (auto& obj : fed::encode_round(record)) {
-    (void)store_->put(obj.key.object_name(), std::move(obj.blob),
-                      obj.logical_bytes, now);
+  for (const auto& obj : fed::encode_round(record)) {
+    (void)store_->put(obj.key.object_name(), *obj.blob, obj.logical_bytes,
+                      now);
   }
 }
 
@@ -100,11 +100,11 @@ CacheAggregator::CacheAggregator(ComputeProfile vm, const fed::FLJob& job,
 
 void CacheAggregator::ingest_round(const fed::RoundRecord& record,
                                    double now) {
-  for (auto& obj : fed::encode_round(record)) {
+  for (const auto& obj : fed::encode_round(record)) {
     const auto name = obj.key.object_name();
-    (void)store_->put(name, obj.blob, obj.logical_bytes, now);
+    (void)store_->put(name, *obj.blob, obj.logical_bytes, now);
     // Write-through into the cache tier so reads hit memory, not the store.
-    (void)cache_.put(name, std::move(obj.blob), obj.logical_bytes, now);
+    (void)cache_.put(name, *obj.blob, obj.logical_bytes, now);
   }
 }
 

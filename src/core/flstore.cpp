@@ -57,7 +57,12 @@ FLStore::FLStore(FLStoreConfig config, const fed::FLJob& job,
 }
 
 void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
-  auto objects = fed::encode_round(record);
+  ingest_encoded(record, fed::encode_round(record), now);
+}
+
+void FLStore::ingest_encoded(const fed::RoundRecord& record,
+                             std::span<const fed::EncodedObject> objects,
+                             double now) {
   // Back everything up to the persistent data plane (fees accrue, no
   // serving latency) in put_batch slices, in encode_round's order, before
   // any request can arrive: the cold store's contents at every serve point
@@ -82,7 +87,7 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
       slice.reserve(last - first);
       for (std::size_t i = first; i < last; ++i) {
         const auto& obj = objects[i];
-        slice.push_back({cold_name(obj.key), obj.blob, obj.logical_bytes});
+        slice.push_back({cold_name(obj.key), *obj.blob, obj.logical_bytes});
       }
       const auto put = cold_->put_batch(std::move(slice), now);
       infra_meter_.charge(CostCategory::kStorageService, put.request_fee_usd);
@@ -104,11 +109,9 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
                         drained.request_fee_usd);
   }
 
-  std::unordered_map<MetadataKey, fed::EncodedObject, MetadataKeyHash> encoded;
-  for (auto& obj : objects) {
-    const auto key = obj.key;
-    encoded.emplace(key, std::move(obj));
-  }
+  std::unordered_map<MetadataKey, const fed::EncodedObject*, MetadataKeyHash>
+      encoded;
+  for (const auto& obj : objects) encoded.emplace(obj.key, &obj);
 
   // Tailored write-allocation (hot data stays next to compute).
   // PolicyEngine is stateful only for the Random mode's rng; re-seeding per
@@ -120,9 +123,8 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
   for (const auto& directive : plan.cache) {
     const auto it = encoded.find(directive.key);
     FLSTORE_CHECK(it != encoded.end());
-    auto blob = std::make_shared<const Blob>(it->second.blob);
-    engine_->cache_object(directive.key, std::move(blob),
-                          it->second.logical_bytes, now, now,
+    engine_->cache_object(directive.key, it->second->blob,
+                          it->second->logical_bytes, now, now,
                           /*pinned=*/false, /*opportunistic=*/false,
                           directive.cls);
   }
@@ -150,9 +152,8 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
                               MetadataKey::metrics(u.client, record.round)}) {
         const auto it = encoded.find(key);
         FLSTORE_CHECK(it != encoded.end());
-        engine_->cache_object(key,
-                              std::make_shared<const Blob>(it->second.blob),
-                              it->second.logical_bytes, now, now,
+        engine_->cache_object(key, it->second->blob,
+                              it->second->logical_bytes, now, now,
                               /*pinned=*/true, /*opportunistic=*/false,
                               fed::PolicyClass::kP3);
       }
@@ -161,9 +162,8 @@ void FLStore::ingest_round(const fed::RoundRecord& record, double now) {
       const auto agg_key = MetadataKey::aggregate(record.round);
       const auto it = encoded.find(agg_key);
       FLSTORE_CHECK(it != encoded.end());
-      engine_->cache_object(agg_key,
-                            std::make_shared<const Blob>(it->second.blob),
-                            it->second.logical_bytes, now, now,
+      engine_->cache_object(agg_key, it->second->blob,
+                            it->second->logical_bytes, now, now,
                             /*pinned=*/true, /*opportunistic=*/false,
                             fed::PolicyClass::kP3);
     }

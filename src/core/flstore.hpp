@@ -21,6 +21,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -33,6 +34,7 @@
 #include "core/request_tracker.hpp"
 #include "core/serverless_cache.hpp"
 #include "core/serving_system.hpp"
+#include "fed/codec.hpp"
 #include "fed/fl_job.hpp"
 #include "obs/telemetry.hpp"
 
@@ -90,8 +92,16 @@ class FLStore final : public ServingSystem {
   /// Stream a finished training round in: backup of every object to the
   /// cold store (put_batch slices of 64, fees to infra_meter(); the cold
   /// tier's stats().rejected_puts counts objects a bounded tier refused)
-  /// plus policy-driven write-allocation into the cache.
+  /// plus policy-driven write-allocation into the cache. Encodes the round
+  /// and hands it to ingest_encoded.
   void ingest_round(const fed::RoundRecord& record, double now) override;
+
+  /// The ingest body, over the round's objects already encoded: `objects`
+  /// must be fed::encode_round(record). Every cache insert shares the
+  /// object's blob, so the serving plane encodes a round once and every
+  /// shard of the tenant caches the same bytes.
+  void ingest_encoded(const fed::RoundRecord& record,
+                      std::span<const fed::EncodedObject> objects, double now);
 
   /// Serve one non-training request.
   ServeResult serve(const fed::NonTrainingRequest& req, double now) override;

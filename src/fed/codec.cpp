@@ -204,17 +204,20 @@ std::vector<EncodedObject> encode_round(const RoundRecord& record) {
     const auto& m = record.metrics[i];
     FLSTORE_CHECK(m.client == u.client);
     out.push_back({MetadataKey::update(u.client, record.round),
-                   encode_update(u), u.logical_bytes});
+                   std::make_shared<const Blob>(encode_update(u)),
+                   u.logical_bytes});
     out.push_back({MetadataKey::metrics(m.client, record.round),
-                   encode_metrics(m), kMetricsLogicalBytes});
+                   std::make_shared<const Blob>(encode_metrics(m)),
+                   kMetricsLogicalBytes});
   }
   out.push_back({MetadataKey::aggregate(record.round),
-                 encode_aggregate(record.round, record.aggregate,
-                                  record.model_bytes),
+                 std::make_shared<const Blob>(encode_aggregate(
+                     record.round, record.aggregate, record.model_bytes)),
                  record.model_bytes});
   const RoundInfo info{record.round, record.hparams, record.global_loss,
                        static_cast<std::int32_t>(record.updates.size())};
-  out.push_back({MetadataKey::metadata(record.round), encode_round_info(info),
+  out.push_back({MetadataKey::metadata(record.round),
+                 std::make_shared<const Blob>(encode_round_info(info)),
                  kRoundInfoLogicalBytes});
   return out;
 }

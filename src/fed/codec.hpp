@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,10 +61,12 @@ inline constexpr units::Bytes kRoundInfoLogicalBytes = 4 * units::KB;
 }
 
 /// One stored object of a round: its key, its blob, and the logical size
-/// latency and cost are computed from.
+/// latency and cost are computed from. The blob is immutable and shared, so
+/// every cache shard that holds the object holds these same bytes: a round
+/// is encoded once however many shards ingest it.
 struct EncodedObject {
   MetadataKey key;
-  Blob blob;
+  std::shared_ptr<const Blob> blob;
   units::Bytes logical_bytes = 0;
 };
 

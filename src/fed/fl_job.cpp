@@ -1,5 +1,6 @@
 #include "fed/fl_job.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -7,6 +8,13 @@
 #include "tensor/ops.hpp"
 
 namespace flstore::fed {
+
+namespace {
+
+/// global_direction's drift component changes every this many rounds.
+constexpr RoundId kDriftBlockRounds = 25;
+
+}  // namespace
 
 FLJob::FLJob(FLJobConfig config)
     : config_(std::move(config)),
@@ -38,6 +46,8 @@ FLJob::FLJob(FLJobConfig config)
     clients_.emplace_back(id, dim, b, config_.seed);
   }
   participants_cache_.resize(static_cast<std::size_t>(config_.rounds));
+  direction_blocks_.resize(static_cast<std::size_t>(
+      (config_.rounds + kDriftBlockRounds - 1) / kDriftBlockRounds));
 }
 
 const SimClient& FLJob::client(ClientId id) const {
@@ -53,39 +63,64 @@ std::vector<ClientId> FLJob::malicious_clients() const {
   return out;
 }
 
+const std::vector<ClientId>& FLJob::participants_locked(RoundId r) const {
+  auto& cached = participants_cache_[static_cast<std::size_t>(r)];
+  if (cached.empty()) {
+    Rng rng(config_.seed ^ (static_cast<std::uint64_t>(r) * 0x51DEC0DEULL) ^
+            0xA11CE);
+    cached = rng.sample_without_replacement(config_.pool_size,
+                                            config_.clients_per_round);
+  }
+  return cached;
+}
+
 std::vector<ClientId> FLJob::participants(RoundId r) const {
   if (r < 0 || r >= config_.rounds) return {};
   // The memo is guarded: one FLJob may back several serving-plane tenants
   // whose discrete-event tasks run on pool threads concurrently.
   const MutexLock lock(participants_mu_);
-  auto& cached = participants_cache_[static_cast<std::size_t>(r)];
-  if (!cached.empty()) return cached;
-  Rng rng(config_.seed ^ (static_cast<std::uint64_t>(r) * 0x51DEC0DEULL) ^
-          0xA11CE);
-  cached = rng.sample_without_replacement(config_.pool_size,
-                                          config_.clients_per_round);
-  return cached;
+  return participants_locked(r);
+}
+
+bool FLJob::participated(ClientId c, RoundId r) const {
+  if (r < 0 || r >= config_.rounds) return false;
+  const MutexLock lock(participants_mu_);
+  const auto& parts = participants_locked(r);
+  return std::find(parts.begin(), parts.end(), c) != parts.end();
 }
 
 Tensor FLJob::global_direction(RoundId r) const {
+  FLSTORE_CHECK(r >= 0 && r < config_.rounds);
   // Smoothly drifting descent direction: a fixed base plus a slowly
   // rotating component, so consecutive rounds correlate (as real training
-  // trajectories do) but distant rounds differ.
-  const auto dim = model_->materialized_dim();
-  Rng base_rng(config_.seed ^ 0xD1FEC710ULL);
-  auto base = ops::random_normal(dim, base_rng);
-  ops::scale(base, 1.0 / ops::l2_norm(base));
-  Rng drift_rng(config_.seed ^
-                ((static_cast<std::uint64_t>(r) / 25 + 1) * 0x5EEDBEEFULL));
-  auto drift = ops::random_normal(dim, drift_rng);
-  ops::scale(drift, 1.0 / ops::l2_norm(drift));
-  ops::axpy(0.35, drift, base);
-  ops::scale(base, 1.0 / ops::l2_norm(base));
+  // trajectories do) but distant rounds differ. Both depend on the round
+  // only through its block, so each block's unit direction is drawn once.
+  const auto block = static_cast<std::uint64_t>(r / kDriftBlockRounds);
+  Tensor direction;
+  {
+    const MutexLock lock(participants_mu_);
+    auto& unit = direction_blocks_[block];
+    if (unit.empty()) {
+      const auto dim = model_->materialized_dim();
+      if (direction_base_.empty()) {
+        Rng base_rng(config_.seed ^ 0xD1FEC710ULL);
+        direction_base_ = ops::random_normal(dim, base_rng);
+        ops::scale(direction_base_, 1.0 / ops::l2_norm(direction_base_));
+      }
+      Rng drift_rng(config_.seed ^ ((block + 1) * 0x5EEDBEEFULL));
+      auto drift = ops::random_normal(dim, drift_rng);
+      ops::scale(drift, 1.0 / ops::l2_norm(drift));
+      unit = direction_base_;
+      ops::axpy(0.35, drift, unit);
+      ops::scale(unit, 1.0 / ops::l2_norm(unit));
+    }
+    direction = unit;
+  }
   // Update magnitude decays as training converges.
   const double progress =
       static_cast<double>(r) / static_cast<double>(config_.rounds);
-  ops::scale(base, std::exp(-1.0 * progress) + 0.2);
-  return base;
+  ops::scale(direction, std::exp(-1.0 * progress) + 0.2);
+  return direction;
 }
 
 Hyperparameters FLJob::hyperparameters(RoundId r) const {

@@ -53,21 +53,36 @@ class FLJob final : public RoundDirectory {
   }
   [[nodiscard]] std::vector<ClientId> participants(RoundId r) const override
       EXCLUDES(participants_mu_);
+  /// Searches the participants memo in place: no copy of the round's set.
+  [[nodiscard]] bool participated(ClientId c, RoundId r) const override
+      EXCLUDES(participants_mu_);
 
   /// The round's true descent direction (exposed for tests).
-  [[nodiscard]] Tensor global_direction(RoundId r) const;
+  [[nodiscard]] Tensor global_direction(RoundId r) const
+      EXCLUDES(participants_mu_);
 
   /// Hyperparameter schedule: step-decayed learning rate.
   [[nodiscard]] Hyperparameters hyperparameters(RoundId r) const;
 
  private:
+  /// Round r's participants (r in range), drawn on first use. The caller
+  /// holds the lock for as long as it reads the returned set.
+  [[nodiscard]] const std::vector<ClientId>& participants_locked(
+      RoundId r) const REQUIRES(participants_mu_);
+
   FLJobConfig config_;
   const ModelSpec* model_;
   std::vector<SimClient> clients_;
-  /// Guards the memo below: one job may serve several concurrent tenants.
+  /// Guards the memos below: one job may serve several concurrent tenants,
+  /// and the serving plane prepares a tenant's next round on another thread.
   mutable Mutex participants_mu_;
   mutable std::vector<std::vector<ClientId>> participants_cache_
       GUARDED_BY(participants_mu_);
+  /// global_direction's unit-norm parts: the base, drawn once per job, and
+  /// the base plus its drift, renormalized, once per 25-round block (empty
+  /// until a round of the block asks).
+  mutable Tensor direction_base_ GUARDED_BY(participants_mu_);
+  mutable std::vector<Tensor> direction_blocks_ GUARDED_BY(participants_mu_);
 };
 
 }  // namespace flstore::fed

@@ -1,14 +1,19 @@
 #include "serve/sharded_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <exception>
 #include <functional>
+#include <future>
 #include <optional>
 #include <queue>
+#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
+#include "fed/codec.hpp"
+#include "workloads/workload.hpp"
 
 namespace flstore::serve {
 
@@ -64,6 +69,76 @@ void fold(RequestScheduler::ClassStats& total,
   total.admitted += s.admitted;
   total.rejected += s.rejected;
   total.peak_queued = std::max(total.peak_queued, s.peak_queued);
+}
+
+/// The part of a round's ingest that depends only on (job, round): the
+/// record, its objects encoded once for every shard of the tenant, and the
+/// probe batches the round's requests will draw.
+struct PreparedRound {
+  fed::RoundRecord record;
+  std::vector<fed::EncodedObject> objects;
+  std::vector<workloads::PreparedProbes> probes;
+};
+
+PreparedRound prepare_round(const fed::FLJob& job, RoundId round,
+                            std::span<const fed::WorkloadType> traffic) {
+  PreparedRound p;
+  p.record = job.make_round(round);
+  p.objects = fed::encode_round(p.record);
+  p.probes = workloads::draw_round_probes(traffic, round,
+                                          job.model().materialized_dim());
+  return p;
+}
+
+/// One tenant's next round, prepared by whichever thread claims it first: a
+/// prep thread that reaches it before the timeline needs it, or else the
+/// timeline itself (claim-or-run). A timeline therefore waits only on work
+/// some thread has already started, never on a queue. The timeline owns it;
+/// a prep thread holds it only while it runs, so a round the timeline lets
+/// go of before any thread starts it is never made.
+class RoundPrep {
+ public:
+  explicit RoundPrep(std::function<PreparedRound()> work)
+      : task_(std::move(work)), result_(task_.get_future()) {}
+  RoundPrep(const RoundPrep&) = delete;
+  RoundPrep& operator=(const RoundPrep&) = delete;
+
+  /// Run the work unless some thread has claimed it.
+  void run_if_unclaimed() {
+    if (!claimed_.exchange(true, std::memory_order_acq_rel)) task_();
+  }
+  /// The prepared round: made here if no thread has claimed it, else waited
+  /// for. Rethrows what the work threw, on whichever thread it ran.
+  PreparedRound take() {
+    run_if_unclaimed();
+    return result_.get();
+  }
+
+ private:
+  std::atomic<bool> claimed_{false};
+  std::packaged_task<PreparedRound()> task_;
+  std::future<PreparedRound> result_;
+};
+
+/// The workload types a timeline's arrivals can contain: a stream's mix
+/// entry for the tenant (an empty list is the paper's ten; no entry, no
+/// traffic), or the types present in a materialized trace.
+std::vector<fed::WorkloadType> traffic_types(
+    JobId tenant, const std::vector<ServiceRequest>& arrivals,
+    const std::vector<TenantMix>* mix) {
+  std::vector<fed::WorkloadType> types;
+  if (mix != nullptr) {
+    for (const auto& m : *mix) {
+      if (m.tenant != tenant) continue;
+      types = m.workloads.empty() ? fed::paper_workloads() : m.workloads;
+    }
+  }
+  for (const auto& a : arrivals) {
+    if (std::find(types.begin(), types.end(), a.request.type) == types.end()) {
+      types.push_back(a.request.type);
+    }
+  }
+  return types;
 }
 
 }  // namespace
@@ -156,10 +231,17 @@ int ShardedStore::shard_for(const ServiceRequest& req) const {
 
 void ShardedStore::ingest_round(JobId tenant_id, const fed::RoundRecord& record,
                                 double now) {
-  for (const auto global : tenant(tenant_id).shards) {
+  ingest_encoded(tenant(tenant_id), record, fed::encode_round(record), now);
+}
+
+void ShardedStore::ingest_encoded(const Tenant& tenant,
+                                  const fed::RoundRecord& record,
+                                  std::span<const fed::EncodedObject> objects,
+                                  double now) {
+  for (const auto global : tenant.shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
     const MutexLock lock(shard.mu);
-    shard.store->ingest_round(record, now);
+    shard.store->ingest_encoded(record, objects, now);
   }
 }
 
@@ -173,7 +255,7 @@ void ShardedStore::run_tenant(
     const Tenant& tenant, Mode mode,
     const std::vector<ServiceRequest>& arrivals, double horizon_s,
     double round_interval_s, RoundId first_round, const StreamSpec* stream,
-    std::vector<ServiceRecord>& out,
+    ThreadPool* prep, std::vector<ServiceRecord>& out,
     decltype(ServiceReport::scheduler)& sched_out) {
   FLSTORE_CHECK(round_interval_s > 0.0);
   const auto n_local = tenant.shards.size();
@@ -230,6 +312,15 @@ void ShardedStore::run_tenant(
     stream_src.emplace(*stream->config, *stream->mix);
     pull_stream_arrival();
   }
+
+  // Round preparation: at round r's ingest the timeline takes r, prepared
+  // ahead, and hands r + 1 to a prep thread (or, with none, claims it back
+  // at r + 1's ingest). Each prep owns copies of what it reads, so one a
+  // prep thread is still running may outlive this timeline; the round
+  // pending when the timeline ends, on any exit path, dies with it.
+  const auto traffic = traffic_types(
+      tenant.id, arrivals, stream != nullptr ? stream->mix : nullptr);
+  std::shared_ptr<RoundPrep> next_round;
 
   std::vector<RequestScheduler> scheds;
   std::vector<double> busy(n_local, 0.0);
@@ -316,7 +407,28 @@ void ShardedStore::run_tenant(
         // (= last arrival time). Rounds popping before exhaustion are
         // always in range: a pending arrival at a later time exists.
         if (stream_done && ev.time > stream_src->last_arrival_s()) break;
-        ingest_round(tenant.id, tenant.job->make_round(ev.round), ev.time);
+        {
+          // The first round of a run has no prep ahead of it.
+          const auto round =
+              next_round != nullptr
+                  ? next_round->take()
+                  : prepare_round(*tenant.job, ev.round, traffic);
+          FLSTORE_CHECK(round.record.round == ev.round);
+          next_round.reset();
+          if (ev.round < max_round) {
+            next_round = std::make_shared<RoundPrep>(
+                [job = tenant.job, traffic, r = ev.round + 1] {
+                  return prepare_round(*job, r, traffic);
+                });
+            if (prep != nullptr) {
+              prep->submit([pending = std::weak_ptr(next_round)] {
+                if (const auto task = pending.lock()) task->run_if_unclaimed();
+              });
+            }
+          }
+          workloads::prime_probe_batches(round.probes);
+          ingest_encoded(tenant, round.record, round.objects, ev.time);
+        }
         break;
       case EvType::kArrival: {
         // Replace the popped arrival with the stream's next one for this
@@ -377,16 +489,33 @@ ServiceReport ShardedStore::run_all_tenants(
   std::vector<std::vector<ServiceRecord>> results(tenants_.size());
   std::vector<decltype(ServiceReport::scheduler)> sched_stats(tenants_.size());
   std::vector<std::exception_ptr> errors(tenants_.size());
+  // Prep threads take the hardware threads the running timelines leave
+  // free, at most one per timeline (each has one round pending at a time);
+  // an inline run stays on the calling thread. Declared before the
+  // timeline pool, so it joins after every timeline has let go of its
+  // pending round.
+  const int timelines =
+      std::min(config_.worker_threads, static_cast<int>(tenants_.size()));
+  const int prep_threads =
+      timelines > 0
+          ? std::clamp(
+                static_cast<int>(std::thread::hardware_concurrency()) -
+                    timelines,
+                0, timelines)
+          : 0;
+  ThreadPool prep(prep_threads);
+  ThreadPool* const prep_pool = prep_threads > 0 ? &prep : nullptr;
   ThreadPool pool(config_.worker_threads);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     tasks.push_back([this, i, mode, &per_tenant, horizon_s, round_interval_s,
-                     first_round, stream, &results, &sched_stats, &errors] {
+                     first_round, stream, prep_pool, &results, &sched_stats,
+                     &errors] {
       try {
         run_tenant(tenants_[i], mode, per_tenant[i], horizon_s,
-                   round_interval_s, first_round, stream, results[i],
-                   sched_stats[i]);
+                   round_interval_s, first_round, stream, prep_pool,
+                   results[i], sched_stats[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }

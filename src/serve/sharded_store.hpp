@@ -17,6 +17,24 @@
 //  * Within a tenant the task is sequential, so scheduler decisions and
 //    coalescing windows depend only on virtual time. Per-request results
 //    are bit-identical for any worker_threads value (regression-tested).
+//  * Rounds are prepared off the timeline. What a round's ingest needs that
+//    depends only on (job, round) — FLJob::make_round, one
+//    fed::encode_round whose shared blobs every shard of the tenant caches,
+//    and the probe batches of the inference and debugging requests the
+//    tenant's traffic can contain — is one prep task. At round r's ingest
+//    the timeline takes r's task (a run's first round has none and is made
+//    inline) and hands r + 1's to the prep threads. Each task is claimed
+//    exactly once, through an atomic flag: by a prep thread that starts it
+//    first, or else by the timeline when it needs the round (claim-or-run),
+//    so a timeline never waits behind a queue or another tenant's prep. A
+//    prep's exception reaches the timeline through its future; a round
+//    prepared but never ingested is dropped.
+//  * Thread budget, from what the plane observes: with worker_threads > 0
+//    there are hardware_threads - running timelines prep threads (never
+//    fewer than 0, never more than the timelines, which have one round
+//    pending each), so a run never has more active threads than hardware
+//    threads. worker_threads = 0 runs stay single-threaded: no prep
+//    threads, and the timeline claims every round itself.
 //  * FLStore itself stays single-threaded per shard; each shard is guarded
 //    by its own mutex for the direct serve()/ingest_round() entry points.
 //  * The real-thread hot path (hot_get/hot_put/hot_evict) is the one place
@@ -37,6 +55,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "backend/flush_scheduler.hpp"
@@ -143,7 +162,8 @@ class ShardedStore {
     return *cold_;
   }
 
-  /// Ingest a finished round into every shard of `tenant`.
+  /// Ingest a finished round into every shard of `tenant`, encoding it once:
+  /// every shard caches the same blobs.
   void ingest_round(JobId tenant, const fed::RoundRecord& record, double now);
 
   /// One-off direct serve (locks the routed shard).
@@ -349,14 +369,20 @@ class ShardedStore {
   /// be sorted by arrival time; streaming runs pass `stream` instead
   /// (arrivals then pull from the stream one at a time). Rounds
   /// [first_round, floor(horizon/interval)] ingest (windowed runs pass the
-  /// first round not yet ingested); per-class scheduler stats accumulate
-  /// into `sched_out` (queued mode only).
+  /// first round not yet ingested), each prepared ahead on `prep` (nullptr:
+  /// no prep threads, the timeline prepares every round itself); per-class
+  /// scheduler stats accumulate into `sched_out` (queued mode only).
   void run_tenant(const Tenant& tenant, Mode mode,
                   const std::vector<ServiceRequest>& arrivals,
                   double horizon_s, double round_interval_s,
                   RoundId first_round, const StreamSpec* stream,
-                  std::vector<ServiceRecord>& out,
+                  ThreadPool* prep, std::vector<ServiceRecord>& out,
                   decltype(ServiceReport::scheduler)& sched_out);
+
+  /// Ingest a round already encoded into every shard of `tenant`: each
+  /// shard caches the same shared blobs.
+  void ingest_encoded(const Tenant& tenant, const fed::RoundRecord& record,
+                      std::span<const fed::EncodedObject> objects, double now);
 
   ServiceReport run_all_tenants(Mode mode,
                                 const std::vector<ServiceRequest>& trace,

@@ -36,10 +36,7 @@ class InferenceWorkload final : public Workload {
     const auto& model = in.aggregates.front().model;
     FLSTORE_CHECK(!model.empty());
 
-    // Probe batch seeded by the request round: deterministic results.
-    const auto probes = probe_batch(
-        0xF00D ^ static_cast<std::uint64_t>(req.round + 1), model.dim(),
-        kProbeBatch);
+    const auto probes = probe_batch(*round_probes(req.round, model.dim()));
     std::vector<double> dots(probes->size());
     ops::dot_many(model, ops::pointers_to(*probes), dots);
     WorkloadOutput out;
@@ -58,6 +55,13 @@ class InferenceWorkload final : public Workload {
                       in.model->gflops_forward * 1e9;
     out.result_bytes = 4 * units::KB;
     return out;
+  }
+
+  /// Probe batch seeded by the request round: deterministic results.
+  [[nodiscard]] std::optional<ProbeSpec> round_probes(
+      RoundId round, std::size_t dim) const override {
+    return ProbeSpec{0xF00D ^ static_cast<std::uint64_t>(round + 1), dim,
+                     kProbeBatch};
   }
 };
 

@@ -54,8 +54,7 @@ class DebuggingWorkload final : public Workload {
       throw InvalidArgument("debugging input lacks the requested round");
     }
     const auto dim = target_round.front()->delta.dim();
-    const auto batch = probe_batch(
-        0xDEB06 ^ static_cast<std::uint64_t>(req.round + 1), dim, kDebugProbes);
+    const auto batch = probe_batch(*round_probes(req.round, dim));
     const auto& probes = *batch;
 
     // activation[c][p] = tanh(<delta_c, probe_p> / sqrt(dim))
@@ -125,6 +124,13 @@ class DebuggingWorkload final : public Workload {
         static_cast<double>(in.updates.size()) * params;
     out.result_bytes = 32 * units::KB;
     return out;
+  }
+
+  /// Seeded probes per round: every client of a round sees the same batch.
+  [[nodiscard]] std::optional<ProbeSpec> round_probes(
+      RoundId round, std::size_t dim) const override {
+    return ProbeSpec{0xDEB06 ^ static_cast<std::uint64_t>(round + 1), dim,
+                     kDebugProbes};
   }
 };
 

@@ -88,36 +88,69 @@ double median(std::vector<double> values) {
   return values[mid];
 }
 
-std::shared_ptr<const std::vector<Tensor>> probe_batch(std::uint64_t seed,
-                                                       std::size_t dim,
-                                                       int count) {
-  struct Slot {
-    std::uint64_t seed = 0;
-    std::size_t dim = 0;
-    int count = 0;
-    std::shared_ptr<const std::vector<Tensor>> batch;
-  };
-  // slots[0] is the most recently used; a miss evicts slots[1].
-  thread_local std::array<Slot, 2> slots;
-  const auto matches = [&](const Slot& s) {
-    return s.batch != nullptr && s.seed == seed && s.dim == dim &&
-           s.count == count;
-  };
-  if (matches(slots[0])) return slots[0].batch;
-  if (matches(slots[1])) {
-    std::swap(slots[0], slots[1]);
-    return slots[0].batch;
-  }
-  FLSTORE_CHECK(count >= 0);
-  Rng rng(seed);
+namespace {
+
+ProbeBatch draw_probes(const ProbeSpec& spec) {
+  FLSTORE_CHECK(spec.count >= 0);
+  Rng rng(spec.seed);
   auto batch = std::make_shared<std::vector<Tensor>>();
-  batch->reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    batch->push_back(ops::random_normal(dim, rng));
+  batch->reserve(static_cast<std::size_t>(spec.count));
+  for (int i = 0; i < spec.count; ++i) {
+    batch->push_back(ops::random_normal(spec.dim, rng));
   }
-  slots[1] = std::move(slots[0]);
-  slots[0] = Slot{seed, dim, count, std::move(batch)};
-  return slots[0].batch;
+  return batch;
+}
+
+/// Two probe-drawing workloads (inference, debugging) times two live rounds;
+/// see probe_batch.
+constexpr std::size_t kProbeSlots = 4;
+/// A thread's memo, most recently used first; a slot without a batch is
+/// empty.
+using ProbeSlots = std::array<PreparedProbes, kProbeSlots>;
+
+ProbeSlots& probe_slots() {
+  thread_local ProbeSlots slots;
+  return slots;
+}
+
+/// Make the slot holding `spec` the most recently used one, or else the
+/// least recently used one, for the caller to fill: the slots before it
+/// shift down by one. Returns the front slot.
+PreparedProbes& to_front(ProbeSlots& slots, const ProbeSpec& spec) {
+  auto it = std::find_if(slots.begin(), slots.end(), [&](const auto& s) {
+    return s.batch != nullptr && s.spec == spec;
+  });
+  if (it == slots.end()) --it;
+  std::rotate(slots.begin(), it, it + 1);
+  return slots.front();
+}
+
+}  // namespace
+
+ProbeBatch probe_batch(const ProbeSpec& spec) {
+  auto& front = to_front(probe_slots(), spec);
+  if (front.batch == nullptr || front.spec != spec) {
+    front = {spec, draw_probes(spec)};
+  }
+  return front.batch;
+}
+
+std::vector<PreparedProbes> draw_round_probes(
+    std::span<const fed::WorkloadType> types, RoundId round, std::size_t dim) {
+  std::vector<PreparedProbes> out;
+  for (const auto type : types) {
+    const auto spec = workload_for(type).round_probes(round, dim);
+    if (!spec.has_value()) continue;
+    const bool drawn = std::any_of(
+        out.begin(), out.end(),
+        [&](const PreparedProbes& p) { return p.spec == *spec; });
+    if (!drawn) out.push_back({*spec, draw_probes(*spec)});
+  }
+  return out;
+}
+
+void prime_probe_batches(std::span<const PreparedProbes> prepared) {
+  for (const auto& p : prepared) to_front(probe_slots(), p.spec) = p;
 }
 
 void absorb_blob(WorkloadInput& in, const MetadataKey& key,

@@ -9,7 +9,9 @@
 // in the process-wide registry; `workload_for(type)` is the only lookup.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +39,23 @@ struct WorkloadInput {
   std::vector<fed::AggregateRecord> aggregates;
   std::vector<fed::ClientMetrics> metrics;
   std::vector<fed::RoundInfo> round_infos;
+};
+
+/// The identity of a probe batch: `count` tensors of `dim` i.i.d. N(0, 1)
+/// values, drawn in order from Rng(seed).
+struct ProbeSpec {
+  std::uint64_t seed = 0;
+  std::size_t dim = 0;
+  int count = 0;
+  friend bool operator==(const ProbeSpec&, const ProbeSpec&) = default;
+};
+
+using ProbeBatch = std::shared_ptr<const std::vector<Tensor>>;
+
+/// A batch drawn with a round, ahead of the requests that will ask for it.
+struct PreparedProbes {
+  ProbeSpec spec;
+  ProbeBatch batch;
 };
 
 struct WorkloadOutput {
@@ -68,6 +87,16 @@ class Workload {
   /// records the data needs promised.
   [[nodiscard]] virtual WorkloadOutput execute(
       const fed::NonTrainingRequest& req, const WorkloadInput& in) const = 0;
+
+  /// The per-round seeded input execute() draws for a request about `round`
+  /// of a model materialized at `dim`: its probe batch, or nullopt for a
+  /// workload that draws none. This is the one place a workload's seed
+  /// formula lives; the serving plane draws the batch with the round, off
+  /// the critical path (draw_round_probes).
+  [[nodiscard]] virtual std::optional<ProbeSpec> round_probes(
+      RoundId /*round*/, std::size_t /*dim*/) const {
+    return std::nullopt;
+  }
 };
 
 /// Registry lookup; every fed::WorkloadType has an implementation.
@@ -84,20 +113,32 @@ class Workload {
 /// Median of a non-empty vector (copies; inputs are small).
 [[nodiscard]] double median(std::vector<double> values);
 
-/// `count` probe tensors of `dim` i.i.d. N(0, 1) values drawn in order from
-/// Rng(seed): bit-identical to calling ops::random_normal(dim, rng) `count`
-/// times. Drawing a batch costs count * dim polar rejection loops, and a memo
-/// hit saves all of it. The batch is a pure function of its arguments, and
-/// P1/P2 requests keep asking for the newest round's batch, so it is
-/// memoized in two thread_local most-recently-used slots: no lock, and at
-/// most two batches per thread (128 KB for 16 probes at the largest
-/// materialized dim, 1024).
-/// Two slots suffice because ShardedStore runs each tenant's timeline as one
-/// pool task, so a thread serves one tenant at a time, and that tenant's live
-/// keys are its inference and debugging batches for the newest round.
+/// The batch `spec` names: bit-identical to calling
+/// ops::random_normal(spec.dim, rng) `spec.count` times on Rng(spec.seed).
+/// Drawing a batch costs count * dim polar rejection loops, and a memo hit
+/// saves all of it. The batch is a pure function of `spec`, and P1/P2
+/// requests keep asking for the newest round's batch, so it is memoized in
+/// four thread_local most-recently-used slots: no lock, and at most four
+/// batches per thread (64 KB each for 16 probes at the largest materialized
+/// dim, 1024). Four suffice because ShardedStore runs each tenant's timeline
+/// as one pool task, so a thread serves one tenant at a time, and that
+/// tenant's live batches are its inference and debugging batches for two
+/// rounds: the one just ingested, which the timeline primes at its ingest,
+/// and the one before, which requests still queued from it ask for.
 /// A returned batch stays valid after its slot is reused.
-[[nodiscard]] std::shared_ptr<const std::vector<Tensor>> probe_batch(
-    std::uint64_t seed, std::size_t dim, int count);
+[[nodiscard]] ProbeBatch probe_batch(const ProbeSpec& spec);
+
+/// The batches requests of `types` about `round` of a model materialized at
+/// `dim` will ask for: one fresh draw per distinct batch a type's
+/// round_probes() names, bypassing the memo (the serving plane calls this on
+/// a spare thread, whose memo no request reads). Types that draw none add
+/// nothing, so a mix without inference or debugging prepares no batch.
+[[nodiscard]] std::vector<PreparedProbes> draw_round_probes(
+    std::span<const fed::WorkloadType> types, RoundId round, std::size_t dim);
+
+/// Make this thread's probe_batch() find `prepared` without drawing: each
+/// batch becomes the most recently used slot.
+void prime_probe_batches(std::span<const PreparedProbes> prepared);
 
 /// Decode a stored blob into the right WorkloadInput bucket based on the
 /// key's kind. Shared by every serving system (FLStore and the baselines),

@@ -103,7 +103,7 @@ TEST(BackupWriterRegression, BatchedBackupMatchesInlinePathByteForByte) {
     const auto objects = fed::encode_round(record);
     for (const auto& obj : objects) {
       inline_fees += inline_cold
-                         .put(obj.key.object_name(), obj.blob,
+                         .put(obj.key.object_name(), *obj.blob,
                               obj.logical_bytes, now)
                          .request_fee_usd;
     }

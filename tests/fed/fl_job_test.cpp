@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fed/aggregator.hpp"
 #include "tensor/ops.hpp"
 
@@ -90,6 +94,90 @@ TEST(FLJob, GlobalDirectionCorrelatesAcrossNearbyRounds) {
   const auto d0 = job.global_direction(10);
   const auto d1 = job.global_direction(11);
   EXPECT_GT(ops::cosine_similarity(d0, d1), 0.8);
+}
+
+// global_direction as it was computed before its base and drift were
+// memoized: both drawn afresh on every call.
+Tensor direction_reference(const FLJobConfig& cfg, std::size_t dim,
+                           RoundId r) {
+  Rng base_rng(cfg.seed ^ 0xD1FEC710ULL);
+  auto base = ops::random_normal(dim, base_rng);
+  ops::scale(base, 1.0 / ops::l2_norm(base));
+  Rng drift_rng(cfg.seed ^
+                ((static_cast<std::uint64_t>(r) / 25 + 1) * 0x5EEDBEEFULL));
+  auto drift = ops::random_normal(dim, drift_rng);
+  ops::scale(drift, 1.0 / ops::l2_norm(drift));
+  ops::axpy(0.35, drift, base);
+  ops::scale(base, 1.0 / ops::l2_norm(base));
+  const double progress =
+      static_cast<double>(r) / static_cast<double>(cfg.rounds);
+  ops::scale(base, std::exp(-1.0 * progress) + 0.2);
+  return base;
+}
+
+TEST(FLJob, GlobalDirectionMatchesUnmemoizedReference) {
+  auto cfg = small_config();
+  cfg.rounds = 60;
+  const FLJob job(cfg);
+  const auto dim = job.model().materialized_dim();
+  // Block edges on both sides, a revisit of an earlier block, and the last
+  // round, whose block is partial.
+  for (const RoundId r : {0, 24, 25, 49, 50, 3, 59}) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    EXPECT_EQ(job.global_direction(r), direction_reference(cfg, dim, r));
+  }
+  EXPECT_THROW((void)job.global_direction(cfg.rounds), InternalError);
+}
+
+TEST(FLJob, ConcurrentMakeRoundEqualsSerial) {
+  auto cfg = small_config();
+  cfg.rounds = 60;
+  const FLJob serial(cfg);
+  const FLJob shared(cfg);
+  constexpr int kThreads = 4;
+  // Each thread makes every round, starting at its own offset, so the
+  // threads race on the participant and direction memos of `shared`.
+  std::vector<std::vector<RoundRecord>> made(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto& out = made[static_cast<std::size_t>(t)];
+      out.resize(static_cast<std::size_t>(cfg.rounds));
+      for (RoundId i = 0; i < cfg.rounds; ++i) {
+        const RoundId r = (i + 15 * t) % cfg.rounds;
+        out[static_cast<std::size_t>(r)] = shared.make_round(r);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (RoundId r = 0; r < cfg.rounds; ++r) {
+    const auto want = serial.make_round(r);
+    for (int t = 0; t < kThreads; ++t) {
+      const auto& got = made[static_cast<std::size_t>(t)]
+                           [static_cast<std::size_t>(r)];
+      SCOPED_TRACE("thread " + std::to_string(t) + " round " +
+                   std::to_string(r));
+      EXPECT_EQ(got.updates, want.updates);
+      EXPECT_EQ(got.metrics, want.metrics);
+      EXPECT_EQ(got.aggregate, want.aggregate);
+      EXPECT_EQ(got.hparams, want.hparams);
+      EXPECT_EQ(got.global_loss, want.global_loss);
+    }
+  }
+}
+
+TEST(FLJob, ParticipatedEqualsFindOverParticipants) {
+  const FLJob job(small_config());
+  const auto& cfg = job.config();
+  // Out-of-range rounds included: no participants, so nobody participated.
+  for (RoundId r = -1; r <= cfg.rounds; ++r) {
+    const auto parts = job.participants(r);
+    for (ClientId c = -1; c <= cfg.pool_size; ++c) {
+      EXPECT_EQ(job.participated(c, r),
+                std::find(parts.begin(), parts.end(), c) != parts.end())
+          << "client " << c << " round " << r;
+    }
+  }
 }
 
 TEST(FLJob, HyperparametersStepDecay) {

@@ -499,9 +499,9 @@ INSTANTIATE_TEST_SUITE_P(
 // --- probe_batch -------------------------------------------------------------
 
 TEST(ProbeBatch, EqualsFreshDraws) {
-  const auto batch = probe_batch(0xF00D ^ 8, 300, 16);
+  const auto batch = probe_batch({0xF00D ^ 8, 300, 16});
   EXPECT_EQ(*batch, fresh_probes(0xF00D ^ 8, 300, 16));
-  EXPECT_TRUE(probe_batch(5, 64, 0)->empty());
+  EXPECT_TRUE(probe_batch({5, 64, 0})->empty());
 }
 
 TEST(ProbeBatch, InterleavedSeedsDimsAndCountsNeverAlias) {
@@ -510,23 +510,71 @@ TEST(ProbeBatch, InterleavedSeedsDimsAndCountsNeverAlias) {
     std::size_t dim;
     int count;
   };
-  // Hits, two-slot swaps and evictions, with every pair of calls differing
-  // in exactly one of seed, dim and count somewhere in the sequence.
+  // Hits, reorders and evictions (five batches for four slots), with every
+  // pair of calls differing in exactly one of seed, dim and count somewhere
+  // in the sequence.
   const Call calls[] = {{1, 256, 16}, {2, 256, 16}, {1, 256, 16}, {1, 512, 16},
                         {2, 256, 16}, {1, 256, 8},  {1, 256, 16}, {3, 256, 16},
                         {1, 512, 16}, {2, 256, 16}, {2, 256, 16}, {1, 256, 16}};
   for (const auto& c : calls) {
     SCOPED_TRACE("seed " + std::to_string(c.seed) + " dim " +
                  std::to_string(c.dim) + " count " + std::to_string(c.count));
-    EXPECT_EQ(*probe_batch(c.seed, c.dim, c.count),
+    EXPECT_EQ(*probe_batch({c.seed, c.dim, c.count}),
               fresh_probes(c.seed, c.dim, c.count));
   }
 }
 
 TEST(ProbeBatch, ReturnedBatchOutlivesEviction) {
-  const auto held = probe_batch(11, 128, 4);
-  for (std::uint64_t s = 12; s < 16; ++s) (void)probe_batch(s, 128, 4);
+  const auto held = probe_batch({11, 128, 4});
+  for (std::uint64_t s = 12; s < 16; ++s) (void)probe_batch({s, 128, 4});
   EXPECT_EQ(*held, fresh_probes(11, 128, 4));
+}
+
+TEST(ProbeBatch, PreparedBatchesEqualFreshDraws) {
+  const WorkloadType types[] = {WorkloadType::kInference,
+                                WorkloadType::kClustering,
+                                WorkloadType::kDebugging,
+                                WorkloadType::kInference};
+  const auto prepared = draw_round_probes(types, 9, 300);
+  // One batch per probe-drawing workload, duplicates drawn once.
+  ASSERT_EQ(prepared.size(), 2U);
+  EXPECT_EQ(prepared[0].spec, (ProbeSpec{0xF00D ^ 10, 300, 16}));
+  EXPECT_EQ(prepared[1].spec, (ProbeSpec{0xDEB06 ^ 10, 300, 16}));
+  for (const auto& p : prepared) {
+    EXPECT_EQ(*p.batch, fresh_probes(p.spec.seed, p.spec.dim, p.spec.count));
+  }
+}
+
+TEST(ProbeBatch, MixWithoutInferenceOrDebuggingPreparesNothing) {
+  std::vector<WorkloadType> others;
+  for (const auto type : fed::paper_workloads()) {
+    if (type != WorkloadType::kInference && type != WorkloadType::kDebugging) {
+      others.push_back(type);
+    }
+  }
+  others.push_back(WorkloadType::kProvenance);
+  others.push_back(WorkloadType::kHyperparamTracking);
+  EXPECT_TRUE(draw_round_probes(others, 9, 300).empty());
+  EXPECT_TRUE(draw_round_probes({}, 9, 300).empty());
+}
+
+TEST(ProbeBatch, PrimedRoundsAreServedWithoutDrawing) {
+  const WorkloadType types[] = {WorkloadType::kInference,
+                                WorkloadType::kDebugging};
+  // Round 20's batches are live when round 21's are primed: requests still
+  // queued from round 20 and new ones for round 21 must both find theirs.
+  const auto current = draw_round_probes(types, 20, 256);
+  const auto next = draw_round_probes(types, 21, 256);
+  prime_probe_batches(current);
+  prime_probe_batches(next);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto* round : {&current, &next}) {
+      for (const auto& p : *round) {
+        EXPECT_EQ(probe_batch(p.spec).get(), p.batch.get())
+            << "seed " << p.spec.seed << " pass " << pass;
+      }
+    }
+  }
 }
 
 TEST(ProbeBatch, ConcurrentCallersGetIdenticalBatches) {
@@ -545,7 +593,7 @@ TEST(ProbeBatch, ConcurrentCallersGetIdenticalBatches) {
       for (int i = 0; i < kCalls; ++i) {
         // Each thread walks the combinations in its own order and stride.
         const auto k = static_cast<std::size_t>(i * (t + 1) + t) % want.size();
-        const auto batch = probe_batch(seeds[k / 2], dims[k % 2], 16);
+        const auto batch = probe_batch({seeds[k / 2], dims[k % 2], 16});
         if (*batch != want[k]) ++mismatches[static_cast<std::size_t>(t)];
       }
     });
