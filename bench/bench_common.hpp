@@ -27,7 +27,6 @@
 #include "backend/replicated_cold_store.hpp"
 #include "common/table.hpp"
 #include "fed/request.hpp"
-#include "obs/instrumented_backend.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/calibration.hpp"
 #include "sim/report.hpp"
@@ -279,23 +278,26 @@ inline std::vector<BackendSweepRow> run_backend_sweep(
       {"direct cloud cache", backend::BackendKind::kCloudCache, false},
       {"direct local SSD", backend::BackendKind::kLocalSsd, false},
   };
-  std::vector<BackendSweepRow> rows;
+  // The four deployments serve the trace in one lock-step pass.
+  std::vector<std::unique_ptr<backend::StorageBackend>> colds;
+  std::vector<std::unique_ptr<core::FLStore>> stores;
+  std::vector<core::ServingSystem*> systems;
   for (const auto& cell : cells) {
-    auto cold = sc.make_cold_backend(cell.kind);
-    auto fl = sc.make_flstore_over(*cold,
-                                   cell.cached ? core::PolicyMode::kTailored
-                                               : core::PolicyMode::kLru,
-                                   cell.cached ? units::Bytes{0}
-                                               : units::Bytes{1});
-    BackendSweepRow row;
-    row.label = cell.label;
-    row.kind = cell.kind;
-    row.cached = cell.cached;
-    row.run = sim::run_trace(*fl, sc.job(), trace, sc.config().duration_s,
+    colds.push_back(sc.make_cold_backend(cell.kind));
+    stores.push_back(sc.make_flstore_over(
+        *colds.back(),
+        cell.cached ? core::PolicyMode::kTailored : core::PolicyMode::kLru,
+        cell.cached ? units::Bytes{0} : units::Bytes{1}));
+    systems.push_back(stores.back().get());
+  }
+  auto runs = sim::run_trace(systems, sc.job(), trace, sc.config().duration_s,
                              sc.config().round_interval_s);
-    row.idle_usd_per_hour =
-        cold->idle_cost(3600.0) + fl->infrastructure_cost(3600.0);
-    rows.push_back(std::move(row));
+  std::vector<BackendSweepRow> rows;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    rows.push_back({cells[i].label, cells[i].kind, cells[i].cached,
+                    std::move(runs[i]),
+                    colds[i]->idle_cost(3600.0) +
+                        stores[i]->infrastructure_cost(3600.0)});
   }
   return rows;
 }
@@ -370,23 +372,7 @@ inline std::vector<backend::OutageWindow> geo_outages(
 }
 
 inline std::unique_ptr<backend::ReplicatedColdStore> make_geo_cold_store(
-    int serving_regions, obs::Telemetry* telemetry = nullptr) {
-  // With telemetry, each region's backend is wrapped individually (region
-  // label = region name), so backend_ops_total / latency histograms split
-  // per region — failovers show up as reads booked against "ssd-1" while
-  // "ssd-0" sits in an outage window.
-  const auto instrumented =
-      [telemetry](std::unique_ptr<backend::StorageBackend> raw,
-                  const std::string& region_name) {
-        if (telemetry == nullptr) return raw;
-        obs::InstrumentedBackend::Options opts;
-        opts.metrics = &telemetry->metrics;
-        opts.tracer = &telemetry->tracer;
-        opts.region = region_name;
-        return std::unique_ptr<backend::StorageBackend>(
-            std::make_unique<obs::InstrumentedBackend>(std::move(raw),
-                                                       std::move(opts)));
-      };
+    int serving_regions) {
   std::vector<backend::ReplicatedColdStore::Region> regions;
   regions.reserve(static_cast<std::size_t>(serving_regions) + 1);
   for (int i = 0; i < serving_regions; ++i) {
@@ -394,17 +380,15 @@ inline std::unique_ptr<backend::ReplicatedColdStore> make_geo_cold_store(
     region.name = "ssd-" + std::to_string(i);
     backend::LocalSsdBackend::Config ssd_cfg;
     ssd_cfg.link = sim::local_ssd_link();
-    region.owned = instrumented(std::make_unique<backend::LocalSsdBackend>(
-                                    ssd_cfg, PricingCatalog::aws()),
-                                region.name);
+    region.owned = std::make_unique<backend::LocalSsdBackend>(
+        ssd_cfg, PricingCatalog::aws());
     region.wan = sim::interregion_link(i);
     regions.push_back(std::move(region));
   }
   backend::ReplicatedColdStore::Region origin;
   origin.name = "origin";
-  origin.owned = instrumented(std::make_unique<backend::ObjectStoreBackend>(
-                                  sim::objstore_link(), PricingCatalog::aws()),
-                              origin.name);
+  origin.owned = std::make_unique<backend::ObjectStoreBackend>(
+      sim::objstore_link(), PricingCatalog::aws());
   origin.wan = sim::interregion_link(std::max(3, serving_regions));
   origin.far = true;
   regions.push_back(std::move(origin));
@@ -422,35 +406,48 @@ inline std::unique_ptr<backend::ReplicatedColdStore> make_geo_cold_store(
 /// backend itself.
 struct GeoRow {
   int serving_regions = 0;
-  sim::RunResult run;
   double mean_latency_s = 0.0;
   double mean_cost_usd = 0.0;
   double egress_usd = 0.0;
   double idle_usd_per_hour = 0.0;
   std::uint64_t failover_reads = 0;
-  std::uint64_t outage_skips = 0;
 };
 
-inline GeoRow run_geo_deployment(
+/// One deployment of a geo sweep: its serving regions and their outages.
+struct GeoDeployment {
+  int serving_regions = 0;
+  std::vector<backend::OutageWindow> outages;
+};
+
+/// One GeoRow per deployment, in order. The deployments serve the trace in
+/// one lock-step pass.
+inline std::vector<GeoRow> run_geo_deployments(
     sim::Scenario& sc, const std::vector<fed::NonTrainingRequest>& trace,
-    int serving_regions, const std::vector<backend::OutageWindow>& outages) {
-  auto geo = make_geo_cold_store(serving_regions);
-  geo->set_outages(outages);
-  auto fl = sc.make_flstore_over(*geo, core::PolicyMode::kLru,
-                                 units::Bytes{1});
-  GeoRow row;
-  row.serving_regions = serving_regions;
-  row.run = sim::run_trace(*fl, sc.job(), trace, sc.config().duration_s,
-                           sc.config().round_interval_s);
-  const auto n = static_cast<double>(
-      std::max<std::size_t>(1, row.run.records.size()));
-  row.mean_latency_s = row.run.total_latency_s() / n;
-  row.mean_cost_usd = row.run.total_serving_usd() / n;
-  row.egress_usd = geo->egress_fees_usd();
-  row.idle_usd_per_hour = geo->idle_cost(3600.0);
-  row.failover_reads = geo->failover_reads();
-  row.outage_skips = geo->outage_skips();
-  return row;
+    const std::vector<GeoDeployment>& deployments) {
+  std::vector<std::unique_ptr<backend::ReplicatedColdStore>> geos;
+  std::vector<std::unique_ptr<core::FLStore>> stores;
+  std::vector<core::ServingSystem*> systems;
+  for (const auto& deployment : deployments) {
+    geos.push_back(make_geo_cold_store(deployment.serving_regions));
+    geos.back()->set_outages(deployment.outages);
+    stores.push_back(sc.make_flstore_over(*geos.back(), core::PolicyMode::kLru,
+                                          units::Bytes{1}));
+    systems.push_back(stores.back().get());
+  }
+  const auto runs =
+      sim::run_trace(systems, sc.job(), trace, sc.config().duration_s,
+                     sc.config().round_interval_s);
+  std::vector<GeoRow> rows;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& geo = *geos[i];
+    const auto n = static_cast<double>(
+        std::max<std::size_t>(1, runs[i].records.size()));
+    rows.push_back({deployments[i].serving_regions,
+                    runs[i].total_latency_s() / n,
+                    runs[i].total_serving_usd() / n, geo.egress_fees_usd(),
+                    geo.idle_cost(3600.0), geo.failover_reads()});
+  }
+  return rows;
 }
 
 }  // namespace flstore::bench

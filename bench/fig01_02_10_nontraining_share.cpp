@@ -1,5 +1,5 @@
 // Figures 1, 2 and 10: one 200-client-pool EfficientNet scenario, read three
-// ways. Its ObjStore-Agg run, FLStore run and backend sweep happen once;
+// ways. Its pair of runs and backend sweep happen once, in lock-step passes;
 // each figure then prints its section and writes its BENCH_figNN.json.
 #include "bench_common.hpp"
 #include "sim/training_model.hpp"
@@ -161,25 +161,23 @@ int main(int argc, char** argv) {
   sim::ScenarioConfig cfg =
       bench::paper_scenario("efficientnet_v2_s", 0.2 * args.scale);
   cfg.pool_size = 200;
-  sim::RunResult base_run, fl_run;
+  std::vector<sim::RunResult> runs;  // ObjStore-Agg, FLStore
   std::vector<bench::BackendSweepRow> sweep;
   sim::RoundTrainingProfile spread;  // Figs 1 and 2: rounds spread evenly
   double fig10_train_cost = 0.0;     // Fig 10: rounds 0, 5, ..., 95
   {
     sim::Scenario sc(cfg);
     const auto trace = sc.trace();
-    base_run = sim::run_trace(sc.objstore_agg(), sc.job(), trace,
-                              cfg.duration_s, cfg.round_interval_s);
-    fl_run = sim::run_trace(sc.flstore(), sc.job(), trace, cfg.duration_s,
-                            cfg.round_interval_s);
+    runs = sim::run_trace({&sc.objstore_agg(), &sc.flstore()}, sc.job(),
+                          trace, cfg.duration_s, cfg.round_interval_s);
     sweep = bench::run_backend_sweep(sc, trace);
     spread = mean_training(sc.job(), cfg.rounds,
                            std::max<RoundId>(1, cfg.rounds / 20));
     fig10_train_cost = mean_training(sc.job(), cfg.rounds, 5).vm_cost_usd;
   }
 
-  print_fig01(args, base_run, spread.latency_s);
-  print_fig02(args, base_run, spread.vm_cost_usd);
-  print_fig10(args, cfg, base_run, fl_run, sweep, fig10_train_cost);
+  print_fig01(args, runs[0], spread.latency_s);
+  print_fig02(args, runs[0], spread.vm_cost_usd);
+  print_fig10(args, cfg, runs[0], runs[1], sweep, fig10_train_cost);
   return 0;
 }

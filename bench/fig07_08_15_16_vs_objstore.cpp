@@ -1,6 +1,6 @@
 // Figures 7, 8, 15 and 16: one FLStore-vs-ObjStore-Agg comparison over four
-// models, read four ways. The eight runs and the backend sweep happen once;
-// each figure then prints its section and writes its BENCH_figNN.json.
+// models, read four ways. The runs happen once, in lock-step passes; each
+// figure then prints its section and writes its BENCH_figNN.json.
 #include "bench_common.hpp"
 
 using namespace flstore;
@@ -240,11 +240,9 @@ int main(int argc, char** argv) {
     sim::Scenario sc(bench::paper_scenario(model, args.scale));
     const auto trace = sc.trace();
     const auto& cfg = sc.config();
-    runs.push_back({model,
-                    sim::run_trace(sc.flstore(), sc.job(), trace,
-                                   cfg.duration_s, cfg.round_interval_s),
-                    sim::run_trace(sc.objstore_agg(), sc.job(), trace,
-                                   cfg.duration_s, cfg.round_interval_s)});
+    auto pair = sim::run_trace({&sc.flstore(), &sc.objstore_agg()}, sc.job(),
+                               trace, cfg.duration_s, cfg.round_interval_s);
+    runs.push_back({model, std::move(pair[0]), std::move(pair[1])});
   }
   // Backend sweep on the EfficientNet panel (means are scale-invariant, so
   // a 0.2x trace keeps the full-scale run quick).

@@ -1,6 +1,6 @@
 // Figures 9 and 17: one FLStore-vs-Cache-Agg comparison, read two ways. The
-// pair of runs and the backend sweep happen once; each figure then prints
-// its section and writes its BENCH_figNN.json.
+// pair and the backend sweep run once, in lock-step passes; each figure then
+// prints its section and writes its BENCH_figNN.json.
 #include "bench_common.hpp"
 
 using namespace flstore;
@@ -124,19 +124,17 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
   auto cfg = bench::paper_scenario("efficientnet_v2_s", args.scale);
   cfg.workloads = fed::cacheagg_workloads();
-  sim::RunResult fl_run, ca_run;
+  std::vector<sim::RunResult> runs;  // FLStore, Cache-Agg
   std::vector<bench::BackendSweepRow> sweep;
   {
     sim::Scenario sc(cfg);
     const auto trace = sc.trace();
-    fl_run = sim::run_trace(sc.flstore(), sc.job(), trace, cfg.duration_s,
-                            cfg.round_interval_s);
-    ca_run = sim::run_trace(sc.cache_agg(), sc.job(), trace, cfg.duration_s,
-                            cfg.round_interval_s);
+    runs = sim::run_trace({&sc.flstore(), &sc.cache_agg()}, sc.job(), trace,
+                          cfg.duration_s, cfg.round_interval_s);
     sweep = bench::run_backend_sweep(sc, trace);
   }
 
-  print_fig09(args, fl_run, ca_run);
-  print_fig17(args, cfg.duration_s, fl_run, ca_run, sweep);
+  print_fig09(args, runs[0], runs[1]);
+  print_fig17(args, cfg.duration_s, runs[0], runs[1], sweep);
   return 0;
 }

@@ -53,11 +53,13 @@ int main(int argc, char** argv) {
                              working_set / 2));
   variants.push_back(variant("FLStore", core::PolicyMode::kTailored));
 
+  std::vector<core::ServingSystem*> systems;
+  for (const auto& v : variants) systems.push_back(v.store.get());
+  const auto runs = sim::run_trace(systems, sc.job(), trace, cfg.duration_s,
+                                   cfg.round_interval_s);
   std::map<std::string, std::map<fed::WorkloadType, sim::WorkloadStats>> all;
-  for (auto& v : variants) {
-    const auto run = sim::run_trace(*v.store, sc.job(), trace, cfg.duration_s,
-                                    cfg.round_interval_s);
-    all[v.label] = sim::by_workload(run);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    all[variants[i].label] = sim::by_workload(runs[i]);
   }
   // A tiny --scale trace can carry no request of a workload: skip one that
   // any variant lacks.

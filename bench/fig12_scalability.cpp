@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
       }
       sim::RunnerOptions opts;
       opts.servers = kCachedFunctions;
-      const auto run = sim::run_trace(*store, sc.job(), burst, kBurstAt + 100.0,
-                                      kRoundInterval, opts);
+      const auto run = sim::run_trace({store.get()}, sc.job(), burst,
+                                      kBurstAt + 100.0, kRoundInterval, opts)
+                           .front();
       SampleSet latency, usd;
       for (const auto& rec : run.records) {
         latency.add(rec.latency_s());

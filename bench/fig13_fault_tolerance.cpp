@@ -51,9 +51,10 @@ int main(int argc, char** argv) {
     const auto trace = sc.trace();
     sim::RunnerOptions opts;
     opts.faults = faults;
-    const auto run = sim::run_trace(sc.flstore(), sc.job(), trace,
-                                    run_cfg.duration_s,
-                                    run_cfg.round_interval_s, opts);
+    const auto run =
+        sim::run_trace({&sc.flstore()}, sc.job(), trace, run_cfg.duration_s,
+                       run_cfg.round_interval_s, opts)
+            .front();
     const auto by = sim::by_workload(run);
     double total = 0.0;
     std::size_t n = 0;
@@ -104,18 +105,22 @@ int main(int argc, char** argv) {
 
   Table geo({"serving regions", "mean lat (s)", "mean $/req",
              "failover reads", "egress $", "idle $/h"});
-  std::vector<double> region_lat;
+  std::vector<bench::GeoDeployment> deployments;
   for (int regions = 1; regions <= 5; ++regions) {
-    const auto row = bench::run_geo_deployment(
-        geo_sc, geo_trace, regions,
-        bench::geo_outages(region_faults, regions, kOutageDurationS));
-    geo.add_row({std::to_string(regions), fmt(row.mean_latency_s, 3),
+    deployments.push_back(
+        {regions,
+         bench::geo_outages(region_faults, regions, kOutageDurationS)});
+  }
+  const auto rows = bench::run_geo_deployments(geo_sc, geo_trace, deployments);
+  std::vector<double> region_lat;
+  for (const auto& row : rows) {
+    const auto regions = std::to_string(row.serving_regions);
+    geo.add_row({regions, fmt(row.mean_latency_s, 3),
                  fmt_usd(row.mean_cost_usd),
                  std::to_string(row.failover_reads), fmt_usd(row.egress_usd),
                  fmt_usd(row.idle_usd_per_hour)});
     region_lat.push_back(row.mean_latency_s);
-    const std::string prefix =
-        "backend_regions/" + std::to_string(regions);
+    const std::string prefix = "backend_regions/" + regions;
     report.add(prefix + "/mean_latency_s", row.mean_latency_s, "s");
     report.add(prefix + "/mean_cost_usd", row.mean_cost_usd, "$");
     report.add(prefix + "/egress_usd", row.egress_usd, "$");

@@ -44,16 +44,15 @@ int main(int argc, char** argv) {
     sim::Scenario sc(run_cfg);
     sim::RunnerOptions opts;
     opts.faults = faults;
-    auto run = sim::run_trace(sc.flstore(), sc.job(), sc.trace(),
-                              run_cfg.duration_s, run_cfg.round_interval_s,
-                              opts);
-    const double keepalive = sc.flstore().infrastructure_cost(
-        run_cfg.duration_s);
-    return std::make_pair(std::move(run), keepalive);
+    return sim::run_trace({&sc.flstore()}, sc.job(), sc.trace(),
+                          run_cfg.duration_s, run_cfg.round_interval_s, opts)
+        .front();
   };
 
-  const auto [refetch_run, refetch_keepalive] = run_with_replicas(1);
-  const auto [replica_run, replica_keepalive] = run_with_replicas(5);
+  const auto refetch_run = run_with_replicas(1);
+  const auto replica_run = run_with_replicas(5);
+  // The replicas' keep-alive over the run.
+  const double replica_keepalive = replica_run.infrastructure_usd;
 
   Table table({"application", "re-fetch lat (s)", "replicated lat (s)",
                "re-fetch $/req", "replicated $/req"});
@@ -81,18 +80,16 @@ int main(int argc, char** argv) {
   const auto region_faults =
       generate_fault_schedule(region_fic, cfg.duration_s, region_rng);
   constexpr double kOutageDurationS = 900.0;
-  const std::vector<backend::OutageWindow> no_outages;
-
-  const auto refetch_clean =
-      bench::run_geo_deployment(geo_sc, geo_trace, 1, no_outages);
-  const auto refetch_dark = bench::run_geo_deployment(
-      geo_sc, geo_trace, 1, bench::geo_outages(region_faults, 1,
-                                               kOutageDurationS));
-  const auto quorum_clean =
-      bench::run_geo_deployment(geo_sc, geo_trace, 3, no_outages);
-  const auto quorum_dark = bench::run_geo_deployment(
-      geo_sc, geo_trace, 3, bench::geo_outages(region_faults, 3,
-                                               kOutageDurationS));
+  const auto rows = bench::run_geo_deployments(
+      geo_sc, geo_trace,
+      {{1, {}},
+       {1, bench::geo_outages(region_faults, 1, kOutageDurationS)},
+       {3, {}},
+       {3, bench::geo_outages(region_faults, 3, kOutageDurationS)}});
+  const auto& refetch_clean = rows[0];
+  const auto& refetch_dark = rows[1];
+  const auto& quorum_clean = rows[2];
+  const auto& quorum_dark = rows[3];
 
   Table geo({"cold tier", "outages", "mean lat (s)", "mean $/req",
              "failover reads", "egress $", "idle $/h"});

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   auto cfg = bench::paper_scenario("mobilenet_v3_small", 0.1 * args.scale);
   // The two 30-round phases below are the figure's structure; --scale
   // shrinks the trace but the job must still own at least 60 rounds.
-  cfg.rounds = std::max<RoundId>(cfg.rounds, 60);
+  constexpr RoundId kPhaseRounds = 30;
+  cfg.rounds = std::max<RoundId>(cfg.rounds, 2 * kPhaseRounds);
   sim::Scenario sc(cfg);
 
   auto adaptive_cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
@@ -28,35 +29,29 @@ int main(int argc, char** argv) {
   auto static_store =
       sc.make_flstore_over(*static_cold, core::PolicyMode::kTailoredStatic);
 
-  // Phase 1: inference era (both caches tuned for P1 work).
-  RoundId round = 0;
-  double now = 0.0;
-  RequestId id = 1;
-  for (; round < 30; ++round, now += cfg.round_interval_s) {
-    const auto rec = sc.job().make_round(round);
-    adaptive->ingest_round(rec, now);
-    static_store->ingest_round(rec, now);
-    fed::NonTrainingRequest req{id++, fed::WorkloadType::kInference, round,
-                                kNoClient, now + 5.0};
-    (void)adaptive->serve(req, req.arrival_s);
-    req.id = id++;
-    (void)static_store->serve(req, req.arrival_s);
+  // One request 5 s after each round: model inference for the first 30
+  // rounds (both caches tuned for P1 work), then malicious filtering, where
+  // FLStore's selector applies P2 and the static variant keeps P1.
+  std::vector<fed::NonTrainingRequest> trace;
+  for (RoundId round = 0; round < 2 * kPhaseRounds; ++round) {
+    trace.push_back({static_cast<RequestId>(round + 1),
+                     round < kPhaseRounds ? fed::WorkloadType::kInference
+                                          : fed::WorkloadType::kMaliciousFilter,
+                     round, kNoClient,
+                     static_cast<double>(round) * cfg.round_interval_s + 5.0});
   }
+  // The run ends at the last request, so it ingests rounds 0..59.
+  const auto runs = sim::run_trace({adaptive.get(), static_store.get()},
+                                   sc.job(), trace, trace.back().arrival_s,
+                                   cfg.round_interval_s);
 
-  // Phase 2: the workload switches to malicious filtering. FLStore's
-  // selector applies P2; the static variant keeps P1.
+  // The figure reads the filtering phase.
   SampleSet adaptive_lat, static_lat, adaptive_cost, static_cost;
-  for (; round < 60; ++round, now += cfg.round_interval_s) {
-    const auto rec = sc.job().make_round(round);
-    adaptive->ingest_round(rec, now);
-    static_store->ingest_round(rec, now);
-    fed::NonTrainingRequest req{id++, fed::WorkloadType::kMaliciousFilter,
-                                round, kNoClient, now + 5.0};
-    const auto a = adaptive->serve(req, req.arrival_s);
-    req.id = id++;
-    const auto s = static_store->serve(req, req.arrival_s);
-    adaptive_lat.add(a.latency_s);
-    static_lat.add(s.latency_s);
+  for (std::size_t i = kPhaseRounds; i < trace.size(); ++i) {
+    const auto& a = runs[0].records[i];
+    const auto& s = runs[1].records[i];
+    adaptive_lat.add(a.latency_s());
+    static_lat.add(s.latency_s());
     adaptive_cost.add(a.cost_usd);
     static_cost.add(s.cost_usd);
   }

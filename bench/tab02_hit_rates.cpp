@@ -26,39 +26,18 @@ struct Row {
   std::uint64_t misses = 0;
 };
 
-Row run_policy(const std::string& family, core::PolicyMode mode,
-               const fed::FLJob& job, backend::StorageBackend& cold,
-               const std::vector<fed::NonTrainingRequest>& trace,
-               bool during_training) {
+/// An FLStore running `mode` over `cold`. Traditional policies get a
+/// bounded demand cache (two rounds' worth), like the FLStore variants of
+/// Fig 11.
+std::unique_ptr<core::FLStore> policy_store(core::PolicyMode mode,
+                                            const fed::FLJob& job,
+                                            backend::StorageBackend& cold) {
   core::FLStoreConfig cfg;
   cfg.policy.mode = mode;
-  // Traditional policies get a bounded demand cache (two rounds' worth),
-  // like the FLStore variants of Fig 11.
   if (!core::is_tailored(mode)) {
     cfg.cache_capacity = 22ULL * job.model().object_bytes;
   }
-  core::FLStore store(cfg, job, cold);
-
-  Row row{family, core::to_string(mode), 0, 0};
-  if (during_training) {
-    // P4 trace runs while training streams rounds in (write-allocation is
-    // what produces its 100 % hit rate).
-    const auto run = sim::run_trace(
-        store, job, trace, static_cast<double>(trace.size()), 1.0);
-    row.hits = run.total_hits();
-    row.misses = run.total_misses();
-  } else {
-    // P2/P3 traces replay post-hoc against a cold cache (the persistent
-    // store already holds the full history).
-    double t = 1.0e6;
-    for (const auto& req : trace) {
-      const auto res = store.serve(req, t);
-      row.hits += res.hits;
-      row.misses += res.misses;
-      t += 10.0;
-    }
-  }
-  return row;
+  return std::make_unique<core::FLStore>(cfg, job, cold);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,7 +54,10 @@ MetadataKey bench_key(std::size_t i) {
                               static_cast<RoundId>(i / 100000));
 }
 
-EvictionCostRow eviction_cost(std::size_t n, std::size_t victims) {
+/// `engine_victims` through the engine, `scan_victims` through the scan:
+/// each side reports a rate, so the slow scan needs fewer to time.
+EvictionCostRow eviction_cost(std::size_t n, std::size_t engine_victims,
+                              std::size_t scan_victims) {
   // flstore-lint: allow(wall-clock) -- real CPU microbenchmark: victims/sec of actual eviction work, not simulated time
   using clock = std::chrono::steady_clock;
   EvictionCostRow row;
@@ -95,7 +77,7 @@ EvictionCostRow eviction_cost(std::size_t n, std::size_t victims) {
       (void)engine.cache_object(bench_key(i), blob, units::KB, 0.0);
     }
     const auto start = clock::now();
-    for (std::size_t i = 0; i < victims; ++i) {
+    for (std::size_t i = 0; i < engine_victims; ++i) {
       (void)engine.cache_object(bench_key(n + i), blob, units::KB, 1.0);
     }
     const auto elapsed = std::chrono::duration<double>(clock::now() - start);
@@ -119,7 +101,7 @@ EvictionCostRow eviction_cost(std::size_t n, std::size_t victims) {
                     Meta{i, i, 1, static_cast<RoundId>(i / 100000)});
     }
     const auto start = clock::now();
-    for (std::size_t i = 0; i < victims; ++i) {
+    for (std::size_t i = 0; i < scan_victims; ++i) {
       auto victim = index.begin();
       auto best = std::numeric_limits<std::uint64_t>::max();
       for (auto it = index.begin(); it != index.end(); ++it) {
@@ -134,7 +116,7 @@ EvictionCostRow eviction_cost(std::size_t n, std::size_t victims) {
                          static_cast<RoundId>((n + i) / 100000)});
     }
     const auto elapsed = std::chrono::duration<double>(clock::now() - start);
-    row.oracle_vps = static_cast<double>(victims) / elapsed.count();
+    row.oracle_vps = static_cast<double>(scan_victims) / elapsed.count();
   }
   return row;
 }
@@ -194,24 +176,51 @@ int main(int argc, char** argv) {
                        2)});
   };
 
-  Row fl_p2, fl_p3, fl_p4;
-  for (const auto mode : modes) {
-    auto row = run_policy("P2 (per-round apps)", mode, job, cold, p2_trace,
-                          false);
-    if (mode == core::PolicyMode::kTailored) fl_p2 = row;
-    emit(row);
-  }
-  for (const auto mode : modes) {
-    auto row = run_policy("P3 (across-round apps)", mode, job, cold, p3_trace,
-                          false);
-    if (mode == core::PolicyMode::kTailored) fl_p3 = row;
-    emit(row);
-  }
-  for (const auto mode : modes) {
-    auto row = run_policy("P4 (metadata apps)", mode, job, cold, p4_trace,
-                          true);
-    if (mode == core::PolicyMode::kTailored) fl_p4 = row;
-    emit(row);
+  // P2/P3 traces replay post-hoc against a cold cache (the persistent store
+  // already holds the full history), one policy at a time. Returns
+  // FLStore's row.
+  const auto replay = [&](const char* family,
+                          const std::vector<fed::NonTrainingRequest>& trace) {
+    Row fl;
+    for (const auto mode : modes) {
+      const auto store = policy_store(mode, job, cold);
+      Row row{family, core::to_string(mode), 0, 0};
+      double t = 1.0e6;
+      for (const auto& req : trace) {
+        const auto res = store->serve(req, t);
+        row.hits += res.hits;
+        row.misses += res.misses;
+        t += 10.0;
+      }
+      if (mode == core::PolicyMode::kTailored) fl = row;
+      emit(row);
+    }
+    return fl;
+  };
+  const Row fl_p2 = replay("P2 (per-round apps)", p2_trace);
+  const Row fl_p3 = replay("P3 (across-round apps)", p3_trace);
+
+  Row fl_p4;
+  {
+    // The P4 trace runs while training streams rounds in (write-allocation
+    // is what produces its 100 % hit rate). The four policies serve it in
+    // one lock-step pass over the shared bucket: it already holds every
+    // round, so no policy reads a round another one wrote first. The
+    // stores die with the block, before the wall-clock rows below.
+    std::vector<std::unique_ptr<core::FLStore>> stores;
+    std::vector<core::ServingSystem*> systems;
+    for (const auto mode : modes) {
+      stores.push_back(policy_store(mode, job, cold));
+      systems.push_back(stores.back().get());
+    }
+    const auto runs = sim::run_trace(
+        systems, job, p4_trace, static_cast<double>(p4_trace.size()), 1.0);
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+      const Row row{"P4 (metadata apps)", core::to_string(modes[i]),
+                    runs[i].total_hits(), runs[i].total_misses()};
+      if (modes[i] == core::PolicyMode::kTailored) fl_p4 = row;
+      emit(row);
+    }
   }
   std::printf("%s", table.to_string().c_str());
 
@@ -236,7 +245,7 @@ int main(int argc, char** argv) {
   Table evc({"entries", "mode", "victims/s (engine)", "victims/s (O(n) scan)",
              "speedup"});
   constexpr std::size_t kEvictionEntries = 100000;
-  const auto evc_row = eviction_cost(kEvictionEntries, 400);
+  const auto evc_row = eviction_cost(kEvictionEntries, 400, 40);
   const auto speedup_1e5 = evc_row.engine_vps / evc_row.oracle_vps;
   evc.add_row({std::to_string(kEvictionEntries), "LRU",
                fmt(evc_row.engine_vps, 0), fmt(evc_row.oracle_vps, 0),
@@ -278,8 +287,9 @@ int main(int argc, char** argv) {
     if (partitioned) cfg.class_capacity = budgets;
     core::FLStore store(cfg, mixed_job, mixed_cold);
     const auto run =
-        sim::run_trace(store, mixed_job, mixed_trace, trace_cfg.duration_s,
-                       trace_cfg.round_interval_s);
+        sim::run_trace({&store}, mixed_job, mixed_trace, trace_cfg.duration_s,
+                       trace_cfg.round_interval_s)
+            .front();
     const auto label = partitioned ? "partitioned" : "unpartitioned";
     std::array<core::ClassDemand, fed::kPolicyClassCount> demand{};
     for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {

@@ -229,8 +229,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
   obs::Tracer* const tracer = obs::tracer_of(telemetry_);
   const auto serve_span =
       obs::begin_span(tracer, "flstore.serve", "core", now);
-  std::optional<obs::Tracer::Scope> serve_scope;
-  if (tracer != nullptr) serve_scope.emplace(tracer, serve_span);
+  const obs::Tracer::Scope serve_scope(tracer, serve_span);
   obs::annotate_span(tracer, serve_span, "workload",
                      fed::to_string(req.type));
 
@@ -268,8 +267,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
     const auto span = obs::begin_span(tracer, "cold.fetch", "core", at);
     backend::GetResult fetched;
     {
-      std::optional<obs::Tracer::Scope> scope;
-      if (tracer != nullptr) scope.emplace(tracer, span);
+      const obs::Tracer::Scope scope(tracer, span);
       fetched = fetch_cold(key, meter, at);
     }
     if (span != obs::kNoSpan) {
@@ -377,8 +375,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
                                              "core", now + res.comm_s);
     backend::PutResult put;
     {
-      std::optional<obs::Tracer::Scope> scope;
-      if (tracer != nullptr) scope.emplace(tracer, wb);
+      const obs::Tracer::Scope scope(tracer, wb);
       put = cold_->put(
           config_.cold_namespace + "results/" + std::to_string(req.id),
           Blob(1), res.output.result_bytes, now + res.comm_s);
@@ -401,8 +398,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
                                                "core", now + res.comm_s);
       backend::GetResult fetched;
       {
-        std::optional<obs::Tracer::Scope> scope;
-        if (tracer != nullptr) scope.emplace(tracer, pf);
+        const obs::Tracer::Scope scope(tracer, pf);
         fetched = fetch_cold(key, infra_meter_, now + res.comm_s);
       }
       if (pf != obs::kNoSpan) {

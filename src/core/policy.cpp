@@ -11,7 +11,7 @@ namespace {
 /// P2 request plan: prefetch all of round r+1, evict rounds that slid out
 /// of the two-round window (Fig 6, example 1). r-1 stays cached — debugging
 /// and incentive settlement diff the current round against it.
-void plan_p2(const fed::NonTrainingRequest& req, const fed::RoundDirectory& dir,
+void plan_p2(const fed::NonTrainingRequest& req, const fed::FLJob& dir,
              RequestPlan& plan) {
   const auto next = req.round + 1;
   if (next <= dir.latest_round()) {
@@ -37,7 +37,7 @@ void plan_p2(const fed::NonTrainingRequest& req, const fed::RoundDirectory& dir,
 /// (r + 1 >= req.round) stay cached — across-round trackers diff the
 /// current participation against the previous one. Everything older in the
 /// trail (update, metrics and that round's aggregate) is dropped.
-void plan_p3(const fed::NonTrainingRequest& req, const fed::RoundDirectory& dir,
+void plan_p3(const fed::NonTrainingRequest& req, const fed::FLJob& dir,
              RequestPlan& plan) {
   if (req.client == kNoClient) return;
   RoundId cursor = req.round;
@@ -64,13 +64,11 @@ void plan_p3(const fed::NonTrainingRequest& req, const fed::RoundDirectory& dir,
 
 /// P1 request plan: make sure the aggregate the request used stays, nothing
 /// else to do (the ingest plan keeps the newest aggregate cached).
-void plan_p1(const fed::NonTrainingRequest&, const fed::RoundDirectory&,
-             RequestPlan&) {}
+void plan_p1(const fed::NonTrainingRequest&, const fed::FLJob&, RequestPlan&) {}
 
 /// P4 request plan: the metadata window is maintained at ingest; nothing to
 /// prefetch per request.
-void plan_p4(const fed::NonTrainingRequest&, const fed::RoundDirectory&,
-             RequestPlan&) {}
+void plan_p4(const fed::NonTrainingRequest&, const fed::FLJob&, RequestPlan&) {}
 
 }  // namespace
 
@@ -94,14 +92,14 @@ fed::PolicyClass PolicyEngine::effective_class(
 }
 
 RequestPlan PolicyEngine::plan_request(const fed::NonTrainingRequest& req,
-                                       const fed::RoundDirectory& dir) {
+                                       const fed::FLJob& dir) {
   if (!is_tailored(config_.mode)) return {};
   return plan_for_class(effective_class(req), req, dir);
 }
 
 RequestPlan PolicyEngine::plan_for_class(fed::PolicyClass cls,
                                          const fed::NonTrainingRequest& req,
-                                         const fed::RoundDirectory& dir) const {
+                                         const fed::FLJob& dir) const {
   RequestPlan plan;
   switch (cls) {
     case fed::PolicyClass::kP1: plan_p1(req, dir, plan); break;
@@ -113,7 +111,7 @@ RequestPlan PolicyEngine::plan_for_class(fed::PolicyClass cls,
 }
 
 IngestPlan PolicyEngine::plan_ingest(const fed::RoundRecord& record,
-                                     const fed::RoundDirectory& dir) {
+                                     const fed::FLJob& dir) {
   IngestPlan plan;
   if (!is_tailored(config_.mode)) return plan;
 

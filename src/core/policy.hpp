@@ -15,7 +15,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "fed/directory.hpp"
+#include "fed/fl_job.hpp"
 #include "fed/metadata.hpp"
 #include "fed/request.hpp"
 
@@ -111,18 +111,18 @@ class PolicyEngine {
 
   /// Plan around a request. Traditional modes return an empty plan.
   [[nodiscard]] RequestPlan plan_request(const fed::NonTrainingRequest& req,
-                                         const fed::RoundDirectory& dir);
+                                         const fed::FLJob& dir);
 
   /// Plan for an already-resolved policy class (lets the caller draw the
   /// class once and reuse it for pinning decisions).
   [[nodiscard]] RequestPlan plan_for_class(fed::PolicyClass cls,
                                            const fed::NonTrainingRequest& req,
-                                           const fed::RoundDirectory& dir) const;
+                                           const fed::FLJob& dir) const;
 
   /// Plan for a freshly ingested round. Traditional modes return an empty
   /// plan (they cache nothing until a request misses).
   [[nodiscard]] IngestPlan plan_ingest(const fed::RoundRecord& record,
-                                       const fed::RoundDirectory& dir);
+                                       const fed::FLJob& dir);
 
   /// Split `total` bytes of cache across the four class partitions from the
   /// observed ledger: every class keeps `floor_bytes`, and the remainder is

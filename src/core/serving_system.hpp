@@ -1,8 +1,9 @@
 // ServingSystem — the one contract FLStore and the paper's two aggregator
 // baselines (ObjStore-Agg, Cache-Agg) serve through.
 //
-// sim::run_trace drives any ServingSystem on the discrete-event clock: it
-// streams training rounds in, replays the request trace, and books the
+// sim::run_trace drives the ServingSystems of one comparison in lock-step on
+// the discrete-event clock: it streams each training round into every
+// system, replays the request trace on each, and books each system's
 // always-on fees. All three systems run the same workloads through the same
 // runner, so every gap between them in the paper figures is the data path's.
 #pragma once

@@ -89,6 +89,27 @@ bool FLJob::participated(ClientId c, RoundId r) const {
   return std::find(parts.begin(), parts.end(), c) != parts.end();
 }
 
+std::vector<RoundId> FLJob::participation_window(ClientId c, RoundId upto,
+                                                 int k) const {
+  std::vector<RoundId> out;
+  for (RoundId r = std::min(upto, latest_round()); r >= 0 && k > 0; --r) {
+    if (participated(c, r)) {
+      out.push_back(r);
+      --k;
+    }
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+std::optional<RoundId> FLJob::next_participation(ClientId c,
+                                                 RoundId r) const {
+  for (RoundId next = r + 1; next <= latest_round(); ++next) {
+    if (participated(c, next)) return next;
+  }
+  return std::nullopt;
+}
+
 Tensor FLJob::global_direction(RoundId r) const {
   FLSTORE_CHECK(r >= 0 && r < config_.rounds);
   // Smoothly drifting descent direction: a fixed base plus a slowly

@@ -5,16 +5,18 @@
 // a pure function of (config.seed, r), so traces can replay any round without
 // storing the whole history. Participant sets are memoized (cheap) while
 // full RoundRecords (tensors) are produced on request.
+// The job is also the round directory (who trained when) that caching
+// policies read to prefetch data they have not seen yet.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "fed/client.hpp"
-#include "fed/directory.hpp"
 #include "fed/metadata.hpp"
 #include "models/model_zoo.hpp"
 
@@ -30,7 +32,7 @@ struct FLJobConfig {
   std::uint64_t seed = 1234;
 };
 
-class FLJob final : public RoundDirectory {
+class FLJob {
  public:
   explicit FLJob(FLJobConfig config);
 
@@ -47,15 +49,22 @@ class FLJob final : public RoundDirectory {
   /// Ids of planted malicious clients (ground truth for workload tests).
   [[nodiscard]] std::vector<ClientId> malicious_clients() const;
 
-  // RoundDirectory --------------------------------------------------------
-  [[nodiscard]] RoundId latest_round() const override {
-    return config_.rounds - 1;
-  }
-  [[nodiscard]] std::vector<ClientId> participants(RoundId r) const override
+  // Round directory -------------------------------------------------------
+  /// Highest round that has finished training (data exists up to here).
+  [[nodiscard]] RoundId latest_round() const { return config_.rounds - 1; }
+  /// Participants of a round (empty if out of range).
+  [[nodiscard]] std::vector<ClientId> participants(RoundId r) const
       EXCLUDES(participants_mu_);
   /// Searches the participants memo in place: no copy of the round's set.
-  [[nodiscard]] bool participated(ClientId c, RoundId r) const override
+  [[nodiscard]] bool participated(ClientId c, RoundId r) const
       EXCLUDES(participants_mu_);
+  /// The last `k` rounds <= `upto` in which `c` participated, ascending.
+  [[nodiscard]] std::vector<RoundId> participation_window(ClientId c,
+                                                          RoundId upto,
+                                                          int k) const;
+  /// First round strictly after `r` (and <= latest) where `c` participates.
+  [[nodiscard]] std::optional<RoundId> next_participation(ClientId c,
+                                                          RoundId r) const;
 
   /// The round's true descent direction (exposed for tests).
   [[nodiscard]] Tensor global_direction(RoundId r) const

@@ -7,7 +7,7 @@
 namespace flstore::fed {
 
 TraceSampler::TraceSampler(std::vector<WorkloadType> workloads,
-                           const RoundDirectory& dir,
+                           const FLJob& dir,
                            std::size_t tracked_clients,
                            double round_interval_s)
     : workloads_(workloads.empty() ? paper_workloads() : std::move(workloads)),
@@ -70,7 +70,7 @@ NonTrainingRequest TraceSampler::sample(RequestId id, double now, Rng& rng) {
 }
 
 std::vector<NonTrainingRequest> generate_trace(const TraceConfig& config,
-                                               const RoundDirectory& dir) {
+                                               const FLJob& dir) {
   FLSTORE_CHECK(config.duration_s > 0.0);
   FLSTORE_CHECK(config.total_requests > 0);
   FLSTORE_CHECK(config.round_interval_s > 0.0);
@@ -110,7 +110,7 @@ std::vector<NonTrainingRequest> table2_p2_trace(WorkloadType type,
 
 std::vector<NonTrainingRequest> table2_p3_trace(ClientId client,
                                                 std::size_t n,
-                                                const RoundDirectory& dir) {
+                                                const FLJob& dir) {
   std::vector<NonTrainingRequest> out;
   out.reserve(n);
   RoundId r = -1;

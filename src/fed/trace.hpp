@@ -12,7 +12,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "fed/directory.hpp"
+#include "fed/fl_job.hpp"
 #include "fed/request.hpp"
 
 namespace flstore::fed {
@@ -36,7 +36,7 @@ struct TraceConfig {
 class TraceSampler {
  public:
   /// `workloads` empty = paper_workloads(). `dir` must outlive the sampler.
-  TraceSampler(std::vector<WorkloadType> workloads, const RoundDirectory& dir,
+  TraceSampler(std::vector<WorkloadType> workloads, const FLJob& dir,
                std::size_t tracked_clients, double round_interval_s);
 
   /// Draw request content for arrival time `now`. `id` is caller-assigned
@@ -55,7 +55,7 @@ class TraceSampler {
 
  private:
   std::vector<WorkloadType> workloads_;
-  const RoundDirectory* dir_;
+  const FLJob* dir_;
   double round_interval_s_;
   std::vector<ClientId> tracked_;
   std::vector<RoundId> cursor_;
@@ -67,7 +67,7 @@ class TraceSampler {
 /// available round (minus a per-workload lag); P3-family requests walk a
 /// tracked client's participation sequence. Sorted by arrival time.
 [[nodiscard]] std::vector<NonTrainingRequest> generate_trace(
-    const TraceConfig& config, const RoundDirectory& dir);
+    const TraceConfig& config, const FLJob& dir);
 
 /// Table-2 P2 trace: one per-round request (malicious filtering) for rounds
 /// [0, n_rounds).
@@ -77,7 +77,7 @@ class TraceSampler {
 /// Table-2 P3 trace: provenance requests tracking `client` across its first
 /// `n` participation rounds.
 [[nodiscard]] std::vector<NonTrainingRequest> table2_p3_trace(
-    ClientId client, std::size_t n, const RoundDirectory& dir);
+    ClientId client, std::size_t n, const FLJob& dir);
 
 /// Table-2 P4 trace: per-round resource-tracking scheduling requests.
 [[nodiscard]] std::vector<NonTrainingRequest> table2_p4_trace(

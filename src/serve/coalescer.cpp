@@ -55,8 +55,7 @@ backend::GetResult Coalescer::fetch(const std::string& object_name,
   backend::GetResult got;
   {
     // The backend's own op span (InstrumentedBackend) nests under the lead.
-    std::optional<obs::Tracer::Scope> scope;
-    if (tracer_ != nullptr) scope.emplace(tracer_, span);
+    const obs::Tracer::Scope scope(tracer_, span);
     got = cold.get(object_name, now);
   }
   if (span != obs::kNoSpan) {

@@ -337,18 +337,15 @@ void ShardedStore::run_tenant(
     // Root span per sampled request; an unsampled request pushes the
     // suppressing scope so the whole subtree (flstore.serve, coalescer,
     // backend ops) is skipped with it.
-    obs::SpanId root = obs::kNoSpan;
-    std::optional<obs::Tracer::Scope> scope;
-    if (tracer != nullptr) {
-      if (tracer->should_sample(req.id)) {
-        root = tracer->begin("request", "serve", req.arrival_s, global);
-      }
-      scope.emplace(tracer, root);
-      if (root != obs::kNoSpan && start > req.arrival_s) {
-        const auto queue =
-            tracer->begin("sched.queue", "serve", req.arrival_s, global);
-        tracer->end(queue, start);
-      }
+    const obs::SpanId root =
+        tracer != nullptr && tracer->should_sample(req.id)
+            ? tracer->begin("request", "serve", req.arrival_s, global)
+            : obs::kNoSpan;
+    const obs::Tracer::Scope scope(tracer, root);
+    if (root != obs::kNoSpan && start > req.arrival_s) {
+      const auto queue =
+          tracer->begin("sched.queue", "serve", req.arrival_s, global);
+      tracer->end(queue, start);
     }
     core::ServeResult res;
     {
@@ -596,6 +593,17 @@ ServiceReport ShardedStore::serve_open_loop_stream(
                             std::to_string(m.tenant));
     }
     seen[static_cast<std::size_t>(m.tenant)] = 1;
+  }
+  // Every stream numbers its requests from 1, and a tracker keeps finished
+  // ids for an hour of sim time: a second stream would reuse held ids.
+  for (const auto& shard : shards_) {
+    if (!shard->active) continue;
+    const MutexLock lock(shard->mu);
+    if (shard->store->tracker().total_tracked() > 0) {
+      throw InvalidArgument(
+          "serve_open_loop_stream: the plane's trackers still hold request "
+          "ids a new stream would reuse; serve it on a fresh plane");
+    }
   }
   const StreamSpec spec{&config, &mix};
   return run_all_tenants(Mode::kQueued, {}, config.duration_s,

@@ -186,6 +186,9 @@ class ShardedStore {
   /// shared sequence exactly as an up-front split of the materialized trace
   /// would: the report is bit-identical to serve_open_loop_window over
   /// open_loop_trace(config, mix) as one window (regression-tested).
+  /// A stream numbers its requests from 1, so it needs a plane whose
+  /// trackers hold no request: a plane that has served anything within the
+  /// trackers' hour-long horizon throws InvalidArgument.
   ServiceReport serve_open_loop_stream(const StreamConfig& config,
                                        const std::vector<TenantMix>& mix);
 

@@ -17,6 +17,34 @@ struct TimelineEvent {
   std::size_t index = 0;  ///< round id / fault index / request index
 };
 
+/// Serve `req`, arriving at `arrival`, on `system`: at once in an open-loop
+/// run (`server_free` empty), else on the system's earliest-free server.
+RequestRecord serve_request(core::ServingSystem& system,
+                            const fed::NonTrainingRequest& req, double arrival,
+                            std::vector<double>& server_free) {
+  RequestRecord rec;
+  rec.request = req;
+  double start = arrival;
+  std::size_t server = 0;
+  if (!server_free.empty()) {
+    server = static_cast<std::size_t>(
+        std::min_element(server_free.begin(), server_free.end()) -
+        server_free.begin());
+    start = std::max(start, server_free[server]);
+    rec.queue_s = start - arrival;
+  }
+  const auto outcome = system.serve(req, start);
+  rec.comm_s = outcome.comm_s;
+  rec.comp_s = outcome.comp_s;
+  rec.cost_usd = outcome.cost_usd;
+  rec.hits = outcome.hits;
+  rec.misses = outcome.misses;
+  if (!server_free.empty()) {
+    server_free[server] = start + outcome.comm_s + outcome.comp_s;
+  }
+  return rec;
+}
+
 }  // namespace
 
 double RunResult::total_latency_s() const {
@@ -50,16 +78,19 @@ std::uint64_t RunResult::total_misses() const {
   return t;
 }
 
-RunResult run_trace(core::ServingSystem& system, const fed::FLJob& job,
-                    const std::vector<fed::NonTrainingRequest>& trace,
-                    double duration_s, double round_interval_s,
-                    const RunnerOptions& options) {
+std::vector<RunResult> run_trace(
+    const std::vector<core::ServingSystem*>& systems, const fed::FLJob& job,
+    const std::vector<fed::NonTrainingRequest>& trace, double duration_s,
+    double round_interval_s, const RunnerOptions& options) {
   FLSTORE_CHECK(duration_s > 0.0);
   FLSTORE_CHECK(round_interval_s > 0.0);
-
-  RunResult result;
-  result.system = system.name();
-  result.duration_s = duration_s;
+  if (systems.empty()) throw InvalidArgument("run_trace: no systems to run");
+  for (auto it = systems.begin(); it != systems.end(); ++it) {
+    if (*it == nullptr) throw InvalidArgument("run_trace: a system is null");
+    if (std::find(systems.begin(), it, *it) != it) {
+      throw InvalidArgument("run_trace: " + (*it)->name() + " is listed twice");
+    }
+  }
 
   const auto max_round = std::min<RoundId>(
       job.latest_round(),
@@ -84,52 +115,43 @@ RunResult run_trace(core::ServingSystem& system, const fed::FLJob& job,
                      return static_cast<int>(a.type) < static_cast<int>(b.type);
                    });
 
-  std::vector<double> server_free(
-      options.servers > 0 ? static_cast<std::size_t>(options.servers) : 0,
-      0.0);
+  // Each system has its own result and its own server pool (free-at times).
+  std::vector<RunResult> results;
+  for (auto* system : systems) {
+    results.push_back({system->name(), {}, duration_s, 0.0});
+    results.back().records.reserve(trace.size());
+  }
+  const auto servers = static_cast<std::size_t>(std::max(options.servers, 0));
+  std::vector<std::vector<double>> server_free(
+      systems.size(), std::vector<double>(servers, 0.0));
 
-  result.records.reserve(trace.size());
   for (const auto& ev : events) {
     switch (ev.type) {
       case EventType::kIngest: {
         const auto record = job.make_round(static_cast<RoundId>(ev.index));
-        system.ingest_round(record, ev.time);
+        for (auto* system : systems) system->ingest_round(record, ev.time);
         break;
       }
       case EventType::kFault: {
-        (void)system.inject_fault(options.faults[ev.index].victim_rank);
+        for (auto* system : systems) {
+          (void)system->inject_fault(options.faults[ev.index].victim_rank);
+        }
         break;
       }
       case EventType::kRequest: {
-        const auto& req = trace[ev.index];
-        RequestRecord rec;
-        rec.request = req;
-        double start = ev.time;
-        std::size_t server = 0;
-        if (!server_free.empty()) {
-          server = static_cast<std::size_t>(
-              std::min_element(server_free.begin(), server_free.end()) -
-              server_free.begin());
-          start = std::max(start, server_free[server]);
-          rec.queue_s = start - ev.time;
+        for (std::size_t s = 0; s < systems.size(); ++s) {
+          results[s].records.push_back(serve_request(
+              *systems[s], trace[ev.index], ev.time, server_free[s]));
         }
-        const auto outcome = system.serve(req, start);
-        rec.comm_s = outcome.comm_s;
-        rec.comp_s = outcome.comp_s;
-        rec.cost_usd = outcome.cost_usd;
-        rec.hits = outcome.hits;
-        rec.misses = outcome.misses;
-        if (!server_free.empty()) {
-          server_free[server] = start + outcome.comm_s + outcome.comp_s;
-        }
-        result.records.push_back(rec);
         break;
       }
     }
   }
 
-  result.infrastructure_usd = system.infrastructure_cost(duration_s);
-  return result;
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    results[s].infrastructure_usd = systems[s]->infrastructure_cost(duration_s);
+  }
+  return results;
 }
 
 }  // namespace flstore::sim

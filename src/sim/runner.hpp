@@ -1,6 +1,7 @@
-// Experiment runner: replays a request trace against one serving system on
-// the discrete-event clock, interleaving training-round ingestion, optional
-// queueing on a bounded server pool, and optional fault injection.
+// Experiment runner: replays one request trace against the serving systems
+// of one comparison on the discrete-event clock, interleaving training-round
+// ingestion, optional queueing on a bounded server pool, and optional fault
+// injection. The systems run in lock-step, so each round is made once.
 #pragma once
 
 #include <string>
@@ -52,14 +53,27 @@ struct RunResult {
   [[nodiscard]] std::uint64_t total_misses() const;
 };
 
-/// Replay `trace` against `system`. Rounds 0..min(job.latest_round(),
-/// floor(duration/interval)) of `job` are ingested, round r at
-/// r * interval. Each request is served at its arrival — or, with a bounded
-/// server pool, once the earliest-free server frees. Events at the same
-/// instant run ingest first, then faults, then requests, so a request never
-/// misses a round that finished at its arrival.
-[[nodiscard]] RunResult run_trace(
-    core::ServingSystem& system, const fed::FLJob& job,
+/// Replay `trace` against every system in `systems` in lock-step; returns
+/// one RunResult per system, in the order given. Rounds
+/// 0..min(job.latest_round(), floor(duration/interval)) of `job` are made
+/// once each and ingested into every system, round r at r * interval. Each
+/// fault reaches every system. Each request is served on every system at
+/// its arrival — or, with a bounded server pool, once that system's own
+/// earliest-free server frees. Events at the same instant run ingest
+/// first, then faults, then requests, each on every system in turn, so a
+/// request never misses a round that finished at its arrival.
+///
+/// Contract: each RunResult equals a one-system run's, as long as the
+/// systems share no state that one system's calls change for another. A
+/// sim::Scenario's systems each own their bucket. The one exception is
+/// tab02's P4 row: its four policies share one bucket, which is safe only
+/// because that bucket already holds every round, so an ingest rewrites
+/// the bytes an object already holds.
+///
+/// An empty list, a null entry or a system listed twice throws
+/// InvalidArgument.
+[[nodiscard]] std::vector<RunResult> run_trace(
+    const std::vector<core::ServingSystem*>& systems, const fed::FLJob& job,
     const std::vector<fed::NonTrainingRequest>& trace, double duration_s,
     double round_interval_s, const RunnerOptions& options = {});
 

@@ -2,9 +2,10 @@
 // baselines, and the request trace.
 //
 // Benches construct a Scenario per model and hand its systems — each a
-// core::ServingSystem — to sim::run_trace. Every system is its own
-// deployment with its own object-store bucket, as in the paper's
-// comparisons: nothing one system ingests is visible to another.
+// core::ServingSystem — to one sim::run_trace, which serves them in
+// lock-step. Every system is its own deployment with its own object-store
+// bucket, as in the paper's comparisons: nothing one system ingests is
+// visible to another, so lock-step gives each the result it gets alone.
 // FLStore's cold tier is a pluggable backend::StorageBackend;
 // make_cold_backend() hands benches fresh, empty instances, and
 // make_flstore_over() builds the policy ablations and the head-to-head

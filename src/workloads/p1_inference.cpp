@@ -23,7 +23,7 @@ class InferenceWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     const auto r = std::min(req.round, dir.latest_round());
     return {MetadataKey::aggregate(r)};
   }

@@ -27,7 +27,7 @@ class DebuggingWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     std::vector<MetadataKey> keys;
     const auto first = std::max<RoundId>(0, req.round - kDebugWindowRounds + 1);
     for (RoundId r = first; r <= req.round; ++r) {
@@ -144,7 +144,7 @@ class IncentivesWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     std::vector<MetadataKey> keys;
     for (const auto c : dir.participants(req.round)) {
       keys.push_back(MetadataKey::update(c, req.round));

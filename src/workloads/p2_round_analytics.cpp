@@ -20,8 +20,7 @@ constexpr std::int32_t kClusters = 3;
 /// Median-pairwise-cosine below this flags a client as malicious.
 constexpr double kMaliciousThreshold = 0.1;
 
-std::vector<MetadataKey> round_updates(RoundId r,
-                                       const fed::RoundDirectory& dir) {
+std::vector<MetadataKey> round_updates(RoundId r, const fed::FLJob& dir) {
   std::vector<MetadataKey> keys;
   for (const auto c : dir.participants(r)) {
     keys.push_back(MetadataKey::update(c, r));
@@ -84,7 +83,7 @@ class CosineSimilarityWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     return round_updates(req.round, dir);
   }
 
@@ -133,7 +132,7 @@ class MaliciousFilterWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     // Detection is intra-round (median pairwise agreement), so one round of
     // updates suffices — which is also what keeps Table 2's access count at
     // exactly clients_per_round per request.
@@ -182,7 +181,7 @@ class ClusteringWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     return round_updates(req.round, dir);
   }
 
@@ -223,7 +222,7 @@ class PersonalizationWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     auto keys = round_updates(req.round, dir);
     keys.push_back(MetadataKey::aggregate(req.round));
     return keys;
@@ -291,7 +290,7 @@ class SchedulingClusterWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     return round_updates(req.round, dir);
   }
 

@@ -20,8 +20,7 @@ class ReputationWorkload final : public Workload {
   }
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
-      const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory&) const override {
+      const fed::NonTrainingRequest& req, const fed::FLJob&) const override {
     FLSTORE_CHECK(req.client != kNoClient);
     return {MetadataKey::update(req.client, req.round),
             MetadataKey::metrics(req.client, req.round),
@@ -69,8 +68,7 @@ class ProvenanceWorkload final : public Workload {
   }
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
-      const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory&) const override {
+      const fed::NonTrainingRequest& req, const fed::FLJob&) const override {
     FLSTORE_CHECK(req.client != kNoClient);
     return {MetadataKey::update(req.client, req.round)};
   }

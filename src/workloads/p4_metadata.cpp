@@ -27,7 +27,7 @@ class SchedulingPerfWorkload final : public Workload {
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const override {
+      const fed::FLJob& dir) const override {
     // Only the *current* round's resource telemetry: §4.4 (P4) — "current
     // resource information is critical, as outdated data could cause
     // clients to miss training deadlines". One fresh metrics object per
@@ -97,8 +97,7 @@ class HyperparamTrackingWorkload final : public Workload {
   }
 
   [[nodiscard]] std::vector<MetadataKey> data_needs(
-      const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory&) const override {
+      const fed::NonTrainingRequest& req, const fed::FLJob&) const override {
     std::vector<MetadataKey> keys;
     const auto first = std::max<RoundId>(0, req.round - kPerfWindow + 1);
     for (RoundId r = first; r <= req.round; ++r) {

@@ -20,14 +20,10 @@
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "fed/codec.hpp"
-#include "fed/directory.hpp"
+#include "fed/fl_job.hpp"
 #include "fed/metadata.hpp"
 #include "fed/request.hpp"
 #include "models/model_zoo.hpp"
-
-namespace flstore::fed {
-class FLJob;
-}  // namespace flstore::fed
 
 namespace flstore::workloads {
 
@@ -80,8 +76,7 @@ class Workload {
   /// Metadata keys required to serve `req`: its round's objects, or a
   /// window of recent rounds for the across-round and metadata families.
   [[nodiscard]] virtual std::vector<MetadataKey> data_needs(
-      const fed::NonTrainingRequest& req,
-      const fed::RoundDirectory& dir) const = 0;
+      const fed::NonTrainingRequest& req, const fed::FLJob& dir) const = 0;
 
   /// Run the workload. Throws InvalidArgument when the input is missing
   /// records the data needs promised.

@@ -28,9 +28,12 @@ TEST_F(EndToEnd, ThreeSystemsLatencyOrdering) {
   const auto trace = sc.trace();
   const auto d = config().duration_s;
   const auto i = config().round_interval_s;
-  const auto fl_run = run_trace(sc.flstore(), sc.job(), trace, d, i);
-  const auto obj_run = run_trace(sc.objstore_agg(), sc.job(), trace, d, i);
-  const auto cache_run = run_trace(sc.cache_agg(), sc.job(), trace, d, i);
+  const auto runs = run_trace(
+      {&sc.flstore(), &sc.objstore_agg(), &sc.cache_agg()}, sc.job(), trace,
+      d, i);
+  const auto& fl_run = runs[0];
+  const auto& obj_run = runs[1];
+  const auto& cache_run = runs[2];
 
   // The paper's ordering: FLStore << Cache-Agg << ObjStore-Agg.
   EXPECT_LT(fl_run.total_latency_s(), cache_run.total_latency_s() * 0.6);
@@ -42,8 +45,10 @@ TEST_F(EndToEnd, HeadlineReductionsInPaperBands) {
   const auto trace = sc.trace();
   const auto d = config().duration_s;
   const auto i = config().round_interval_s;
-  const auto fl_run = run_trace(sc.flstore(), sc.job(), trace, d, i);
-  const auto obj_run = run_trace(sc.objstore_agg(), sc.job(), trace, d, i);
+  const auto runs =
+      run_trace({&sc.flstore(), &sc.objstore_agg()}, sc.job(), trace, d, i);
+  const auto& fl_run = runs[0];
+  const auto& obj_run = runs[1];
 
   // Latency: paper reports 50.75% average reduction (ours is higher since
   // the simulated trace hits almost always); must be at least that.
@@ -92,8 +97,9 @@ TEST_F(EndToEnd, IdenticalWorkloadResultsAcrossSystems) {
 
 TEST_F(EndToEnd, FLStoreHitRateAboveTable2Band) {
   Scenario sc(config());
-  const auto run = run_trace(sc.flstore(), sc.job(), sc.trace(),
-                             config().duration_s, config().round_interval_s);
+  const auto run = run_trace({&sc.flstore()}, sc.job(), sc.trace(),
+                             config().duration_s, config().round_interval_s)
+                       .front();
   const double rate =
       static_cast<double>(run.total_hits()) /
       static_cast<double>(run.total_hits() + run.total_misses());
@@ -103,16 +109,14 @@ TEST_F(EndToEnd, FLStoreHitRateAboveTable2Band) {
 TEST_F(EndToEnd, TraditionalVariantsMissAndSlow) {
   Scenario sc(config());
   const auto trace = sc.trace();
-  auto fl_run = [&] {
-    return run_trace(sc.flstore(), sc.job(), trace, config().duration_s,
-                     config().round_interval_s);
-  }();
   auto lru_cold = sc.make_cold_backend(backend::BackendKind::kObjectStore);
   auto lru_store = sc.make_flstore_over(
       *lru_cold, core::PolicyMode::kLru, 20ULL * sc.job().model().object_bytes);
-  const auto lru_run = run_trace(*lru_store, sc.job(), trace,
-                                 config().duration_s,
-                                 config().round_interval_s);
+  const auto runs =
+      run_trace({&sc.flstore(), lru_store.get()}, sc.job(), trace,
+                config().duration_s, config().round_interval_s);
+  const auto& fl_run = runs[0];
+  const auto& lru_run = runs[1];
   EXPECT_GT(lru_run.total_misses(), fl_run.total_misses() * 10);
   EXPECT_GT(lru_run.total_latency_s(), fl_run.total_latency_s() * 3.0);
 }
@@ -130,8 +134,9 @@ TEST_F(EndToEnd, FaultStormDegradesGracefullyWithReplicas) {
     auto c = cfg;
     c.replicas = fi;
     Scenario sc(c);
-    return run_trace(sc.flstore(), sc.job(), sc.trace(), c.duration_s,
+    return run_trace({&sc.flstore()}, sc.job(), sc.trace(), c.duration_s,
                      c.round_interval_s, opts)
+        .front()
         .total_latency_s();
   };
   const double fi1 = latency_with_replicas(1);

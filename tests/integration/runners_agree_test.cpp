@@ -84,7 +84,8 @@ TEST_P(RunnersAgree, RunTraceMatchesShardedReplay) {
   backend::ObjectStoreBackend run_cold(sim::objstore_link(),
                                        PricingCatalog::aws());
   core::FLStore fl(cfg, job, run_cold);
-  auto run = sim::run_trace(fl, job, trace, horizon, kIntervalS).records;
+  auto run =
+      sim::run_trace({&fl}, job, trace, horizon, kIntervalS).front().records;
   std::sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
     if (a.request.arrival_s != b.request.arrival_s) {
       return a.request.arrival_s < b.request.arrival_s;

@@ -198,6 +198,26 @@ TEST(ShardedStore, StreamedServingRejectsUnknownOrDuplicateTenants) {
                InvalidArgument);
 }
 
+// Every stream numbers its requests from 1 and the trackers keep finished
+// ids for an hour of sim time, so a second stream on one plane is a caller
+// error, refused before it serves anything. A fresh plane serves it.
+TEST(ShardedStore, SecondStreamOnOnePlaneIsRejected) {
+  Plane plane(plane_config(0), /*tenants=*/1);
+  const auto cfg = open_loop(0.5, 600.0);
+  const auto first = plane.store->serve_open_loop_stream(cfg, plane.mix());
+  ASSERT_GT(first.records.size(), 100U);
+  const auto tracked = plane.store->shard(0).tracker().total_tracked();
+  ASSERT_GT(tracked, 0U);
+
+  EXPECT_THROW((void)plane.store->serve_open_loop_stream(cfg, plane.mix()),
+               InvalidArgument);
+  EXPECT_EQ(plane.store->shard(0).tracker().total_tracked(), tracked);
+
+  Plane fresh(plane_config(0), /*tenants=*/1);
+  expect_identical(first,
+                   fresh.store->serve_open_loop_stream(cfg, fresh.mix()));
+}
+
 // A single-shard single-tenant replay matches driving the facade directly —
 // the serving plane adds no hidden cost or latency.
 TEST(ShardedStore, SingleShardReplayMatchesDirectFacade) {
