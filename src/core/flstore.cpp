@@ -203,10 +203,15 @@ backend::GetResult FLStore::fetch_cold(const MetadataKey& key,
 }
 
 ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
+  return serve(req, now, nullptr);
+}
+
+ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now,
+                           const PreparedOutput* prepared) {
   tracker_.begin(req.id, now);
   ServeResult res;
   try {
-    res = serve_tracked(req, now);
+    res = serve_tracked(req, now, prepared);
   } catch (...) {
     // A cold object gone or a workload refusing its input must not leave
     // the request in flight forever; the id may be served again.
@@ -219,7 +224,8 @@ ServeResult FLStore::serve(const fed::NonTrainingRequest& req, double now) {
 }
 
 ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
-                                   double now) {
+                                   double now,
+                                   const PreparedOutput* prepared) {
   ServeResult res;
   res.comm_s = kRoutingOverheadS;
   CostMeter request_fees;
@@ -251,6 +257,23 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
 
   workloads::WorkloadInput input;
   input.model = &job_->model();
+  // The prepared output stays takeable while every need resolves to the
+  // blob it decoded at that index. The first that does not decodes the
+  // matched prefix from the prepared blobs (the same objects), and from
+  // there on each need decodes as it resolves, as with no prepared output.
+  bool take_prepared =
+      prepared != nullptr && prepared->blobs.size() == needs.size();
+  const auto absorb = [&](std::size_t i,
+                          const std::shared_ptr<const Blob>& blob) {
+    if (take_prepared) {
+      if (prepared->blobs[i] == blob) return;
+      take_prepared = false;
+      for (std::size_t j = 0; j < i; ++j) {
+        workloads::absorb_blob(input, needs[j], *prepared->blobs[j]);
+      }
+    }
+    workloads::absorb_blob(input, needs[i], *blob);
+  };
 
   // Resolve every needed key: cache hit (locality), prefetch-in-flight
   // (wait), or cold-store miss. A miss triggers the request's policy at its
@@ -277,7 +300,8 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
     return fetched;
   };
 
-  for (const auto& key : needs) {
+  for (std::size_t i = 0; i < needs.size(); ++i) {
+    const auto& key = needs[i];
     auto hit = engine_->lookup(key, now, policy_class);
     res.comm_s += hit.failover_delay_s;
     if (hit.failover_delay_s > 0.0) {
@@ -290,7 +314,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
       ++res.hits;
       obs::instant_span(tracer, "cache.hit", "core", now);
       if (hit.available_at > now) res.comm_s += hit.available_at - now;
-      workloads::absorb_blob(input, key, *hit.blob);
+      absorb(i, hit.blob);
       bytes_per_function[hit.function] +=
           static_cast<units::Bytes>(hit.blob->size());
       tracker_.add_function(req.id, hit.function);
@@ -301,7 +325,7 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
     obs::instant_span(tracer, "cache.miss", "core", now);
     auto fetched = traced_fetch(key, request_fees, now + res.comm_s);
     res.comm_s += fetched.latency_s;
-    workloads::absorb_blob(input, key, *fetched.blob);
+    absorb(i, fetched.blob);
     engine_->cache_object(key, fetched.blob, fetched.logical_bytes, now, now,
                           pin, /*opportunistic=*/false, policy_class);
     if (!bulk_fetched && is_tailored(config_.policy.mode)) {
@@ -317,7 +341,12 @@ ServeResult FLStore::serve_tracked(const fed::NonTrainingRequest& req,
     }
   }
 
-  res.output = workload.execute(req, input);
+  if (take_prepared) {
+    res.output = prepared->take();
+    ++outputs_taken_;
+  } else {
+    res.output = workload.execute(req, input);
+  }
 
   // Locality-aware execution: run on the function holding the most data;
   // shares cached elsewhere are gathered over the intra-DC network.

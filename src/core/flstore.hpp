@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -81,6 +82,19 @@ struct FLStoreConfig {
   backend::FlushPolicy cold_flush;
 };
 
+/// A request's workload output computed off the serving thread, from blobs
+/// the computation holds: the serving plane's execute-ahead tasks (see
+/// serve/sharded_store.hpp).
+struct PreparedOutput {
+  /// The blobs the computation decoded, checksum verified, in data_needs
+  /// order. It holds them, so a resolved blob at one of these addresses is
+  /// the very object it decoded.
+  std::span<const std::shared_ptr<const Blob>> blobs;
+  /// The output: computed on the calling thread if no other thread has
+  /// claimed the computation, else waited for. Rethrows what it threw.
+  std::function<workloads::WorkloadOutput()> take;
+};
+
 class FLStore final : public ServingSystem {
  public:
   /// `job` is the training job (round directory + model); `cold` is the
@@ -103,8 +117,20 @@ class FLStore final : public ServingSystem {
   void ingest_encoded(const fed::RoundRecord& record,
                       std::span<const fed::EncodedObject> objects, double now);
 
-  /// Serve one non-training request.
+  /// Serve one non-training request: serve(req, now, nullptr).
   ServeResult serve(const fed::NonTrainingRequest& req, double now) override;
+
+  /// Serve one non-training request, taking its workload output from
+  /// `prepared` when every data need resolves (cache hit or cold fetch) to
+  /// the blob at the same address and index in prepared->blobs. Otherwise,
+  /// or with `prepared` null, it decodes each need as it resolves and
+  /// executes inline; a need that resolves to another copy part-way first
+  /// decodes the matched prefix from prepared->blobs (the same objects).
+  /// Lookups, fetches, fees and the returned result are the same either
+  /// way. An exception from the computation leaves as an inline one does:
+  /// the request is abandoned in the tracker and the error rethrown.
+  ServeResult serve(const fed::NonTrainingRequest& req, double now,
+                    const PreparedOutput* prepared);
 
   /// Reclaim the rank-th function instance (Zipf fault injection).
   /// Returns true if a whole replica group died with it.
@@ -171,11 +197,16 @@ class FLStore final : public ServingSystem {
   }
   [[nodiscard]] std::uint64_t repairs() const noexcept { return repairs_; }
   [[nodiscard]] std::uint64_t refetches() const noexcept { return refetches_; }
+  /// Requests whose output serve() took from a PreparedOutput.
+  [[nodiscard]] std::uint64_t outputs_taken() const noexcept {
+    return outputs_taken_;
+  }
   [[nodiscard]] const FLStoreConfig& config() const noexcept { return config_; }
 
  private:
   /// serve() between the tracker's begin and finish.
-  ServeResult serve_tracked(const fed::NonTrainingRequest& req, double now);
+  ServeResult serve_tracked(const fed::NonTrainingRequest& req, double now,
+                            const PreparedOutput* prepared);
   /// Synchronous cold-store fetch (miss path) at simulated time `now`;
   /// charges fees to `meter` and throws NotFound when the object is
   /// missing. Goes through the interceptor when one is set.
@@ -208,6 +239,7 @@ class FLStore final : public ServingSystem {
   std::unordered_map<ClientId, double> p3_tracks_;
   std::uint64_t repairs_ = 0;
   std::uint64_t refetches_ = 0;
+  std::uint64_t outputs_taken_ = 0;
 };
 
 /// Function runtime profile for a model's §5.1 sizing class.

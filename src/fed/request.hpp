@@ -130,6 +130,9 @@ struct NonTrainingRequest {
   ClientId origin = kNoClient;
   /// Issuer's device class: index into the population's device-class list.
   std::uint8_t device_class = 0;
+
+  friend bool operator==(const NonTrainingRequest&,
+                         const NonTrainingRequest&) = default;
 };
 
 }  // namespace flstore::fed

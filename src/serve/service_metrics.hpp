@@ -31,6 +31,8 @@ struct ServiceRecord {
   double cost_usd = 0.0;
   std::size_t hits = 0;
   std::size_t misses = 0;
+  /// workloads::output_digest of the served output (0 when rejected).
+  std::uint64_t output_digest = 0;
 
   [[nodiscard]] double latency_s() const noexcept {
     return queue_s + comm_s + comp_s;

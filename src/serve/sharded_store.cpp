@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <optional>
 #include <queue>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -48,7 +49,6 @@ struct Event {
   EvType type = EvType::kIngest;
   std::uint64_t seq = 0;
   RoundId round = kNoRound;     ///< kIngest
-  ServiceRequest req;           ///< kArrival
   std::size_t local_shard = 0;  ///< kCompletion
 };
 
@@ -90,34 +90,59 @@ PreparedRound prepare_round(const fed::FLJob& job, RoundId round,
   return p;
 }
 
-/// One tenant's next round, prepared by whichever thread claims it first: a
-/// prep thread that reaches it before the timeline needs it, or else the
-/// timeline itself (claim-or-run). A timeline therefore waits only on work
-/// some thread has already started, never on a queue. The timeline owns it;
-/// a prep thread holds it only while it runs, so a round the timeline lets
-/// go of before any thread starts it is never made.
-class RoundPrep {
- public:
-  explicit RoundPrep(std::function<PreparedRound()> work)
-      : task_(std::move(work)), result_(task_.get_future()) {}
-  RoundPrep(const RoundPrep&) = delete;
-  RoundPrep& operator=(const RoundPrep&) = delete;
+/// Rounds a timeline's archive holds for execute-ahead: the newest two,
+/// the P2 debugging window (kDebugWindowRounds), which is the widest data
+/// need of the paper's ten workloads. A 10-round archive (the P4 window)
+/// cost about 5 MB more peak RSS on flbench paper_mix, past that metric's
+/// 10% bound.
+constexpr std::size_t kArchiveRounds = 2;
 
-  /// Run the work unless some thread has claimed it.
-  void run_if_unclaimed() {
-    if (!claimed_.exchange(true, std::memory_order_acq_rel)) task_();
-  }
-  /// The prepared round: made here if no thread has claimed it, else waited
-  /// for. Rethrows what the work threw, on whichever thread it ran.
-  PreparedRound take() {
-    run_if_unclaimed();
-    return result_.get();
+/// Arrivals a timeline looks ahead of the one it will reach next, posting
+/// each one's workload output to the helpers. 64, 128 and 256 gave the
+/// same flbench paper_mix throughput within noise.
+constexpr std::size_t kLookahead = 128;
+
+/// One archived round: its encoded objects by key, and its probe batches.
+struct ArchivedRound {
+  RoundId round = kNoRound;
+  std::unordered_map<MetadataKey, std::shared_ptr<const Blob>,
+                     MetadataKeyHash>
+      blobs;
+  std::vector<workloads::PreparedProbes> probes;
+};
+
+/// A request's workload output, computed ahead of its serve from archived
+/// blobs the task holds, so FLStore::serve can tell by address whether the
+/// blobs it resolves are the ones decoded here.
+struct OutputTask {
+  OutputTask(const fed::NonTrainingRequest& req, const ModelSpec& model,
+             std::vector<MetadataKey> needs,
+             std::vector<std::shared_ptr<const Blob>> held,
+             std::vector<workloads::PreparedProbes> probes)
+      : request(req),
+        blobs(std::move(held)),
+        output([this, &model, needs = std::move(needs),
+                probes = std::move(probes)] {
+          workloads::WorkloadInput input;
+          input.model = &model;
+          for (std::size_t i = 0; i < needs.size(); ++i) {
+            workloads::absorb_blob(input, needs[i], *blobs[i]);
+          }
+          // Helpers serve every tenant's rounds: make this one's batches
+          // the memo's newest, so execute draws none.
+          workloads::prime_probe_batches(probes);
+          return workloads::workload_for(request.type).execute(request, input);
+        }) {}
+
+  /// Whether this task computes `req`'s output (materialized traces may
+  /// repeat an id).
+  [[nodiscard]] bool computes(const fed::NonTrainingRequest& req) const {
+    return req == request;
   }
 
- private:
-  std::atomic<bool> claimed_{false};
-  std::packaged_task<PreparedRound()> task_;
-  std::future<PreparedRound> result_;
+  const fed::NonTrainingRequest request;
+  const std::vector<std::shared_ptr<const Blob>> blobs;
+  ClaimOrRun<workloads::WorkloadOutput> output;
 };
 
 /// The workload types a timeline's arrivals can contain: a stream's mix
@@ -255,17 +280,18 @@ void ShardedStore::run_tenant(
     const Tenant& tenant, Mode mode,
     const std::vector<ServiceRequest>& arrivals, double horizon_s,
     double round_interval_s, RoundId first_round, const StreamSpec* stream,
-    ThreadPool* prep, std::vector<ServiceRecord>& out,
+    ThreadPool* helpers, std::vector<ServiceRecord>& out,
     decltype(ServiceReport::scheduler)& sched_out) {
   FLSTORE_CHECK(round_interval_s > 0.0);
   const auto n_local = tenant.shards.size();
+  const fed::FLJob& job = *tenant.job;
 
   EventHeap events;
   std::uint64_t seq = 0;
 
   // Training rounds complete on their own clock, independent of serving.
   const auto max_round = std::min<RoundId>(
-      tenant.job->latest_round(),
+      job.latest_round(),
       static_cast<RoundId>(std::floor(horizon_s / round_interval_s)));
   for (RoundId r = first_round; r <= max_round; ++r) {
     Event ev;
@@ -273,54 +299,129 @@ void ShardedStore::run_tenant(
     ev.type = EvType::kIngest;
     ev.seq = seq++;
     ev.round = r;
-    events.push(std::move(ev));
-  }
-  for (const auto& a : arrivals) {
-    Event ev;
-    ev.time = a.request.arrival_s;
-    ev.type = EvType::kArrival;
-    ev.seq = seq++;
-    ev.req = a;
-    events.push(std::move(ev));
+    events.push(ev);
   }
 
-  // Streaming mode: this timeline owns a private replica of the shared
-  // deterministic ArrivalStream and keeps only its own tenant's arrivals,
-  // so at most one arrival event is pending at any instant — trace memory
-  // stays O(1) however long the scenario runs. The replica still *sees*
-  // every tenant's arrivals (filtering happens here, not in the stream),
-  // so once it drains, last_arrival_s() is the global last arrival — the
-  // exact horizon a materialized run would have computed, which the ingest
-  // case below uses to drop training rounds past the end of traffic.
+  // Arrivals come in time order from one source: in streaming mode a
+  // private replica of the shared deterministic ArrivalStream, filtered to
+  // this tenant; otherwise the tenant's materialized list. The replica
+  // still *sees* every tenant's arrivals (filtering happens here, not in
+  // the stream), so once it drains, last_arrival_s() is the global last
+  // arrival — the exact horizon a materialized run would have computed,
+  // which the ingest case below uses to drop training rounds past the end
+  // of traffic.
   std::optional<ArrivalStream> stream_src;
-  bool stream_done = false;
-  const auto pull_stream_arrival = [&] {
-    while (auto next = stream_src->next()) {
-      if (next->tenant != tenant.id) continue;  // another timeline's arrival
-      Event ev;
-      ev.time = next->request.arrival_s;
-      ev.type = EvType::kArrival;
-      ev.seq = seq++;
-      ev.req = std::move(*next);
-      events.push(std::move(ev));
-      return;
-    }
-    stream_done = true;
-  };
   if (stream != nullptr) {
     FLSTORE_CHECK(stream->config != nullptr && stream->mix != nullptr);
     stream_src.emplace(*stream->config, *stream->mix);
-    pull_stream_arrival();
   }
+  bool stream_done = false;
+  std::size_t next_listed = 0;
+  const auto next_arrival = [&]() -> std::optional<ServiceRequest> {
+    if (!stream_src.has_value()) {
+      if (next_listed == arrivals.size()) return std::nullopt;
+      return arrivals[next_listed++];
+    }
+    while (auto next = stream_src->next()) {
+      if (next->tenant == tenant.id) return next;
+    }
+    stream_done = true;
+    return std::nullopt;
+  };
 
   // Round preparation: at round r's ingest the timeline takes r, prepared
-  // ahead, and hands r + 1 to a prep thread (or, with none, claims it back
-  // at r + 1's ingest). Each prep owns copies of what it reads, so one a
-  // prep thread is still running may outlive this timeline; the round
-  // pending when the timeline ends, on any exit path, dies with it.
+  // ahead, and hands r + 1 to the helpers (or, with none, claims it back at
+  // r + 1's ingest). Each prep owns copies of what it reads, so one a
+  // helper is still running may outlive this timeline; the round pending
+  // when the timeline ends, on any exit path, dies with it.
   const auto traffic = traffic_types(
       tenant.id, arrivals, stream != nullptr ? stream->mix : nullptr);
-  std::shared_ptr<RoundPrep> next_round;
+  std::shared_ptr<ClaimOrRun<PreparedRound>> next_round;
+
+  // Execute-ahead. The timeline holds its next arrivals: the front one,
+  // whose event is the one arrival on the heap, and with helpers up to
+  // kLookahead more, so trace memory stays O(1) however long the scenario
+  // runs. Each held arrival whose data needs all lie in the archive of the
+  // newest ingested rounds gets an output task on the helpers; one that
+  // reads a round not ingested yet waits for that ingest, and one that
+  // reads a round the archive has dropped computes inline in serve. A task
+  // stays in `posted` until its request is served or rejected.
+  struct Ahead {
+    ServiceRequest arrival;
+    std::vector<MetadataKey> needs;  ///< read while `waiting`
+    bool waiting = false;            ///< needs a round not archived yet
+  };
+  std::deque<Ahead> ahead;
+  std::deque<ArchivedRound> archive;  ///< oldest first
+  std::unordered_map<RequestId, std::shared_ptr<OutputTask>> posted;
+  const auto archived = [&](RoundId r) -> const ArchivedRound* {
+    for (const auto& a : archive) {
+      if (a.round == r) return &a;
+    }
+    return nullptr;
+  };
+  const auto post_ahead = [&](Ahead& a) {
+    const auto& req = a.arrival.request;
+    RoundId lo = req.round;
+    RoundId hi = req.round;
+    for (const auto& key : a.needs) {
+      lo = std::min(lo, key.round);
+      hi = std::max(hi, key.round);
+    }
+    a.waiting = archive.empty() ||
+                (lo >= archive.front().round && hi > archive.back().round);
+    const auto* const own = archived(req.round);
+    if (a.waiting || own == nullptr) return;
+    std::vector<std::shared_ptr<const Blob>> blobs;
+    blobs.reserve(a.needs.size());
+    for (const auto& key : a.needs) {
+      const auto* const round = archived(key.round);
+      if (round == nullptr) return;
+      const auto it = round->blobs.find(key);
+      if (it == round->blobs.end()) return;  // serve reports what is missing
+      blobs.push_back(it->second);
+    }
+    auto task = std::make_shared<OutputTask>(
+        req, job.model(), std::move(a.needs), std::move(blobs), own->probes);
+    if (!posted.emplace(req.id, task).second) return;  // a repeated id
+    post(*helpers, std::shared_ptr<ClaimOrRun<workloads::WorkloadOutput>>(
+                       task, &task->output));
+  };
+  const std::size_t hold = helpers != nullptr ? kLookahead + 1 : 1;
+  // Top the held arrivals up and put the front one's event on the heap.
+  const auto next_arrival_event = [&] {
+    while (ahead.size() < hold) {
+      auto next = next_arrival();
+      if (!next.has_value()) break;
+      auto& a = ahead.emplace_back();
+      a.arrival = std::move(*next);
+      if (helpers == nullptr) continue;
+      try {
+        a.needs = workloads::workload_for(a.arrival.request.type)
+                      .data_needs(a.arrival.request, job);
+      } catch (...) {
+        continue;  // its serve throws it again, where an inline run does
+      }
+      post_ahead(a);
+    }
+    if (ahead.empty()) return;
+    Event ev;
+    ev.time = ahead.front().arrival.request.arrival_s;
+    ev.type = EvType::kArrival;
+    ev.seq = seq++;
+    events.push(ev);
+  };
+  // The task posted for `req`, which leaves `posted`; null if none.
+  const auto take_task = [&](const fed::NonTrainingRequest& req) {
+    std::shared_ptr<OutputTask> task;
+    if (posted.empty()) return task;
+    const auto it = posted.find(req.id);
+    if (it != posted.end() && it->second->computes(req)) {
+      task = std::move(it->second);
+      posted.erase(it);
+    }
+    return task;
+  };
 
   std::vector<RequestScheduler> scheds;
   std::vector<double> busy(n_local, 0.0);
@@ -347,10 +448,17 @@ void ShardedStore::run_tenant(
           tracer->begin("sched.queue", "serve", req.arrival_s, global);
       tracer->end(queue, start);
     }
+    const auto task = take_task(req);
     core::ServeResult res;
     {
       const MutexLock lock(shard.mu);
-      res = shard.store->serve(req, start);
+      if (task != nullptr) {
+        const core::PreparedOutput prepared{
+            task->blobs, [&task] { return task->output.take(); }};
+        res = shard.store->serve(req, start, &prepared);
+      } else {
+        res = shard.store->serve(req, start);
+      }
     }
     ServiceRecord rec;
     rec.tenant = tenant.id;
@@ -363,6 +471,7 @@ void ShardedStore::run_tenant(
     rec.cost_usd = res.cost_usd;
     rec.hits = res.hits;
     rec.misses = res.misses;
+    rec.output_digest = workloads::output_digest(res.output);
     if (root != obs::kNoSpan) {
       tracer->annotate(root, "tenant", std::to_string(tenant.id));
       tracer->annotate(root, "class", fed::to_string(rec.policy_class()));
@@ -390,9 +499,10 @@ void ShardedStore::run_tenant(
     done.type = EvType::kCompletion;
     done.seq = seq++;
     done.local_shard = local;
-    events.push(std::move(done));
+    events.push(done);
   };
 
+  next_arrival_event();
   while (!events.empty()) {
     const Event ev = events.top();
     events.pop();
@@ -406,45 +516,53 @@ void ShardedStore::run_tenant(
         if (stream_done && ev.time > stream_src->last_arrival_s()) break;
         {
           // The first round of a run has no prep ahead of it.
-          const auto round =
-              next_round != nullptr
-                  ? next_round->take()
-                  : prepare_round(*tenant.job, ev.round, traffic);
+          auto round = next_round != nullptr
+                           ? next_round->take()
+                           : prepare_round(job, ev.round, traffic);
           FLSTORE_CHECK(round.record.round == ev.round);
           next_round.reset();
           if (ev.round < max_round) {
-            next_round = std::make_shared<RoundPrep>(
+            next_round = std::make_shared<ClaimOrRun<PreparedRound>>(
                 [job = tenant.job, traffic, r = ev.round + 1] {
                   return prepare_round(*job, r, traffic);
                 });
-            if (prep != nullptr) {
-              prep->submit([pending = std::weak_ptr(next_round)] {
-                if (const auto task = pending.lock()) task->run_if_unclaimed();
-              });
-            }
+            if (helpers != nullptr) post(*helpers, next_round);
           }
           workloads::prime_probe_batches(round.probes);
           ingest_encoded(tenant, round.record, round.objects, ev.time);
+          if (helpers != nullptr) {
+            auto& newest = archive.emplace_back();
+            newest.round = ev.round;
+            newest.probes = std::move(round.probes);
+            for (auto& obj : round.objects) {
+              newest.blobs.emplace(obj.key, std::move(obj.blob));
+            }
+            if (archive.size() > kArchiveRounds) archive.pop_front();
+            for (auto& a : ahead) {
+              if (a.waiting) post_ahead(a);
+            }
+          }
         }
         break;
       case EvType::kArrival: {
-        // Replace the popped arrival with the stream's next one for this
-        // tenant (strictly later in time, so queue order is unaffected).
-        if (stream_src.has_value() && !stream_done) pull_stream_arrival();
-        const auto local =
-            route_local(config_.routing, n_local, ev.req.request);
+        const Ahead a = std::move(ahead.front());
+        ahead.pop_front();
+        next_arrival_event();
+        const auto& req = a.arrival.request;
+        const auto local = route_local(config_.routing, n_local, req);
         if (mode == Mode::kReplay) {
-          (void)serve_on(local, ev.req.request, ev.time);
+          (void)serve_on(local, req, ev.time);
           break;
         }
-        if (!scheds[local].admit(ev.req.request, ev.time)) {
+        if (!scheds[local].admit(req, ev.time)) {
+          (void)take_task(req);
           ServiceRecord rec;
           rec.tenant = tenant.id;
           rec.shard = tenant.shards[local];
-          rec.request = ev.req.request;
+          rec.request = req;
           rec.rejected = true;
           rec.start_s = ev.time;
-          if (tracer != nullptr && tracer->should_sample(ev.req.request.id)) {
+          if (tracer != nullptr && tracer->should_sample(req.id)) {
             tracer->instant("sched.reject", "serve", ev.time,
                             tenant.shards[local]);
           }
@@ -477,44 +595,62 @@ ServiceReport ShardedStore::run_all_tenants(
     (void)tenant(r.tenant);  // validates
     per_tenant[static_cast<std::size_t>(r.tenant)].push_back(r);
   }
+  // A timeline takes its arrivals in time order, ties in trace order.
+  const auto earlier = [](const ServiceRequest& a, const ServiceRequest& b) {
+    return a.request.arrival_s < b.request.arrival_s;
+  };
+  for (auto& list : per_tenant) {
+    if (!std::is_sorted(list.begin(), list.end(), earlier)) {
+      std::stable_sort(list.begin(), list.end(), earlier);
+    }
+  }
 
   // Windows from a previous run would be "in flight" at this run's early
   // virtual times; stats are snapshotted so the report covers this run only.
   for (auto& co : coalescers_) co->reset();
   const auto coalescer_before = coalescer_stats();
 
-  std::vector<std::vector<ServiceRecord>> results(tenants_.size());
-  std::vector<decltype(ServiceReport::scheduler)> sched_stats(tenants_.size());
-  std::vector<std::exception_ptr> errors(tenants_.size());
-  // Prep threads take the hardware threads the running timelines leave
-  // free, at most one per timeline (each has one round pending at a time);
-  // an inline run stays on the calling thread. Declared before the
-  // timeline pool, so it joins after every timeline has let go of its
-  // pending round.
+  const std::size_t n = tenants_.size();
+  std::vector<std::vector<ServiceRecord>> results(n);
+  std::vector<decltype(ServiceReport::scheduler)> sched_stats(n);
+  std::vector<std::exception_ptr> errors(n);
+  // Helpers take the hardware threads the running timelines leave free; an
+  // inline run stays on the calling thread. Declared before the timeline
+  // pool, so it joins after every timeline has let go of its tasks.
   const int timelines =
-      std::min(config_.worker_threads, static_cast<int>(tenants_.size()));
-  const int prep_threads =
+      std::min(config_.worker_threads, static_cast<int>(n));
+  const int helper_threads =
       timelines > 0
-          ? std::clamp(
-                static_cast<int>(std::thread::hardware_concurrency()) -
-                    timelines,
-                0, timelines)
+          ? std::max(0, static_cast<int>(std::thread::hardware_concurrency()) -
+                            timelines)
           : 0;
-  ThreadPool prep(prep_threads);
-  ThreadPool* const prep_pool = prep_threads > 0 ? &prep : nullptr;
+  ThreadPool helpers(helper_threads);
+  ThreadPool* const helper_pool = helper_threads > 0 ? &helpers : nullptr;
   ThreadPool pool(config_.worker_threads);
+  // A timeline that finishes lends its thread to the helpers until every
+  // timeline has finished, unless a timeline still waits for a pool thread.
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> finished{0};
+  const std::function<bool()> all_finished = [&finished, n] {
+    return finished.load(std::memory_order_acquire) == n;
+  };
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    tasks.push_back([this, i, mode, &per_tenant, horizon_s, round_interval_s,
-                     first_round, stream, prep_pool, &results, &sched_stats,
-                     &errors] {
+  tasks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tasks.push_back([&, i] {
+      started.fetch_add(1, std::memory_order_acq_rel);
       try {
         run_tenant(tenants_[i], mode, per_tenant[i], horizon_s,
-                   round_interval_s, first_round, stream, prep_pool,
+                   round_interval_s, first_round, stream, helper_pool,
                    results[i], sched_stats[i]);
       } catch (...) {
         errors[i] = std::current_exception();
+      }
+      if (helper_pool == nullptr) return;
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        helper_pool->wake();
+      } else if (started.load(std::memory_order_acquire) == n) {
+        helper_pool->lend(all_finished);
       }
     });
   }

@@ -17,24 +17,43 @@
 //  * Within a tenant the task is sequential, so scheduler decisions and
 //    coalescing windows depend only on virtual time. Per-request results
 //    are bit-identical for any worker_threads value (regression-tested).
-//  * Rounds are prepared off the timeline. What a round's ingest needs that
-//    depends only on (job, round) — FLJob::make_round, one
-//    fed::encode_round whose shared blobs every shard of the tenant caches,
-//    and the probe batches of the inference and debugging requests the
-//    tenant's traffic can contain — is one prep task. At round r's ingest
-//    the timeline takes r's task (a run's first round has none and is made
-//    inline) and hands r + 1's to the prep threads. Each task is claimed
-//    exactly once, through an atomic flag: by a prep thread that starts it
-//    first, or else by the timeline when it needs the round (claim-or-run),
-//    so a timeline never waits behind a queue or another tenant's prep. A
-//    prep's exception reaches the timeline through its future; a round
+//  * Work that depends only on what a timeline already holds runs off it,
+//    on helper threads, as ClaimOrRun tasks (serve/thread_pool.hpp): each
+//    is claimed exactly once, through an atomic flag, by a helper that
+//    starts it first or else by the timeline when it needs the result, so
+//    a timeline never waits behind a queue or another tenant's work. A
+//    task's exception reaches the timeline through its future. Two kinds:
+//  * Round preparation. What a round's ingest needs that depends only on
+//    (job, round) — FLJob::make_round, one fed::encode_round whose shared
+//    blobs every shard of the tenant caches, and the probe batches of the
+//    inference and debugging requests the tenant's traffic can contain — is
+//    one task. At round r's ingest the timeline takes r's task (a run's
+//    first round has none and is made inline) and posts r + 1's. A round
 //    prepared but never ingested is dropped.
+//  * Execute-ahead. The timeline keeps the encoded objects and probe
+//    batches of its newest two ingested rounds (the archive) and holds its
+//    next kLookahead + 1 arrivals. Each held arrival whose round is
+//    ingested and whose data needs all lie in the archive gets a task that
+//    decodes those blobs, primes its round's probe batches on its own
+//    thread and executes the workload. The serve still makes every
+//    sim-time step itself, in order (scheduling, lookups, cold fetches,
+//    coalescing, fees), and takes the task's output only if every need
+//    resolved to the very blob the task decoded: the task holds its blobs,
+//    so equal addresses mean the same object (the address rule; see
+//    FLStore::serve). A need that resolves elsewhere, a cold-fetched copy
+//    say, makes the serve decode and execute inline as it would with no
+//    task. A rejected request drops its task. So records and outputs are
+//    bit-identical to an inline run's.
 //  * Thread budget, from what the plane observes: with worker_threads > 0
-//    there are hardware_threads - running timelines prep threads (never
-//    fewer than 0, never more than the timelines, which have one round
-//    pending each), so a run never has more active threads than hardware
-//    threads. worker_threads = 0 runs stay single-threaded: no prep
-//    threads, and the timeline claims every round itself.
+//    one helper pool runs both kinds of task with hardware_threads -
+//    running timelines threads (never fewer than 0). A timeline that
+//    finishes while the others run lends its thread to the helpers until
+//    every timeline has finished, blocking while their queue is empty; it
+//    does not while a timeline task still waits for a pool thread. So a
+//    run never has more active threads than hardware threads.
+//    worker_threads = 0 runs, and runs with no spare hardware thread, post
+//    nothing: the timeline prepares every round and computes every output
+//    itself.
 //  * FLStore itself stays single-threaded per shard; each shard is guarded
 //    by its own mutex for the direct serve()/ingest_round() entry points.
 //  * The real-thread hot path (hot_get/hot_put/hot_evict) is the one place
@@ -181,9 +200,10 @@ class ShardedStore {
   /// come from an ArrivalStream, so trace memory is O(1) regardless of
   /// duration, rate, or population size (1M+-client, multi-hour
   /// scenarios). Each tenant timeline replays its own replica of the
-  /// (deterministic) stream and keeps only its own arrivals — at most one
-  /// pending arrival event per tenant at any instant — which partitions the
-  /// shared sequence exactly as an up-front split of the materialized trace
+  /// (deterministic) stream and keeps only its own arrivals — at most
+  /// kLookahead + 1 held per tenant at any instant, one of them pending on
+  /// the event queue (see run_tenant) — which partitions the shared
+  /// sequence exactly as an up-front split of the materialized trace
   /// would: the report is bit-identical to serve_open_loop_window over
   /// open_loop_trace(config, mix) as one window (regression-tested).
   /// A stream numbers its requests from 1, so it needs a plane whose
@@ -370,16 +390,18 @@ class ShardedStore {
 
   /// Run one tenant's discrete-event timeline (see .cpp). `arrivals` must
   /// be sorted by arrival time; streaming runs pass `stream` instead
-  /// (arrivals then pull from the stream one at a time). Rounds
-  /// [first_round, floor(horizon/interval)] ingest (windowed runs pass the
-  /// first round not yet ingested), each prepared ahead on `prep` (nullptr:
-  /// no prep threads, the timeline prepares every round itself); per-class
-  /// scheduler stats accumulate into `sched_out` (queued mode only).
+  /// (arrivals then pull from the stream, at most kLookahead + 1 held at a
+  /// time). Rounds [first_round, floor(horizon/interval)] ingest (windowed
+  /// runs pass the first round not yet ingested), each prepared ahead on
+  /// `helpers`, which also compute held arrivals' outputs ahead (nullptr:
+  /// no helper threads, the timeline prepares every round and computes
+  /// every output itself); per-class scheduler stats accumulate into
+  /// `sched_out` (queued mode only).
   void run_tenant(const Tenant& tenant, Mode mode,
                   const std::vector<ServiceRequest>& arrivals,
                   double horizon_s, double round_interval_s,
                   RoundId first_round, const StreamSpec* stream,
-                  ThreadPool* prep, std::vector<ServiceRecord>& out,
+                  ThreadPool* helpers, std::vector<ServiceRecord>& out,
                   decltype(ServiceReport::scheduler)& sched_out);
 
   /// Ingest a round already encoded into every shard of `tenant`: each

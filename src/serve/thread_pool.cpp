@@ -40,6 +40,31 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
   wait_idle();
 }
 
+void ThreadPool::lend(const std::function<bool()>& done) {
+  for (;;) {
+    std::function<void()> task;
+    {
+      const MutexLock lock(mu_);
+      while (!done() && queue_.empty()) work_cv_.wait(mu_);
+      if (done()) {
+        // A submit's notify_one may have picked this thread; pass it on so
+        // the task it announced does not wait for the next one.
+        if (!queue_.empty()) work_cv_.notify_one();
+        return;
+      }
+      task = pop_locked();
+    }
+    run_popped(task);
+  }
+}
+
+void ThreadPool::wake() {
+  // Taking the lock orders this wake-up after a lender's read of its stop
+  // condition, so the lender either saw the new value or is waiting.
+  { const MutexLock lock(mu_); }
+  work_cv_.notify_all();
+}
+
 void ThreadPool::run_replicated(int threads,
                                 const std::function<void(int)>& fn) {
   if (threads <= 1) {
@@ -71,6 +96,20 @@ void ThreadPool::run_replicated(int threads,
   for (auto& w : workers) w.join();
 }
 
+std::function<void()> ThreadPool::pop_locked() {
+  auto task = std::move(queue_.front());
+  queue_.pop_front();
+  ++active_;
+  return task;
+}
+
+void ThreadPool::run_popped(std::function<void()>& task) {
+  task();
+  const MutexLock lock(mu_);
+  --active_;
+  if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -78,16 +117,9 @@ void ThreadPool::worker_loop() {
       const MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) work_cv_.wait(mu_);
       if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
+      task = pop_locked();
     }
-    task();
-    {
-      const MutexLock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
+    run_popped(task);
   }
 }
 

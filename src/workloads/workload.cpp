@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "fed/fl_job.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/serialize.hpp"
 
 namespace flstore::workloads {
 
@@ -86,6 +87,23 @@ double median(std::vector<double> values) {
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
                    values.end());
   return values[mid];
+}
+
+std::uint64_t output_digest(const WorkloadOutput& out) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    h = (h ^ checksum({static_cast<const std::uint8_t*>(data), size})) *
+        0x9E3779B97F4A7C15ULL;
+  };
+  mix(out.summary.data(), out.summary.size());
+  mix(out.clients.data(), out.clients.size() * sizeof(ClientId));
+  mix(out.per_client.data(), out.per_client.size() * sizeof(double));
+  mix(out.selected.data(), out.selected.size() * sizeof(ClientId));
+  const double scalars[] = {out.scalar, out.work.bytes_touched,
+                            out.work.flops};
+  mix(scalars, sizeof scalars);
+  mix(&out.result_bytes, sizeof out.result_bytes);
+  return h;
 }
 
 namespace {

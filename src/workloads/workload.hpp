@@ -64,6 +64,10 @@ struct WorkloadOutput {
   units::Bytes result_bytes = 64 * units::KB;  ///< result object size
 };
 
+/// A 64-bit digest of every field of `out`, bit for bit: two runs that
+/// served the same outputs record the same digests.
+[[nodiscard]] std::uint64_t output_digest(const WorkloadOutput& out);
+
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -116,11 +120,14 @@ class Workload {
 /// four thread_local most-recently-used slots: no lock, and at most four
 /// batches per thread (64 KB each for 16 probes at the largest materialized
 /// dim, 1024). Four suffice because ShardedStore runs each tenant's timeline
-/// as one pool task, so a thread serves one tenant at a time, and that
-/// tenant's live batches are its inference and debugging batches for two
-/// rounds: the one just ingested, which the timeline primes at its ingest,
-/// and the one before, which requests still queued from it ask for.
-/// A returned batch stays valid after its slot is reused.
+/// as one pool task, so a timeline thread serves one tenant at a time, and
+/// that tenant's live batches are its inference and debugging batches for
+/// two rounds: the one just ingested, which the timeline primes at its
+/// ingest, and the one before, which requests still queued from it ask for.
+/// A helper thread computes outputs for any tenant and round, so it does not
+/// rely on the memo's history: each of its tasks primes its own round's
+/// batches just before it executes. A returned batch stays valid after its
+/// slot is reused.
 [[nodiscard]] ProbeBatch probe_batch(const ProbeSpec& spec);
 
 /// The batches requests of `types` about `round` of a model materialized at
